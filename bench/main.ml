@@ -8,6 +8,8 @@
      dune exec bench/main.exe -- table1    # one artifact
      (table1 | table2 | table3 | table4 | census | micro | ablation |
       faultcamp | obs | obs-json | bechamel | benchjson)
+     dune exec bench/main.exe -- benchjson [--smoke] [--out FILE]
+                                          # compiled vs interpreted ns/op
      dune exec bench/main.exe -- profile [--json] [--iters N] [--out DIR] \
        [workload ...]                      # span-profiler attribution
      dune exec bench/main.exe -- explore [--driver D]... [--depth N] \
@@ -19,2087 +21,44 @@
                                           # queued/interrupt-driven vs polling
      dune exec bench/main.exe -- latency [--out FILE] [--trace-dir DIR]
                                           # per-stage request-latency accounting
-
-   Paper-vs-measured commentary lives in EXPERIMENTS.md. *)
-
-module Machine = Drivers.Machine
-module Analysis = Mutation.Analysis
-module Ide_bench = Perfmodel.Ide_bench
-module Permedia_bench = Perfmodel.Permedia_bench
-
-let section title =
-  Format.printf "@.=== %s ===@.@." title
-
-(* {1 Table 1: mutation analysis} *)
-
-let table1 () =
-  section "Table 1: Language error-detection coverage (mutation analysis)";
-  let reports = Analysis.table1 () in
-  Format.printf "%a@." Analysis.pp_table1 reports;
-  Format.printf
-    "paper's shape: Devil mutants nearly always detected; undetected errors \
-     3.2-5.9x more@.likely in C than in CDevil and 1.6-5.2x more likely than \
-     in Devil+CDevil.@.";
-  Format.printf
-    "@.Extension row (beyond the paper): the 16550 UART specification and \
-     its re-created C driver.@.";
-  Format.printf "%a@." Analysis.pp_table1 [ Analysis.uart_report () ]
-
-(* {1 Table 2: IDE driver throughput} *)
-
-let table2 () =
-  section "Table 2: IDE driver comparative performance";
-  Format.printf "Devil driver using per-word C loops (the paper's rows):@.";
-  Format.printf "%a@." Ide_bench.pp_table (Ide_bench.table2 ());
-  Format.printf
-    "Devil driver using block-transfer (rep) stubs — \"we did not observe an \
-     impact\":@.";
-  Format.printf "%a@." Ide_bench.pp_table (Ide_bench.block_stub_lines ())
-
-(* {1 Tables 3 and 4: Permedia2 X server} *)
-
-let table3 () =
-  section "Table 3: Permedia2 Xfree86 driver, rectangle fill";
-  Format.printf "%a@." Permedia_bench.pp_table
-    (Permedia_bench.table Permedia_bench.Fill)
-
-let table4 () =
-  section "Table 4: Permedia2 Xfree86 driver, screen copy";
-  Format.printf "%a@." Permedia_bench.pp_table
-    (Permedia_bench.table Permedia_bench.Copy)
-
-(* {1 The introduction's claim: bit operations in driver code} *)
-
-let census () =
-  section "Census: bit operations in hardware operating code (paper section 1)";
-  let bit_ops = [ "&"; "|"; "^"; "~"; "<<"; ">>"; "&="; "|="; "^="; "<<="; ">>=" ] in
-  let corpus =
-    [
-      ("busmouse", Mutation.Corpus.busmouse_c);
-      ("ide", Mutation.Corpus.ide_c);
-      ("ne2000", Mutation.Corpus.ne2000_c);
-      ("uart", Mutation.Corpus.uart_c);
-    ]
-  in
-  Format.printf "%-10s %14s %14s %8s@." "driver" "bit-op tokens" "code lines"
-    "lines w/ bit ops";
-  List.iter
-    (fun (name, src) ->
-      match Mutation.C_lang.tokenize src with
-      | Error _ -> ()
-      | Ok toks ->
-          let ops =
-            List.filter
-              (fun (t : Mutation.C_lang.loc_token) ->
-                match t.tok with
-                | Mutation.C_lang.OP o -> List.mem o bit_ops
-                | _ -> false)
-              toks
-          in
-          let op_lines =
-            List.sort_uniq compare
-              (List.map (fun (t : Mutation.C_lang.loc_token) -> t.line) ops)
-          in
-          let lines =
-            List.length
-              (List.filter
-                 (fun l -> String.trim l <> "")
-                 (String.split_on_char '\n' src))
-          in
-          Format.printf "%-10s %14d %14d %7.0f%%@." name (List.length ops)
-            lines
-            (100.0 *. float_of_int (List.length op_lines) /. float_of_int lines))
-    corpus;
-  Format.printf
-    "@.paper: \"bit operations can represent up to 30%% of driver code\"@."
-
-(* {1 Section 4.3 micro-analysis: stub cost vs hand-crafted access} *)
-
-let micro () =
-  section "Micro-analysis: generated stub vs hand-crafted access (section 4.3)";
-  let m = Machine.create () in
-  let devil = Drivers.Mouse.Devil_driver.create m.mouse_dev in
-  let hand = Drivers.Mouse.Handcrafted.create m.bus ~base:Machine.mouse_base in
-  let ops f =
-    Machine.reset_io_stats m;
-    f ();
-    Machine.io_ops m
-  in
-  let devil_ops = ops (fun () -> ignore (Drivers.Mouse.Devil_driver.read_state devil)) in
-  let hand_ops = ops (fun () -> ignore (Drivers.Mouse.Handcrafted.read_state hand)) in
-  Format.printf "mouse_state read: devil = %d I/O ops, hand-crafted = %d I/O ops@."
-    devil_ops hand_ops;
-  let d = Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
-  let h =
-    Drivers.Ide.Handcrafted.create m.bus ~cmd_base:Machine.ide_base
-      ~ctrl_base:Machine.ide_ctrl_base ~bm_base:Machine.piix4_base
-      ~prd_base:Machine.piix4_prd_base
-  in
-  let devil_setup =
-    ops (fun () ->
-        ignore
-          (Drivers.Ide.Devil_driver.read_sectors d ~lba:0 ~count:1 ~mult:1
-             ~path:`Block ~width:`W16))
-  in
-  let hand_setup =
-    ops (fun () ->
-        ignore
-          (Drivers.Ide.Handcrafted.read_sectors h ~lba:0 ~count:1 ~mult:1
-             ~path:`Block ~width:`W16))
-  in
-  Format.printf
-    "one-sector PIO read: devil = %d ops, hand-crafted = %d ops (paper: +3 \
-     setup, +2 per interrupt)@."
-    devil_setup hand_setup
-
-(* {1 Ablations: the design choices behind the generated interface} *)
-
-let ablation () =
-  section "Ablations: what each interface mechanism buys (I/O operations)";
-
-  (* (a) Structure grouping. Reading the busmouse state through the
-     mouse_state structure touches each register once; an interface
-     without structures reads each variable independently, re-reading
-     shared registers. *)
-  let grouped =
-    let m = Machine.create () in
-    Machine.reset_io_stats m;
-    Devil_runtime.Instance.get_struct m.mouse_dev "mouse_state";
-    ignore (Devil_runtime.Instance.get m.mouse_dev "dx");
-    ignore (Devil_runtime.Instance.get m.mouse_dev "dy");
-    ignore (Devil_runtime.Instance.get m.mouse_dev "buttons");
-    Machine.io_ops m
-  in
-  let ungrouped_src =
-    (* The same device with the structure dissolved into standalone
-       volatile variables. *)
-    {|
-device busmouse_ungrouped (base : bit[8] port @ {0..3})
-{
-  register sig_reg = base @ 1 : bit[8];
-  variable signature = sig_reg, volatile, write trigger : int(8);
-  register cr = write base @ 3, mask '1001000.' : bit[8];
-  variable config = cr[0] : { CONFIGURATION => '1', DEFAULT_MODE => '0' };
-  register interrupt_reg = write base @ 2, mask '000.0000' : bit[8];
-  variable interrupt = interrupt_reg[4] : { ENABLE => '0', DISABLE => '1' };
-  register index_reg = write base @ 2, mask '1..00000' : bit[8];
-  private variable index = index_reg[6..5] : int(2);
-  register x_low  = read base @ 0, pre {index = 0}, mask '****....' : bit[8];
-  register x_high = read base @ 0, pre {index = 1}, mask '****....' : bit[8];
-  register y_low  = read base @ 0, pre {index = 2}, mask '****....' : bit[8];
-  register y_high = read base @ 0, pre {index = 3}, mask '...*....' : bit[8];
-  variable dx = x_high[3..0] # x_low[3..0], volatile : signed int(8);
-  variable dy = y_high[3..0] # y_low[3..0], volatile : signed int(8);
-  variable buttons = y_high[7..5], volatile : int(3);
-}
-|}
-  in
-  let ungrouped =
-    match Devil_check.Check.compile ungrouped_src with
-    | Error _ -> -1
-    | Ok device ->
-        let space = Hwsim.Io_space.create () in
-        let mouse = Hwsim.Busmouse.create () in
-        Hwsim.Io_space.attach space ~base:0x23c ~size:4
-          (Hwsim.Busmouse.model mouse);
-        let inst =
-          Devil_runtime.Instance.create device ~bus:(Hwsim.Io_space.bus space)
-            ~bases:[ ("base", 0x23c) ]
-        in
-        ignore (Devil_runtime.Instance.get inst "dx");
-        Hwsim.Io_space.reset_stats space;
-        ignore (Devil_runtime.Instance.get inst "dx");
-        ignore (Devil_runtime.Instance.get inst "dy");
-        ignore (Devil_runtime.Instance.get inst "buttons");
-        Hwsim.Io_space.io_ops space
-  in
-  Format.printf
-    "structure grouping: mouse state via structure = %d ops, via standalone \
-     volatile variables = %d ops@."
-    grouped ungrouped;
-
-  (* (b) Register caching. Writing the six NE2000 receive-configuration
-     bits one variable at a time costs one I/O write each thanks to the
-     cache; without a cache every write would need the full register
-     rebuilt from device state (here: re-reads are impossible, the
-     register is write-only — the cacheless interface simply could not
-     exist, which is the point; we emulate it by invalidating between
-     writes and counting the failures as full rewrites). *)
-  let with_cache =
-    let m = Machine.create () in
-    let set n v =
-      Devil_runtime.Instance.set m.ne2000_dev n (Devil_ir.Value.Bool v)
-    in
-    Machine.reset_io_stats m;
-    set "accept_errors" false;
-    set "accept_runts" false;
-    set "accept_broadcast" true;
-    set "accept_multicast" false;
-    set "promiscuous" false;
-    set "monitor" false;
-    Machine.io_ops m
-  in
-  Format.printf
-    "register caching: six sibling parameter writes = %d ops with the cache \
-     (each write also re-selects page 0); without caching, composing a \
-     write-only register is impossible@."
-    with_cache;
-
-  (* (c) Block stubs vs loops: the Table 2 mechanism, one row. *)
-  let line =
-    Ide_bench.run_line ~sectors:16
-      (Ide_bench.Pio { sectors_per_irq = 16; width = `W16 })
-      ~devil_path:`Loop
-  in
-  let line_block =
-    Ide_bench.run_line ~sectors:16
-      (Ide_bench.Pio { sectors_per_irq = 16; width = `W16 })
-      ~devil_path:`Block
-  in
-  Format.printf
-    "block stubs: PIO 16/16 throughput ratio %.0f %% with per-word loops vs \
-     %.0f %% with rep stubs@."
-    (100.0 *. line.ratio)
-    (100.0 *. line_block.ratio);
-
-  (* (d) Trigger neutrals: writing a parameter that shares the NE2000
-     command register must not re-fire the start/stop/dma triggers. *)
-  let m = Machine.create () in
-  let net = Drivers.Net.Devil_driver.create m.ne2000_dev in
-  Drivers.Net.Devil_driver.init net ~mac:"\x02\x00\x00\x00\x00\x01";
-  let before = Hwsim.Ne2000.take_transmitted m.nic in
-  (* Rewriting the private page variable composes st/txp/rd from their
-     neutral values; a cache-replay interface would re-issue START and
-     could re-trigger a transmit. *)
-  ignore (Devil_runtime.Instance.get m.ne2000_dev "current_page");
-  let after = Hwsim.Ne2000.take_transmitted m.nic in
-  Format.printf
-    "trigger neutrals: a page flip around the command register re-fired %d \
-     transmissions (must be 0)@."
-    (List.length before + List.length after)
-
-(* {1 Fault-tolerance campaign: drivers under an adversarial bus} *)
-
-let faultcamp () =
-  section "Fault campaign: driver workloads under injected bus faults";
-  let report = Faultcamp.Campaign.run () in
-  Format.printf "%a@." Faultcamp.Campaign.pp_report report;
-  Format.printf
-    "Transient faults (aborted accesses) must never corrupt silently: the \
-     recovery@.policies retry them with bounded attempts. Silent rows mark \
-     data-path faults no@.driver-level check can see — the residue a \
-     language-level approach leaves to@.end-to-end integrity checks.@.";
-  (* Record/replay spot checks: every faultcamp failure must be
-     reproducible from its bus tape alone. One cell per workload,
-     under the nastiest fault class, plus the fault-free smoke pair
-     the check.sh gate diffs with tracetool. *)
-  Format.printf "@.record/replay spot checks (bus-tape determinism):@.";
-  List.iter
-    (fun driver ->
-      let rc =
-        Faultcamp.Campaign.record_replay ~fault:"stuck-bits" ~driver ~seed:1 ()
-      in
-      Format.printf "  %a@." Faultcamp.Campaign.pp_replay_check rc)
-    Faultcamp.Campaign.replayable_workloads;
-  match Sys.getenv_opt Faultcamp.Campaign.export_env with
-  | None -> ()
-  | Some dir ->
-      let recorded, replayed =
-        Faultcamp.Campaign.export_replay_smoke ~dir ~driver:"ide-read" ~seed:1
-      in
-      Format.printf "@.wrote replay smoke pair: %s / %s@." recorded replayed
-
-(* {1 Observability: trace + metrics over a mixed driver workload} *)
-
-let obs_workload (m : Machine.t) =
-  let mouse = Drivers.Mouse.Devil_driver.create m.mouse_dev in
-  ignore (Drivers.Mouse.Devil_driver.read_state mouse);
-  let ide = Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
-  ignore
-    (Drivers.Ide.Devil_driver.read_sectors ide ~lba:0 ~count:1 ~mult:1
-       ~path:`Block ~width:`W16);
-  let g = Drivers.Gfx.Devil_driver.create m.gfx_dev in
-  Drivers.Gfx.Devil_driver.set_depth g 8;
-  Drivers.Gfx.Devil_driver.fill_rect g
-    { Drivers.Gfx.x = 0; y = 0; w = 10; h = 10 }
-    ~color:1;
-  let u = Drivers.Serial.Devil_driver.create m.uart_dev in
-  Drivers.Serial.Devil_driver.init u ~baud:115200;
-  ignore (Drivers.Serial.Devil_driver.self_test u)
-
-(* The spec instances the obs workload touches, paired with the
-   instance labels Machine.create hands them. *)
-let obs_coverage_devices () =
-  [
-    ("mouse", Devil_specs.Specs.busmouse ());
-    ("ide", Devil_specs.Specs.ide ());
-    ("piix4", Devil_specs.Specs.piix4_ide ());
-    ("gfx", Devil_specs.Specs.permedia2 ());
-    ("uart", Devil_specs.Specs.uart16550 ());
-  ]
-
-let obs () =
-  section "Observability: metrics and trace over a mixed driver workload";
-  let trace = Devil_runtime.Trace.create ~capacity:64 () in
-  let metrics = Devil_runtime.Metrics.create () in
-  let covs =
-    List.map
-      (fun (dev, device) ->
-        let c = Devil_runtime.Coverage.create ~dev device in
-        Devil_runtime.Coverage.attach c trace;
-        c)
-      (obs_coverage_devices ())
-  in
-  let m = Machine.create ~trace ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      obs_workload m);
-  Format.printf "%s@." (Devil_runtime.Metrics.to_json metrics);
-  Format.printf "@.spec coverage of the workload:@.";
-  List.iter
-    (fun c ->
-      Format.printf "  %a@." Devil_runtime.Coverage.pp_report
-        (Devil_runtime.Coverage.report c))
-    covs;
-  let sample = Perfmodel.Cost.sample_of_metrics metrics in
-  Format.printf
-    "@.modeled PIO time for the workload: %.1f us (%d single transfers, %d \
-     block elements)@."
-    (Perfmodel.Cost.pio_time sample *. 1e6)
-    sample.Perfmodel.Cost.singles sample.Perfmodel.Cost.block_items;
-  Format.printf "@.trace: %s; last events:@."
-    (Devil_runtime.Trace.summary trace);
-  let events = Devil_runtime.Trace.events trace in
-  let tail =
-    let n = List.length events in
-    List.filteri (fun i _ -> i >= n - 10) events
-  in
-  List.iter
-    (fun e -> Format.printf "  %a@." Devil_runtime.Trace.pp_event e)
-    tail
-
-(* The obs workload's metrics registry as bare JSON on stdout —
-   counters and histograms sorted by key, so the output is
-   byte-deterministic and pinned as test/golden/obs_metrics.json.
-   Any change to what the runtime counts (or to what the drivers do)
-   shows up as a reviewable golden diff; accept with `dune promote`. *)
-let obs_json () =
-  let metrics = Devil_runtime.Metrics.create () in
-  let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      obs_workload m);
-  print_string (Devil_runtime.Metrics.to_json metrics);
-  print_newline ()
-
-(* {1 Bechamel micro-benchmarks: one workload per table} *)
-
-let bechamel_suite () =
-  section "Bechamel micro-benchmarks (one workload per table)";
-  let open Bechamel in
-  let open Toolkit in
-  (* Table 1 workload: verify one mutant of the busmouse spec. *)
-  let mutant =
-    let src = Devil_specs.Specs.busmouse_source in
-    String.concat "index_rag" (String.split_on_char '\t' src) ^ " "
-  in
-  let t1 =
-    Test.make ~name:"table1: check one Devil mutant"
-      (Staged.stage (fun () ->
-           ignore (Devil_check.Check.compile mutant)))
-  in
-  (* Table 2 workload: one-sector PIO read through the Devil stubs. *)
-  let m = Machine.create () in
-  let ide = Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
-  let t2 =
-    Test.make ~name:"table2: 1-sector PIO read (Devil stubs)"
-      (Staged.stage (fun () ->
-           ignore
-             (Drivers.Ide.Devil_driver.read_sectors ide ~lba:0 ~count:1
-                ~mult:1 ~path:`Loop ~width:`W16)))
-  in
-  (* Table 3 workload: one rectangle fill through the Devil stubs. *)
-  let g = Drivers.Gfx.Devil_driver.create m.gfx_dev in
-  Drivers.Gfx.Devil_driver.set_depth g 8;
-  let t3 =
-    Test.make ~name:"table3: 10x10 fill (Devil stubs)"
-      (Staged.stage (fun () ->
-           Drivers.Gfx.Devil_driver.fill_rect g
-             { Drivers.Gfx.x = 0; y = 0; w = 10; h = 10 }
-             ~color:1))
-  in
-  let t4 =
-    Test.make ~name:"table4: 10x10 copy (Devil stubs)"
-      (Staged.stage (fun () ->
-           Drivers.Gfx.Devil_driver.copy_rect g
-             { Drivers.Gfx.x = 0; y = 0; w = 10; h = 10 }
-             ~dx:16 ~dy:0))
-  in
-  (* The section 4.3 micro-comparison pair. *)
-  let mouse_devil = Drivers.Mouse.Devil_driver.create m.mouse_dev in
-  let mouse_hand = Drivers.Mouse.Handcrafted.create m.bus ~base:Machine.mouse_base in
-  let t5a =
-    Test.make ~name:"micro: mouse state via Devil stubs"
-      (Staged.stage (fun () ->
-           ignore (Drivers.Mouse.Devil_driver.read_state mouse_devil)))
-  in
-  let t5b =
-    Test.make ~name:"micro: mouse state hand-crafted"
-      (Staged.stage (fun () ->
-           ignore (Drivers.Mouse.Handcrafted.read_state mouse_hand)))
-  in
-  let tests = [ t1; t2; t3; t4; t5a; t5b ] in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:true ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-              Format.printf "%-42s %12.1f ns/run@." name est
-          | _ -> Format.printf "%-42s (no estimate)@." name)
-        results)
-    tests
-
-(* {1 PR-3 benchmark trajectory: compiled plans vs the interpreter}
-
-   [benchjson] runs a fixed set of runtime workloads under bechamel on
-   BOTH engines — the default compiled access plans and the
-   [~interpret:true] oracle — and persists the ns/op estimates,
-   together with the cost-model time for one operation of each
-   workload, as machine-readable JSON (DESIGN.md §9 documents the
-   schema; tools/benchcheck validates it). Environment knobs, used by
-   the check.sh "bench smoke" step:
-
-     DEVIL_BENCH_QUOTA   seconds of sampling per workload (default 0.25)
-     DEVIL_BENCH_LIMIT   max bechamel runs per workload (default 2000)
-     DEVIL_BENCH_OUT     output path (default BENCH_pr3.json)
-     DEVIL_BENCH_SUITE   suite name stamped into the JSON
-                         (default devil_pr3_access_plans; committed
-                         trajectory files use devil_pr5_span_profiler
-                         from BENCH_pr5.json on) *)
-
-let pr3_workloads : (string * (Machine.t -> unit -> unit)) list =
-  [
-    (* A standalone int variable on a cached read/write register: the
-       purest register-get / register-set pair. *)
-    ( "reg_get",
-      fun m () -> ignore (Machine.Instance.get m.uart_dev "parity_mode") );
-    ( "reg_set",
-      fun m ->
-        let v = Devil_ir.Value.Int 5 in
-        fun () -> Machine.Instance.set m.uart_dev "parity_mode" v );
-    (* The same pair through pre-resolved handles: the name lookup at
-       the public API boundary — which both engines pay equally — is
-       hoisted out, leaving the bare per-access path. *)
-    ( "reg_get_h",
-      fun m ->
-        let h = Machine.Instance.handle m.uart_dev "parity_mode" in
-        fun () -> ignore (Machine.Instance.get_h m.uart_dev h) );
-    ( "reg_set_h",
-      fun m ->
-        let h = Machine.Instance.handle m.uart_dev "parity_mode" in
-        let v = Devil_ir.Value.Int 5 in
-        fun () -> Machine.Instance.set_h m.uart_dev h v );
-    (* One volatile structure read: eight fields off a single LSR
-       fetch. *)
-    ( "struct_read",
-      fun m () -> Machine.Instance.get_struct m.uart_dev "line_status" );
-    (* A 64-element block transfer through a write-trigger block
-       variable (the drained wire keeps the device buffer bounded). *)
-    ( "block_write",
-      fun m ->
-        let data = Array.make 64 0x55 in
-        fun () ->
-          Machine.Instance.write_block m.uart_dev "tx_data" data;
-          ignore (Hwsim.Uart16550.take_transmitted m.uart) );
-    (* The Table 2 data path: a one-sector PIO read end to end. *)
-    ( "ide_read",
-      fun m ->
-        let ide =
-          Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev
-        in
-        fun () ->
-          ignore
-            (Drivers.Ide.Devil_driver.read_sectors ide ~lba:0 ~count:1 ~mult:1
-               ~path:`Block ~width:`W16) );
-    (* The Table 3 data path: a 10x10 rectangle fill. *)
-    ( "gfx_fill",
-      fun m ->
-        let g = Drivers.Gfx.Devil_driver.create m.gfx_dev in
-        Drivers.Gfx.Devil_driver.set_depth g 8;
-        fun () ->
-          Drivers.Gfx.Devil_driver.fill_rect g
-            { Drivers.Gfx.x = 0; y = 0; w = 10; h = 10 }
-            ~color:1 );
-  ]
-
-let estimate_ns ~quota ~limit test =
-  let open Bechamel in
-  let open Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit ~quota:(Time.second quota) ~stabilize:true ()
-  in
-  (* Smoke runs use a tiny quota/limit; when OLS cannot produce an
-     estimate from so few samples we report null rather than fail. *)
-  try
-    let raw = Benchmark.all cfg instances test in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    Hashtbl.fold
-      (fun _ ols acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            match Analyze.OLS.estimates ols with
-            | Some [ est ] when Float.is_finite est && est >= 0.0 -> Some est
-            | _ -> None))
-      results None
-  with _ -> None
-
-let modeled_us_per_op workload =
-  (* Count the bus traffic of one hot-loop operation on a
-     metrics-instrumented machine and convert it with the calibrated
-     §4 cost model. The counts are engine-independent — the
-     differential suite proves both engines issue identical traffic —
-     so each workload carries a single modeled time. *)
-  let metrics = Devil_runtime.Metrics.create () in
-  let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      let run = workload m in
-      run ();
-      (* warm the idempotent caches: measure the steady state *)
-      let before = Perfmodel.Cost.sample_of_metrics metrics in
-      run ();
-      let after = Perfmodel.Cost.sample_of_metrics metrics in
-      let delta =
-        {
-          Perfmodel.Cost.singles =
-            after.Perfmodel.Cost.singles - before.Perfmodel.Cost.singles;
-          block_items =
-            after.Perfmodel.Cost.block_items - before.Perfmodel.Cost.block_items;
-          irqs = 0;
-        }
-      in
-      Perfmodel.Cost.pio_time delta *. 1e6)
-
-let benchjson () =
-  section "PR-3 benchmark trajectory: compiled plans vs the interpreter";
-  let env_float name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try float_of_string s with _ -> default)
-    | None -> default
-  in
-  let env_int name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let quota = env_float "DEVIL_BENCH_QUOTA" 0.25 in
-  let limit = env_int "DEVIL_BENCH_LIMIT" 2000 in
-  let out =
-    Option.value (Sys.getenv_opt "DEVIL_BENCH_OUT") ~default:"BENCH_pr3.json"
-  in
-  let suite =
-    Option.value
-      (Sys.getenv_opt "DEVIL_BENCH_SUITE")
-      ~default:"devil_pr3_access_plans"
-  in
-  let modeled =
-    List.map (fun (name, wl) -> (name, modeled_us_per_op wl)) pr3_workloads
-  in
-  let rows =
-    List.concat_map
-      (fun (engine, interpret) ->
-        let m = Machine.create ~interpret () in
-        List.map
-          (fun (name, wl) ->
-            let run = wl m in
-            run ();
-            (* warm caches before sampling *)
-            let label = name ^ "/" ^ engine in
-            let test =
-              Bechamel.Test.make ~name:label (Bechamel.Staged.stage run)
-            in
-            let ns = estimate_ns ~quota ~limit test in
-            Format.printf "%-28s %s@." label
-              (match ns with
-              | Some v -> Printf.sprintf "%12.1f ns/op" v
-              | None -> "   (no estimate)");
-            (name, engine, ns))
-          pr3_workloads)
-      [ ("compiled", false); ("interpreted", true) ]
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 1,\n";
-  Buffer.add_string buf (Printf.sprintf "  \"suite\": %S,\n" suite);
-  Buffer.add_string buf (Printf.sprintf "  \"quota_s\": %.4f,\n" quota);
-  Buffer.add_string buf (Printf.sprintf "  \"limit\": %d,\n" limit);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, engine, ns) ->
-      let modeled_us = List.assoc name modeled in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": %S, \"engine\": %S, \"ns_per_op\": %s, \
-            \"modeled_us\": %.4f }%s\n"
-           name engine
-           (match ns with Some v -> Printf.sprintf "%.3f" v | None -> "null")
-           modeled_us
-           (if i = List.length rows - 1 then "" else ","))
-      )
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s (%d workloads x 2 engines)@." out
-    (List.length pr3_workloads)
-
-(* {1 bench async: queued/interrupt-driven drivers vs synchronous polling}
-
-   The ISSUE-7 Table-2-style suite (DESIGN.md §13). Four rows, each a
-   fresh metrics-instrumented machine:
-
-   - ide-sync-poll    one-command-at-a-time DMA reads, completion by
-                      busmaster status polling (each status read costs
-                      a real ISA transfer and advances the deferred
-                      engine one unit);
-   - ide-queued-dma   the same reads through Ide.Async: a FIFO of
-                      commands completed by the IRQ, windowed at depth
-                      4;
-   - net-poll-rx      frames drained by calling receive in a poll
-                      loop, paying ring-state reads for every empty
-                      poll between bursts;
-   - net-burst-rx     Net.Async: one PRX interrupt drains a whole
-                      burst; idle gaps cost scheduler ticks, not bus
-                      reads.
-
-   The table reports CPU us per operation under the calibrated §4 cost
-   model: singles and block elements at their ISA price, serviced
-   interrupts at [t_irq], and — for the event-driven rows — one
-   [t_loop] per scheduler tick (the loop iteration that replaces a
-   poll's bus read). Media/engine time is excluded: it is [latency]
-   virtual ticks in BOTH columns and overlaps the queue's completion
-   processing, which is exactly why the queued driver's sustainable
-   command rate is CPU-bound. "p99 wait" is the 99th-percentile
-   virtual-tick latency from submit (or frame injection) to
-   completion — queueing behind a saturated engine is visible there.
-
-   In-process invariants (exit 1): every transferred byte verified
-   against ground truth, and zero outstanding requests after each
-   event-driven row (the queue-leak check). tools/benchcheck `async`
-   validates the JSON artifact and gates ide-queued-dma at >= 2x the
-   polling row's throughput. *)
-
-let async_dma_latency = 128
-let async_ide_ops = 32
-let async_ide_count = 2 (* sectors per command *)
-let async_ide_window = 4 (* queued commands in flight *)
-let async_net_bursts = 8
-let async_net_burst = 8 (* frames per burst *)
-let async_net_gap = 32 (* idle ticks (or empty polls) between bursts *)
-
-type async_row = {
-  ar_name : string;
-  ar_ops : int;
-  ar_singles_per_op : float;
-  ar_block_per_op : float;
-  ar_irqs_per_op : float;
-  ar_wait_ticks_per_op : float;
-  ar_cpu_us_per_op : float;
-  ar_p99_wait : int;
-}
-
-let async_failures : string list ref = ref []
-let async_fail fmt = Printf.ksprintf (fun m -> async_failures := m :: !async_failures) fmt
-
-let async_verify ~row ~what expected got =
-  if not (Bytes.equal expected got) then
-    async_fail "%s: %s differs from ground truth" row what
-
-let percentile_of_array a p =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0 else a.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-
-(* CPU time of one row under the cost model. [sched_ticks] is 0 for
-   the polling rows: their loop iterations are the status reads
-   already counted as singles. *)
-let async_cpu_us ~(delta : Perfmodel.Cost.io_sample) ~sched_ticks =
-  (Perfmodel.Cost.pio_time delta
-  +. (float_of_int sched_ticks *. Perfmodel.Cost.t_loop))
-  *. 1e6
-
-let async_sector_pattern i =
-  Bytes.init
-    (async_ide_count * 512)
-    (fun j -> Char.chr (((i * 7) + (j * 13) + 3) land 0xff))
-
-let async_fill_disk (m : Machine.t) =
-  for i = 0 to async_ide_ops - 1 do
-    let b = async_sector_pattern i in
-    for s = 0 to async_ide_count - 1 do
-      Hwsim.Ide_disk.write_sector m.disk
-        ~lba:(1000 + (i * async_ide_count) + s)
-        (Bytes.sub b (s * 512) 512)
-    done
-  done
-
-let async_row_ide_sync () =
-  let metrics = Devil_runtime.Metrics.create () in
-  let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
-  async_fill_disk m;
-  Hwsim.Piix4.set_latency m.busmaster async_dma_latency;
-  let d = Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
-  let memory = Hwsim.Piix4.memory m.busmaster in
-  let before = Perfmodel.Cost.sample_of_metrics metrics in
-  let waits = Array.make async_ide_ops 0 in
-  for i = 0 to async_ide_ops - 1 do
-    let t0 = Devil_runtime.Metrics.count metrics "poll.ticks" in
-    let got =
-      Drivers.Ide.Devil_driver.read_dma d ~memory
-        ~lba:(1000 + (i * async_ide_count))
-        ~count:async_ide_count
-    in
-    async_verify ~row:"ide-sync-poll" ~what:(Printf.sprintf "command %d" i)
-      (async_sector_pattern i) got;
-    waits.(i) <- Devil_runtime.Metrics.count metrics "poll.ticks" - t0
-  done;
-  let after = Perfmodel.Cost.sample_of_metrics metrics in
-  let delta =
-    {
-      Perfmodel.Cost.singles = after.Perfmodel.Cost.singles - before.Perfmodel.Cost.singles;
-      block_items = after.Perfmodel.Cost.block_items - before.Perfmodel.Cost.block_items;
-      irqs = 0;
-    }
-  in
-  let ops = float_of_int async_ide_ops in
-  {
-    ar_name = "ide-sync-poll";
-    ar_ops = async_ide_ops;
-    ar_singles_per_op = float_of_int delta.Perfmodel.Cost.singles /. ops;
-    ar_block_per_op = float_of_int delta.Perfmodel.Cost.block_items /. ops;
-    ar_irqs_per_op = 0.0;
-    ar_wait_ticks_per_op =
-      float_of_int (Array.fold_left ( + ) 0 waits) /. ops;
-    ar_cpu_us_per_op = async_cpu_us ~delta ~sched_ticks:0 /. ops;
-    ar_p99_wait = percentile_of_array waits 0.99;
-  }
-
-let async_row_ide_queued () =
-  let metrics = Devil_runtime.Metrics.create () in
-  let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
-  async_fill_disk m;
-  Hwsim.Piix4.set_latency m.busmaster async_dma_latency;
-  let sched = Machine.sched m in
-  let d =
-    Drivers.Ide.Async.create ~sched ~line:Machine.irq_ide
-      ~memory:(Hwsim.Piix4.memory m.busmaster) ~ide:m.ide_dev ~piix4:m.piix4_dev
-  in
-  let before = Perfmodel.Cost.sample_of_metrics metrics in
-  let pending = ref [] in
-  for i = 0 to async_ide_ops - 1 do
-    let rq =
-      Drivers.Ide.Async.read_dma d
-        ~lba:(1000 + (i * async_ide_count))
-        ~count:async_ide_count
-        ~on_data:(fun got ->
-          async_verify ~row:"ide-queued-dma"
-            ~what:(Printf.sprintf "command %d" i)
-            (async_sector_pattern i) got)
-        ()
-    in
-    pending := rq :: !pending;
-    if List.length !pending >= async_ide_window then begin
-      List.iter (Drivers.Ide.Async.await d) !pending;
-      pending := []
-    end
-  done;
-  List.iter (Drivers.Ide.Async.await d) !pending;
-  Drivers.Ide.Async.drain d;
-  if Devil_runtime.Sched.outstanding sched <> 0 then
-    async_fail "ide-queued-dma: %d request(s) leaked on the queue"
-      (Devil_runtime.Sched.outstanding sched);
-  let after = Perfmodel.Cost.sample_of_metrics metrics in
-  let irqs = Devil_runtime.Metrics.count metrics "sched.irqs.delivered" in
-  let ticks = Devil_runtime.Metrics.count metrics "sched.ticks" in
-  if irqs <> async_ide_ops then
-    async_fail "ide-queued-dma: %d interrupts delivered for %d commands" irqs
-      async_ide_ops;
-  let delta =
-    {
-      Perfmodel.Cost.singles = after.Perfmodel.Cost.singles - before.Perfmodel.Cost.singles;
-      block_items = after.Perfmodel.Cost.block_items - before.Perfmodel.Cost.block_items;
-      irqs;
-    }
-  in
-  let ops = float_of_int async_ide_ops in
-  {
-    ar_name = "ide-queued-dma";
-    ar_ops = async_ide_ops;
-    ar_singles_per_op = float_of_int delta.Perfmodel.Cost.singles /. ops;
-    ar_block_per_op = float_of_int delta.Perfmodel.Cost.block_items /. ops;
-    ar_irqs_per_op = float_of_int irqs /. ops;
-    ar_wait_ticks_per_op = float_of_int ticks /. ops;
-    ar_cpu_us_per_op = async_cpu_us ~delta ~sched_ticks:ticks /. ops;
-    ar_p99_wait =
-      Option.value
-        (Devil_runtime.Metrics.percentile metrics "sched.queue.wait_ticks" 0.99)
-        ~default:0;
-  }
-
-let async_net_frame b k =
-  String.init 64 (fun j ->
-      Char.chr (((b * async_net_burst) + k + (j * 5) + 1) land 0xff))
-
-let async_row_net_poll () =
-  let metrics = Devil_runtime.Metrics.create () in
-  let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
-  let net = Drivers.Net.Devil_driver.create m.ne2000_dev in
-  Drivers.Net.Devil_driver.init net ~mac:"\x02\x00\x00\x00\x00\x21";
-  let before = Perfmodel.Cost.sample_of_metrics metrics in
-  let frames = ref 0 in
-  for b = 0 to async_net_bursts - 1 do
-    for k = 0 to async_net_burst - 1 do
-      if not (Hwsim.Ne2000.inject_frame m.nic (async_net_frame b k)) then
-        async_fail "net-poll-rx: ring rejected frame %d/%d" b k
-    done;
-    for k = 0 to async_net_burst - 1 do
-      match Drivers.Net.Devil_driver.receive net with
-      | Some f ->
-          incr frames;
-          async_verify ~row:"net-poll-rx" ~what:(Printf.sprintf "frame %d/%d" b k)
-            (Bytes.of_string (async_net_frame b k))
-            (Bytes.of_string f)
-      | None -> async_fail "net-poll-rx: frame %d/%d not received" b k
-    done;
-    (* The inter-burst gap: a poll-driven driver pays ring-state reads
-       for every empty check. *)
-    for _ = 1 to async_net_gap do
-      match Drivers.Net.Devil_driver.receive net with
-      | Some _ -> async_fail "net-poll-rx: unexpected frame in the gap"
-      | None -> ()
-    done
-  done;
-  let after = Perfmodel.Cost.sample_of_metrics metrics in
-  let delta =
-    {
-      Perfmodel.Cost.singles = after.Perfmodel.Cost.singles - before.Perfmodel.Cost.singles;
-      block_items = after.Perfmodel.Cost.block_items - before.Perfmodel.Cost.block_items;
-      irqs = 0;
-    }
-  in
-  let total = async_net_bursts * async_net_burst in
-  let ops = float_of_int total in
-  if !frames <> total then
-    async_fail "net-poll-rx: drained %d of %d frames" !frames total;
-  {
-    ar_name = "net-poll-rx";
-    ar_ops = total;
-    ar_singles_per_op = float_of_int delta.Perfmodel.Cost.singles /. ops;
-    ar_block_per_op = float_of_int delta.Perfmodel.Cost.block_items /. ops;
-    ar_irqs_per_op = 0.0;
-    ar_wait_ticks_per_op = 0.0;
-    ar_cpu_us_per_op = async_cpu_us ~delta ~sched_ticks:0 /. ops;
-    ar_p99_wait = 0;
-  }
-
-let async_row_net_burst () =
-  let metrics = Devil_runtime.Metrics.create () in
-  let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
-  let net = Drivers.Net.Devil_driver.create m.ne2000_dev in
-  Drivers.Net.Devil_driver.init net ~mac:"\x02\x00\x00\x00\x00\x22";
-  let sched = Machine.sched m in
-  let a = Drivers.Net.Async.create ~sched ~line:Machine.irq_net m.ne2000_dev in
-  let total = async_net_bursts * async_net_burst in
-  let got = ref 0 in
-  let injected_at = ref 0 in
-  let waits = Array.make total 0 in
-  Drivers.Net.Async.on_frame a (fun f ->
-      let i = !got in
-      if i < total then begin
-        let b = i / async_net_burst and k = i mod async_net_burst in
-        async_verify ~row:"net-burst-rx" ~what:(Printf.sprintf "frame %d/%d" b k)
-          (Bytes.of_string (async_net_frame b k))
-          (Bytes.of_string f);
-        waits.(i) <- Devil_runtime.Sched.now sched - !injected_at
-      end;
-      incr got);
-  let before = Perfmodel.Cost.sample_of_metrics metrics in
-  for b = 0 to async_net_bursts - 1 do
-    for k = 0 to async_net_burst - 1 do
-      if not (Hwsim.Ne2000.inject_frame m.nic (async_net_frame b k)) then
-        async_fail "net-burst-rx: ring rejected frame %d/%d" b k
-    done;
-    injected_at := Devil_runtime.Sched.now sched;
-    let target = (b + 1) * async_net_burst in
-    let budget = ref (async_net_gap * 4) in
-    while !got < target && !budget > 0 do
-      Devil_runtime.Sched.tick sched;
-      decr budget
-    done;
-    if !got < target then
-      async_fail "net-burst-rx: burst %d drained %d of %d frames" b !got target;
-    (* The same inter-burst gap: idle loop iterations, no bus traffic. *)
-    for _ = 1 to async_net_gap do
-      Devil_runtime.Sched.tick sched
-    done
-  done;
-  if Devil_runtime.Sched.outstanding sched <> 0 then
-    async_fail "net-burst-rx: %d request(s) leaked on the queue"
-      (Devil_runtime.Sched.outstanding sched);
-  let after = Perfmodel.Cost.sample_of_metrics metrics in
-  let irqs = Devil_runtime.Metrics.count metrics "sched.irqs.delivered" in
-  let ticks = Devil_runtime.Metrics.count metrics "sched.ticks" in
-  let delta =
-    {
-      Perfmodel.Cost.singles = after.Perfmodel.Cost.singles - before.Perfmodel.Cost.singles;
-      block_items = after.Perfmodel.Cost.block_items - before.Perfmodel.Cost.block_items;
-      irqs;
-    }
-  in
-  let ops = float_of_int total in
-  {
-    ar_name = "net-burst-rx";
-    ar_ops = total;
-    ar_singles_per_op = float_of_int delta.Perfmodel.Cost.singles /. ops;
-    ar_block_per_op = float_of_int delta.Perfmodel.Cost.block_items /. ops;
-    ar_irqs_per_op = float_of_int irqs /. ops;
-    ar_wait_ticks_per_op = float_of_int ticks /. ops;
-    ar_cpu_us_per_op = async_cpu_us ~delta ~sched_ticks:ticks /. ops;
-    ar_p99_wait = percentile_of_array waits 0.99;
-  }
-
-let async_ratio ~sync ~queued = sync.ar_cpu_us_per_op /. queued.ar_cpu_us_per_op
-
-let async_json ~out rows =
-  let ratio_of name =
-    match name with
-    | "ide-queued-dma" ->
-        Some
-          (async_ratio
-             ~sync:(List.find (fun r -> r.ar_name = "ide-sync-poll") rows)
-             ~queued:(List.find (fun r -> r.ar_name = "ide-queued-dma") rows))
-    | "net-burst-rx" ->
-        Some
-          (async_ratio
-             ~sync:(List.find (fun r -> r.ar_name = "net-poll-rx") rows)
-             ~queued:(List.find (fun r -> r.ar_name = "net-burst-rx") rows))
-    | _ -> None
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 1,\n";
-  Buffer.add_string buf "  \"suite\": \"devil_pr7_async\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"dma_latency\": %d,\n" async_dma_latency);
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": %S, \"ops\": %d, \"singles_per_op\": %.2f, \
-            \"block_per_op\": %.2f, \"irqs_per_op\": %.3f, \
-            \"wait_ticks_per_op\": %.1f, \"cpu_us_per_op\": %.3f, \
-            \"ops_per_s\": %.0f, \"p99_wait_ticks\": %d, \"ratio_vs_sync\": \
-            %s }%s\n"
-           r.ar_name r.ar_ops r.ar_singles_per_op r.ar_block_per_op
-           r.ar_irqs_per_op r.ar_wait_ticks_per_op r.ar_cpu_us_per_op
-           (1e6 /. r.ar_cpu_us_per_op)
-           r.ar_p99_wait
-           (match ratio_of r.ar_name with
-           | Some x -> Printf.sprintf "%.3f" x
-           | None -> "null")
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc
-
-let async_usage () =
-  Format.eprintf "usage: bench async [--out FILE]@.";
-  exit 2
-
-let async_cmd args =
-  let out = ref "BENCH_async.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | _ -> async_usage ()
-  in
-  parse args;
-  async_failures := [];
-  section
-    "Async drivers: queued/interrupt-driven vs synchronous polling (Table 2 \
-     style)";
-  let rows =
-    [
-      async_row_ide_sync ();
-      async_row_ide_queued ();
-      async_row_net_poll ();
-      async_row_net_burst ();
-    ]
-  in
-  Format.printf "engine latency %d ticks; queue window %d; %d-frame bursts, \
-                 %d-tick gaps@.@."
-    async_dma_latency async_ide_window async_net_burst async_net_gap;
-  Format.printf "%-16s %5s %11s %8s %8s %9s %10s %10s %9s %8s@." "row" "ops"
-    "singles/op" "blk/op" "irqs/op" "ticks/op" "cpu us/op" "cpu ops/s"
-    "p99 wait" "vs sync";
-  List.iter
-    (fun r ->
-      Format.printf "%-16s %5d %11.1f %8.1f %8.2f %9.1f %10.2f %10.0f %9d %8s@."
-        r.ar_name r.ar_ops r.ar_singles_per_op r.ar_block_per_op
-        r.ar_irqs_per_op r.ar_wait_ticks_per_op r.ar_cpu_us_per_op
-        (1e6 /. r.ar_cpu_us_per_op)
-        r.ar_p99_wait
-        (match
-           ( r.ar_name,
-             List.find_opt (fun s -> s.ar_name = "ide-sync-poll") rows,
-             List.find_opt (fun s -> s.ar_name = "net-poll-rx") rows )
-         with
-        | "ide-queued-dma", Some s, _ ->
-            Printf.sprintf "%.2fx" (async_ratio ~sync:s ~queued:r)
-        | "net-burst-rx", _, Some s ->
-            Printf.sprintf "%.2fx" (async_ratio ~sync:s ~queued:r)
-        | _ -> "-"))
-    rows;
-  Format.printf
-    "@.CPU us/op under the calibrated cost model: polls pay a bus read per \
-     engine unit,@.the event loop pays one t_loop tick — media time is \
-     identical in both columns and@.overlaps the queue's completion \
-     processing. p99 wait is virtual ticks to completion.@.";
-  async_json ~out:!out rows;
-  Format.printf "@.wrote %s (4 rows)@." !out;
-  match !async_failures with
-  | [] -> ()
-  | fs ->
-      List.iter (Format.eprintf "async invariant violated: %s@.") (List.rev fs);
-      exit 1
-
-(* {1 bench latency: per-stage request-latency accounting (DESIGN.md §15)}
-
-   Runs the two queued workloads (the async suite's shapes) on a
-   lifecycle-instrumented machine — trace + metrics + the
-   {!Devil_runtime.Lifecycle} reconstructor on its default monotonic
-   nanosecond clock — and reports, per workload, the
-   [lifecycle.<dev>.<stage>.ns] histograms: where a request's wall
-   time goes between submit and completion (queue wait, device
-   service, interrupt delivery, completion handler).
-
-   In-process invariants (exit 1): every byte verified against ground
-   truth, every submitted request completed (zero orphans), no late
-   completions, and the machine's {!Devil_runtime.Health} verdict Ok
-   at the end of each workload. The JSON artifact (devil_pr9_latency)
-   embeds the health reports; tools/benchcheck `latency` validates it
-   and re-checks the gates offline, so the committed
-   BENCH_latency.json keeps a healthy run on record. *)
-
-let latency_net_frames = 24
-let latency_net_window = 4
-
-type latency_wl = {
-  lw_name : string;
-  lw_dev : string;
-  lw_requests : int;
-  lw_completed : int;
-  lw_orphans : int;
-  lw_lost : int;
-  lw_spurious : int;
-  lw_stages : (string * Devil_runtime.Metrics.hist_snapshot) list;
-  lw_health : Devil_runtime.Health.report;
-}
-
-let latency_machine () =
-  let trace = Devil_runtime.Trace.create ~capacity:8192 () in
-  let metrics = Devil_runtime.Metrics.create () in
-  (Machine.create ~trace ~metrics ~lifecycle:true (), metrics, trace)
-
-let latency_result ~name ~dev (m : Machine.t) metrics =
-  let lc =
-    match m.Machine.lifecycle with
-    | Some lc -> lc
-    | None -> failwith "latency: machine built without a lifecycle handle"
-  in
-  let stages =
-    List.filter_map
-      (fun st ->
-        let label = Devil_runtime.Lifecycle.stage_label st in
-        Option.map
-          (fun h -> (label, h))
-          (Devil_runtime.Metrics.histogram metrics
-             (Printf.sprintf "lifecycle.%s.%s.ns" dev label)))
-      Devil_runtime.Lifecycle.stages
-  in
-  let r =
-    {
-      lw_name = name;
-      lw_dev = dev;
-      lw_requests = Devil_runtime.Lifecycle.submitted lc;
-      lw_completed = Devil_runtime.Lifecycle.completed lc;
-      lw_orphans = List.length (Devil_runtime.Lifecycle.orphans lc);
-      lw_lost = Devil_runtime.Lifecycle.lost_interrupts lc;
-      lw_spurious = Devil_runtime.Lifecycle.spurious_completions lc;
-      lw_stages = stages;
-      lw_health = Machine.health m;
-    }
-  in
-  if r.lw_requests = 0 then async_fail "%s: no requests were submitted" name;
-  if r.lw_completed <> r.lw_requests then
-    async_fail "%s: %d of %d requests completed" name r.lw_completed
-      r.lw_requests;
-  if r.lw_orphans > 0 then
-    async_fail "%s: %d orphaned request(s)" name r.lw_orphans;
-  if r.lw_lost > 0 || r.lw_spurious > 0 then
-    async_fail "%s: late completions on a clean run (%d lost, %d spurious)"
-      name r.lw_lost r.lw_spurious;
-  if not (Devil_runtime.Health.is_ok r.lw_health) then
-    async_fail "%s: health verdict %s" name
-      (Devil_runtime.Health.summary r.lw_health);
-  r
-
-let latency_wl_ide () =
-  let m, metrics, trace = latency_machine () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
-  async_fill_disk m;
-  Hwsim.Piix4.set_latency m.busmaster async_dma_latency;
-  let sched = Machine.sched m in
-  let d =
-    Drivers.Ide.Async.create ~sched ~line:Machine.irq_ide
-      ~memory:(Hwsim.Piix4.memory m.busmaster) ~ide:m.ide_dev
-      ~piix4:m.piix4_dev
-  in
-  let pending = ref [] in
-  for i = 0 to async_ide_ops - 1 do
-    let rq =
-      Drivers.Ide.Async.read_dma d
-        ~lba:(1000 + (i * async_ide_count))
-        ~count:async_ide_count
-        ~on_data:(fun got ->
-          async_verify ~row:"ide-dma-async"
-            ~what:(Printf.sprintf "command %d" i)
-            (async_sector_pattern i) got)
-        ()
-    in
-    pending := rq :: !pending;
-    if List.length !pending >= async_ide_window then begin
-      List.iter (Drivers.Ide.Async.await d) !pending;
-      pending := []
-    end
-  done;
-  List.iter (Drivers.Ide.Async.await d) !pending;
-  Drivers.Ide.Async.drain d;
-  (latency_result ~name:"ide-dma-async" ~dev:"ide" m metrics, trace)
-
-let latency_net_frame i =
-  String.init 48 (fun j -> Char.chr (((i * 11) + (j * 3) + 7) land 0xff))
-
-let latency_wl_net () =
-  let m, metrics, trace = latency_machine () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
-  let sync = Drivers.Net.Devil_driver.create m.ne2000_dev in
-  let sched = Machine.sched m in
-  let a = Drivers.Net.Async.create ~sched ~line:Machine.irq_net m.ne2000_dev in
-  Drivers.Net.Devil_driver.init sync ~mac:"\x02\x00\x00\x00\x00\x23";
-  let pending = ref [] in
-  for i = 0 to latency_net_frames - 1 do
-    let rq = Drivers.Net.Async.send a (latency_net_frame i) in
-    pending := rq :: !pending;
-    if List.length !pending >= latency_net_window then begin
-      List.iter (Drivers.Net.Async.await a) !pending;
-      pending := []
-    end
-  done;
-  List.iter (Drivers.Net.Async.await a) !pending;
-  Drivers.Net.Async.drain a;
-  let sent = Hwsim.Ne2000.take_transmitted m.nic in
-  if List.length sent <> latency_net_frames then
-    async_fail "net-async: %d of %d frames transmitted" (List.length sent)
-      latency_net_frames
-  else
-    List.iteri
-      (fun i f ->
-        async_verify ~row:"net-async" ~what:(Printf.sprintf "frame %d" i)
-          (Bytes.of_string (latency_net_frame i))
-          (Bytes.of_string f))
-      sent;
-  (latency_result ~name:"net-async" ~dev:"ne2000" m metrics, trace)
-
-let latency_json ~out wls =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 1,\n";
-  Buffer.add_string buf "  \"suite\": \"devil_pr9_latency\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"dma_latency\": %d,\n" async_dma_latency);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  let n = List.length wls in
-  List.iteri
-    (fun i w ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": %S, \"dev\": %S, \"requests\": %d, \
-            \"completed\": %d, \"orphans\": %d, \"lost_interrupts\": %d, \
-            \"spurious_completions\": %d,\n"
-           w.lw_name w.lw_dev w.lw_requests w.lw_completed w.lw_orphans
-           w.lw_lost w.lw_spurious);
-      Buffer.add_string buf "      \"stages\": [\n";
-      let ns = List.length w.lw_stages in
-      List.iteri
-        (fun j (label, (h : Devil_runtime.Metrics.hist_snapshot)) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "        { \"stage\": %S, \"count\": %d, \"p50_ns\": %d, \
-                \"p95_ns\": %d, \"p99_ns\": %d, \"mean_ns\": %.1f }%s\n"
-               label h.count h.p50 h.p95 h.p99 h.mean
-               (if j = ns - 1 then "" else ",")))
-        w.lw_stages;
-      Buffer.add_string buf "      ],\n";
-      Buffer.add_string buf
-        (Printf.sprintf "      \"health\": %s }%s\n"
-           (Devil_runtime.Health.to_json w.lw_health)
-           (if i = n - 1 then "" else ",")))
-    wls;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc
-
-let latency_usage () =
-  Format.eprintf "usage: bench latency [--out FILE] [--trace-dir DIR]@.";
-  exit 2
-
-let latency_cmd args =
-  let out = ref "BENCH_latency.json" in
-  let trace_dir = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | "--trace-dir" :: v :: rest ->
-        trace_dir := Some v;
-        parse rest
-    | _ -> latency_usage ()
-  in
-  parse args;
-  async_failures := [];
-  section "Request latency: per-stage accounting over the queued drivers";
-  let runs = [ latency_wl_ide (); latency_wl_net () ] in
-  (* The event streams behind the table, replayable through
-     `tracetool lifecycle` / `tracetool convert` — the offline half of
-     the straggler-chasing workflow (README). *)
-  (match !trace_dir with
-  | None -> ()
-  | Some dir ->
-      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-      List.iter
-        (fun (w, trace) ->
-          let path = Filename.concat dir (w.lw_name ^ ".trace.jsonl") in
-          Devil_runtime.Trace_export.write_file path
-            (Devil_runtime.Trace_export.events_to_jsonl
-               (Devil_runtime.Trace.events trace));
-          Format.printf "wrote %s@." path)
-        runs);
-  let wls = List.map fst runs in
-  List.iter
-    (fun w ->
-      Format.printf
-        "%s (dev %s): %d requests, %d completed, %d orphaned; health %s@."
-        w.lw_name w.lw_dev w.lw_requests w.lw_completed w.lw_orphans
-        (Devil_runtime.Health.summary w.lw_health);
-      Format.printf "  %-14s %7s %12s %12s %12s %12s@." "stage" "count"
-        "p50 ns" "p95 ns" "p99 ns" "mean ns";
-      List.iter
-        (fun (label, (h : Devil_runtime.Metrics.hist_snapshot)) ->
-          Format.printf "  %-14s %7d %12d %12d %12d %12.1f@." label h.count
-            h.p50 h.p95 h.p99 h.mean)
-        w.lw_stages;
-      Format.printf "@.")
-    wls;
-  Format.printf
-    "Stage vocabulary (DESIGN.md §15): queue_wait (submit->start), service \
-     (start->irq),@.irq_delivery (raise->dispatch), completion \
-     (dispatch->done), total (submit->done).@.";
-  latency_json ~out:!out wls;
-  Format.printf "@.wrote %s (%d workloads)@." !out (List.length wls);
-  match !async_failures with
-  | [] -> ()
-  | fs ->
-      List.iter
-        (Format.eprintf "latency invariant violated: %s@.")
-        (List.rev fs);
-      exit 1
-
-(* {1 bench soak: the telemetry acceptance workload (DESIGN.md §16)}
-
-   A mixed sync/async workload under a ticking telemetry sampler: every
-   virtual "second" issues queued IDE DMA reads, async NE2000 sends and
-   a burst of synchronous UART register traffic, then takes one
-   telemetry tick (sampling every counter/histogram plus the health
-   verdict). Every clock in the run is deterministic — the lifecycle
-   clock counts trace events, the telemetry clock counts ticks — so
-   BENCH_telemetry.json and the series dump are byte-stable across
-   runs, which is what lets check.sh gate on the committed artifact.
-
-   In-process invariants (exit 1): every DMA'd byte and transmitted
-   frame verified against ground truth, health ok at the end, and a
-   nonzero completion rate in every tick's window. *)
-
-let soak_ide_per_tick = 4
-let soak_net_per_tick = 4
-let soak_uart_per_tick = 8
-
-let soak_usage () =
-  Format.eprintf
-    "usage: bench soak [--ticks N] [--out FILE] [--series FILE] \
-     [--openmetrics FILE]@.";
-  exit 2
-
-let soak_cmd args =
-  let ticks = ref 6 in
-  let out = ref "BENCH_telemetry.json" in
-  let series_out = ref None in
-  let om_out = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--ticks" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n > 0 -> ticks := n
-        | _ -> soak_usage ());
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | "--series" :: v :: rest ->
-        series_out := Some v;
-        parse rest
-    | "--openmetrics" :: v :: rest ->
-        om_out := Some v;
-        parse rest
-    | _ -> soak_usage ()
-  in
-  parse args;
-  async_failures := [];
-  section "Telemetry soak: mixed sync/async workload under a ticking sampler";
-  let trace = Devil_runtime.Trace.create ~capacity:65536 () in
-  let metrics = Devil_runtime.Metrics.create () in
-  let telemetry = Devil_runtime.Telemetry.create ~capacity:256 metrics in
-  let event_clock =
-    let n = ref 0 in
-    fun () ->
-      incr n;
-      !n
-  in
-  let m =
-    Machine.create ~trace ~metrics ~telemetry ~lifecycle:true
-      ~lifecycle_clock:event_clock ()
-  in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
-  async_fill_disk m;
-  Hwsim.Piix4.set_latency m.busmaster async_dma_latency;
-  let sched = Machine.sched m in
-  let ide =
-    Drivers.Ide.Async.create ~sched ~line:Machine.irq_ide
-      ~memory:(Hwsim.Piix4.memory m.busmaster) ~ide:m.ide_dev
-      ~piix4:m.piix4_dev
-  in
-  let net_sync = Drivers.Net.Devil_driver.create m.ne2000_dev in
-  Drivers.Net.Devil_driver.init net_sync ~mac:"\x02\x00\x00\x00\x00\x42";
-  let net = Drivers.Net.Async.create ~sched ~line:Machine.irq_net m.ne2000_dev in
-  let frames_sent = ref 0 in
-  for t = 0 to !ticks - 1 do
-    let completions_before =
-      Devil_runtime.Metrics.count metrics "sched.queue.completions"
-    in
-    (* Async IDE: a window of queued DMA reads over the pre-filled
-       sectors (command indices wrap, so any tick count replays the
-       same ground truth). *)
-    let pending = ref [] in
-    for k = 0 to soak_ide_per_tick - 1 do
-      let cmd = ((t * soak_ide_per_tick) + k) mod async_ide_ops in
-      let rq =
-        Drivers.Ide.Async.read_dma ide
-          ~lba:(1000 + (cmd * async_ide_count))
-          ~count:async_ide_count
-          ~on_data:(fun got ->
-            async_verify ~row:"soak-ide"
-              ~what:(Printf.sprintf "tick %d command %d" t cmd)
-              (async_sector_pattern cmd) got)
-          ()
-      in
-      pending := rq :: !pending;
-      if List.length !pending >= 2 then begin
-        List.iter (Drivers.Ide.Async.await ide) !pending;
-        pending := []
-      end
-    done;
-    List.iter (Drivers.Ide.Async.await ide) !pending;
-    Drivers.Ide.Async.drain ide;
-    (* Async net: a burst of sends, verified against the NIC's
-       transmit log. *)
-    let rqs =
-      List.init soak_net_per_tick (fun k ->
-          Drivers.Net.Async.send net (latency_net_frame (!frames_sent + k)))
-    in
-    List.iter (Drivers.Net.Async.await net) rqs;
-    Drivers.Net.Async.drain net;
-    let sent = Hwsim.Ne2000.take_transmitted m.nic in
-    if List.length sent <> soak_net_per_tick then
-      async_fail "soak-net: tick %d transmitted %d of %d frames" t
-        (List.length sent) soak_net_per_tick
-    else
-      List.iteri
-        (fun k f ->
-          async_verify ~row:"soak-net"
-            ~what:(Printf.sprintf "tick %d frame %d" t k)
-            (Bytes.of_string (latency_net_frame (!frames_sent + k)))
-            (Bytes.of_string f))
-        sent;
-    frames_sent := !frames_sent + soak_net_per_tick;
-    (* Sync foreground traffic: UART variable and structure reads. *)
-    for _ = 1 to soak_uart_per_tick do
-      ignore (Machine.Instance.get m.uart_dev "parity_mode")
-    done;
-    Machine.Instance.get_struct m.uart_dev "line_status";
-    (* One telemetry tick closes the window. *)
-    Machine.telemetry_tick m;
-    let completions_after =
-      Devil_runtime.Metrics.count metrics "sched.queue.completions"
-    in
-    if completions_after <= completions_before then
-      async_fail "soak: tick %d completed no queued requests" t
-  done;
-  let report = Machine.health m in
-  if not (Devil_runtime.Health.is_ok report) then
-    async_fail "soak: health verdict %s"
-      (Devil_runtime.Health.summary report);
-  let openmetrics =
-    Devil_runtime.Trace_export.to_openmetrics ~health:report ~telemetry
-      metrics
-  in
-  (* The artifact keeps the scheduler/bus/IO aggregate rates; the
-     per-register counters stay in the series dump, where the full
-     registry belongs. *)
-  let rate_prefixes = [ "sched."; "bus."; "io."; "trace."; "cache." ] in
-  let rates =
-    List.filter
-      (fun name ->
-        List.exists
-          (fun p ->
-            String.length name >= String.length p
-            && String.sub name 0 (String.length p) = p)
-          rate_prefixes)
-      (Devil_runtime.Telemetry.counter_names telemetry)
-    |> List.map (fun name ->
-           let points = Devil_runtime.Telemetry.counter_series telemetry name in
-           let total, last_delta =
-             match List.rev points with
-             | (p : Devil_runtime.Telemetry.counter_point) :: _ ->
-                 (p.total, p.delta)
-             | [] -> (0, 0)
-           in
-           (name, total, last_delta, float_of_int total /. float_of_int !ticks))
-  in
-  let windows =
-    List.map
-      (fun name ->
-        let last =
-          match
-            List.rev (Devil_runtime.Telemetry.hist_series telemetry name)
-          with
-          | (p : Devil_runtime.Telemetry.hist_point) :: _ -> p
-          | [] ->
-              {
-                Devil_runtime.Telemetry.h_at = 0;
-                h_count = 0;
-                h_sum = 0;
-                h_p50 = 0;
-                h_p95 = 0;
-                h_p99 = 0;
-              }
-        in
-        (name, last))
-      (Devil_runtime.Telemetry.hist_names telemetry)
-  in
-  let evictions = Devil_runtime.Telemetry.evictions telemetry in
-  (* Console summary: the dashboard's numbers, once. *)
-  Format.printf "%d tick(s), %d counter series, %d histogram series@." !ticks
-    (List.length (Devil_runtime.Telemetry.counter_names telemetry))
-    (List.length windows);
-  Format.printf "  %-36s %10s %12s %14s@." "counter" "total" "last delta"
-    "mean per tick";
-  List.iter
-    (fun (name, total, last_delta, mean) ->
-      Format.printf "  %-36s %10d %12d %14.3f@." name total last_delta mean)
-    rates;
-  Format.printf "  %-36s %8s %10s %10s %10s@." "histogram (last window)"
-    "count" "p50" "p95" "p99";
-  List.iter
-    (fun (name, (p : Devil_runtime.Telemetry.hist_point)) ->
-      Format.printf "  %-36s %8d %10d %10d %10d@." name p.h_count p.h_p50
-        p.h_p95 p.h_p99)
-    windows;
-  Format.printf "health: %s; series evictions: %d@."
-    (Devil_runtime.Health.summary report)
-    evictions;
-  (* The JSON artifact benchcheck telemetry validates. *)
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema_version\": 1,\n";
-  Buffer.add_string buf "  \"suite\": \"devil_pr10_telemetry\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"ticks\": %d,\n" !ticks);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"ring_capacity\": %d,\n"
-       (Devil_runtime.Telemetry.capacity telemetry));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"series_evictions\": %d,\n" evictions);
-  Buffer.add_string buf "  \"rates\": [\n";
-  let nr = List.length rates in
-  List.iteri
-    (fun i (name, total, last_delta, mean) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"metric\": %S, \"total\": %d, \"last_delta\": %d, \
-            \"mean_per_tick\": %.3f }%s\n"
-           name total last_delta mean
-           (if i = nr - 1 then "" else ",")))
-    rates;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"windows\": [\n";
-  let nw = List.length windows in
-  List.iteri
-    (fun i (name, (p : Devil_runtime.Telemetry.hist_point)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"metric\": %S, \"count\": %d, \"sum\": %d, \"p50\": %d, \
-            \"p95\": %d, \"p99\": %d }%s\n"
-           name p.h_count p.h_sum p.h_p50 p.h_p95 p.h_p99
-           (if i = nw - 1 then "" else ",")))
-    windows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"health\": %s,\n"
-       (Devil_runtime.Health.to_json report));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"openmetrics\": %S\n" openmetrics);
-  Buffer.add_string buf "}\n";
-  let oc = open_out !out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "@.wrote %s@." !out;
-  (match !series_out with
-  | None -> ()
-  | Some path ->
-      Devil_runtime.Trace_export.write_file path
-        (Devil_runtime.Trace_export.series_to_jsonl telemetry);
-      Format.printf "wrote %s@." path);
-  (match !om_out with
-  | None -> ()
-  | Some path ->
-      Devil_runtime.Trace_export.write_file path openmetrics;
-      Format.printf "wrote %s@." path);
-  match !async_failures with
-  | [] -> ()
-  | fs ->
-      List.iter (Format.eprintf "soak invariant violated: %s@.") (List.rev fs);
-      exit 1
-
-(* {1 bench profile: per-workload span attribution (DESIGN.md §11)}
-
-   Runs each PR-3 workload on a profiler-instrumented machine and
-   reports where the time went: measured ns/op from the monotonic span
-   clock vs the calibrated §4 cost model, the share of wall time
-   attributed to spans (self time summed over the call-path trie equals
-   the root total by construction — the column guards the aggregation),
-   and the top self-time sites with their latency percentiles.
-
-     --json      deterministic counts-only JSON (sorted site keys and
-                 call counts, no timings) — pinned as
-                 test/golden/bench_profile.json
-     --iters N   hot-loop iterations per workload (default 100)
-     --out DIR   also write DIR/<workload>.folded (flamegraph.pl) and
-                 DIR/<workload>.speedscope.json (speedscope.app) *)
-
-let profile_usage () =
-  Format.eprintf
-    "usage: bench profile [--json] [--iters N] [--out DIR] [workload ...]@.";
-  Format.eprintf "workloads: %s@."
-    (String.concat ", " (List.map fst pr3_workloads))
-
-let profile_workload ~iters name wl =
-  let profile = Devil_runtime.Profile.create () in
-  let m = Machine.create ~profile () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      let run = wl m in
-      (* warm the idempotent caches: attribute the steady state only *)
-      run ();
-      Devil_runtime.Profile.reset profile;
-      Devil_runtime.Profile.span profile ("driver:" ^ name) (fun () ->
-          for _ = 1 to iters do
-            run ()
-          done);
-      profile)
-
-let profile_export ~dir name p =
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  let write path s =
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc;
-    path
-  in
-  let folded =
-    write
-      (Filename.concat dir (name ^ ".folded"))
-      (Devil_runtime.Trace_export.profile_to_folded p)
-  in
-  let speedscope =
-    write
-      (Filename.concat dir (name ^ ".speedscope.json"))
-      (Devil_runtime.Trace_export.profile_to_speedscope ~name:("devil " ^ name)
-         p)
-  in
-  [ folded; speedscope ]
-
-let profile_json ~iters selected =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"suite\": \"devil_pr5_span_profiler\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"iters\": %d,\n" iters);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  let n_wl = List.length selected in
-  List.iteri
-    (fun i (name, wl) ->
-      let p = profile_workload ~iters name wl in
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"name\": %S, \"root\": %S, \"sites\": [\n" name
-           ("driver:" ^ name));
-      let sites = Devil_runtime.Profile.sites p in
-      let n_sites = List.length sites in
-      List.iteri
-        (fun j (key, (s : Devil_runtime.Profile.site_stats)) ->
-          Buffer.add_string buf
-            (Printf.sprintf "      { \"key\": %S, \"calls\": %d }%s\n" key
-               s.calls
-               (if j = n_sites - 1 then "" else ",")))
-        sites;
-      Buffer.add_string buf
-        (Printf.sprintf "    ] }%s\n" (if i = n_wl - 1 then "" else ","))
-      )
-    selected;
-  Buffer.add_string buf "  ]\n}\n";
-  print_string (Buffer.contents buf)
-
-let profile_table ~iters ~out_dir selected =
-  section "Span profile: hierarchical latency attribution";
-  Format.printf "%-12s %8s %15s %15s %11s@." "workload" "iters" "measured ns/op"
-    "modeled ns/op" "attributed";
-  List.iter
-    (fun (name, wl) ->
-      let modeled_ns = modeled_us_per_op wl *. 1e3 in
-      let p = profile_workload ~iters name wl in
-      let total = Devil_runtime.Profile.total_ns p in
-      let attributed = Devil_runtime.Profile.attributed_ns p in
-      let pct =
-        if total > 0 then 100.0 *. float_of_int attributed /. float_of_int total
-        else 100.0
-      in
-      Format.printf "%-12s %8d %15.1f %15.1f %10.1f%%@." name iters
-        (float_of_int total /. float_of_int iters)
-        modeled_ns pct;
-      let top =
-        Devil_runtime.Profile.sites p
-        |> List.filter (fun (_, s) -> s.Devil_runtime.Profile.self_ns > 0)
-        |> List.sort (fun (_, a) (_, b) ->
-               compare b.Devil_runtime.Profile.self_ns
-                 a.Devil_runtime.Profile.self_ns)
-        |> List.filteri (fun i _ -> i < 8)
-      in
-      Format.printf "  %-42s %9s %12s %8s %8s %8s@." "top self-time sites"
-        "calls" "self ns" "p50" "p95" "p99";
-      List.iter
-        (fun (key, (s : Devil_runtime.Profile.site_stats)) ->
-          Format.printf "  %-42s %9d %12d %8d %8d %8d@." key s.calls s.self_ns
-            s.p50_ns s.p95_ns s.p99_ns)
-        top;
-      (match out_dir with
-      | None -> ()
-      | Some dir ->
-          List.iter (Format.printf "  wrote %s@.") (profile_export ~dir name p));
-      Format.printf "@.")
-    selected
-
-let profile_cmd args =
-  let json = ref false in
-  let iters = ref 100 in
-  let out_dir = ref None in
-  let names = ref [] in
-  let bad fmt =
-    Format.kasprintf
-      (fun s ->
-        Format.eprintf "bench profile: %s@." s;
-        profile_usage ();
-        exit 1)
-      fmt
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | [ "--iters" ] -> bad "--iters needs a value"
-    | "--iters" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n > 0 -> iters := n
-        | _ -> bad "bad --iters value %S" v);
-        parse rest
-    | [ "--out" ] -> bad "--out needs a value"
-    | "--out" :: dir :: rest ->
-        out_dir := Some dir;
-        parse rest
-    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
-        bad "unknown option %s" arg
-    | arg :: rest ->
-        names := arg :: !names;
-        parse rest
-  in
-  parse args;
-  let selected =
-    match List.rev !names with
-    | [] -> pr3_workloads
-    | picks ->
-        List.map
-          (fun n ->
-            match List.assoc_opt n pr3_workloads with
-            | Some wl -> (n, wl)
-            | None -> bad "unknown workload %s" n)
-          picks
-  in
-  if !json then profile_json ~iters:!iters selected
-  else profile_table ~iters:!iters ~out_dir:!out_dir selected
-
-(* {1 bench explore: bounded exhaustive exploration (ISSUE 6)}
-
-   Enumerates every fault/policy schedule of each selected workload
-   within the bound, reporting schedules/s and violations (exit 1 on
-   any). [--seeded-bug] runs the deliberately weakened serial workload
-   through the full find -> shrink -> tape pipeline instead:
-   [--pin] prints the minimized counterexample tape JSONL (the fixture
-   generator), [--fixture F] checks the pipeline still reproduces the
-   committed fixture byte for byte and that the fixture replays. *)
-
-module Excamp = Explorecamp.Excamp
-
-let explore_usage () =
-  Format.eprintf
-    "usage: bench explore [--driver D]... [--depth N] [--budget N] [--sites \
-     N]@.                     [--no-policy] [--max-violations N] [--out \
-     DIR]@.       bench explore --seeded-bug [--pin | --fixture FILE]@.  \
-     drivers: %s (default: ide-read gfx)@."
-    (String.concat " " Faultcamp.Campaign.driver_workloads)
-
-let write_counterexample ~out name i cx =
-  match out with
-  | None -> ()
-  | Some dir ->
-      let base = Filename.concat dir (Printf.sprintf "%s-cx%d" name i) in
-      let tape_path = base ^ ".tape.jsonl" in
-      Devil_runtime.Trace_export.write_file tape_path
-        (Devil_runtime.Trace_export.tape_to_jsonl cx.Excamp.cx_tape);
-      Devil_runtime.Trace_export.write_file (base ^ ".trace.jsonl")
-        (Devil_runtime.Trace_export.events_to_jsonl cx.Excamp.cx_events);
-      Format.printf "  wrote %s@." tape_path
-
-let explore_one ~bound ~max_violations ~out name =
-  let w = Excamp.builtin name in
-  let t0 = Sys.time () in
-  let r = Excamp.explore_workload ~bound ~max_violations w in
-  let dt = Sys.time () -. t0 in
-  let runs = r.Excamp.r_report.Devil_runtime.Explore.rp_runs in
-  Format.printf "%a@." Excamp.pp_result r;
-  Format.printf "  %d schedules in %.2fs (%.0f schedules/s)@." runs dt
-    (if dt > 0. then float_of_int runs /. dt else 0.);
-  List.iteri
-    (fun i cx ->
-      Format.printf "%a@." Excamp.pp_counterexample cx;
-      write_counterexample ~out name i cx)
-    r.Excamp.r_counterexamples;
-  Format.printf "@.";
-  List.length r.Excamp.r_counterexamples
-
-(* The seeded-bug bound: one site (the THR), transient faults only —
-   the schedule space the acceptance criteria name. *)
-let seeded_bound =
-  {
-    Excamp.default_bound with
-    Excamp.b_depth = 8;
-    b_budget = 2;
-    b_sites = 1;
-    b_policy_axes = false;
-  }
-
-let seeded_bug_cx () =
-  let r = Excamp.explore_workload ~bound:seeded_bound ~max_violations:1
-      Excamp.seeded_bug
-  in
-  match r.Excamp.r_counterexamples with
-  | cx :: _ -> (r, cx)
-  | [] ->
-      Format.eprintf
-        "bench explore: the seeded regression was NOT found within %a@."
-        Excamp.pp_bound seeded_bound;
-      exit 1
-
-let explore_seeded ~pin ~fixture ~out =
-  let r, cx = seeded_bug_cx () in
-  let jsonl = Devil_runtime.Trace_export.tape_to_jsonl cx.Excamp.cx_tape in
-  if pin then begin
-    (* fixture generator: nothing but the tape on stdout *)
-    print_string jsonl;
-    0
-  end
-  else begin
-    Format.printf "%a@.%a@." Excamp.pp_result r Excamp.pp_counterexample cx;
-    write_counterexample ~out "seeded-bug" 0 cx;
-    let failed = ref false in
-    (match fixture with
-    | None -> ()
-    | Some path -> (
-        match Devil_runtime.Trace_export.tape_of_file path with
-        | Error why ->
-            Format.printf "FAIL: fixture %s unreadable: %s@." path why;
-            failed := true
-        | Ok tape ->
-            if Devil_runtime.Trace_export.tape_to_jsonl tape <> jsonl then begin
-              Format.printf
-                "FAIL: minimized tape differs from the committed fixture %s@."
-                path;
-              failed := true
-            end
-            else
-              Format.printf "ok: minimized tape matches the fixture %s@." path));
-    let rr = Excamp.replay_counterexample Excamp.seeded_bug cx in
-    if rr.Excamp.rr_tape_identical then
-      Format.printf "ok: replayed byte-identically (replay verdict: %s)@."
-        rr.Excamp.rr_verdict
-    else begin
-      Format.printf "FAIL: replay diverged: %s@."
-        (Option.value ~default:"re-recorded tape differs"
-           rr.Excamp.rr_divergence);
-      failed := true
-    end;
-    if !failed then 1 else 0
-  end
-
-let explore_cmd args =
-  let drivers = ref [] in
-  let bound = ref Excamp.default_bound in
-  let max_violations = ref 4 in
-  let out = ref None in
-  let seeded = ref false in
-  let pin = ref false in
-  let fixture = ref None in
-  let bad fmt =
-    Format.kasprintf
-      (fun s ->
-        Format.eprintf "bench explore: %s@." s;
-        explore_usage ();
-        exit 1)
-      fmt
-  in
-  let int_arg name v k =
-    match int_of_string_opt v with
-    | Some n when n > 0 -> k n
-    | _ -> bad "bad %s value %S" name v
-  in
-  let rec parse = function
-    | [] -> ()
-    | [ ("--driver" | "--depth" | "--budget" | "--sites" | "--max-violations"
-        | "--out" | "--fixture" as o) ] ->
-        bad "option %s needs a value" o
-    | "--driver" :: d :: rest ->
-        if not (List.mem d Faultcamp.Campaign.driver_workloads) then
-          bad "unknown driver %s" d;
-        drivers := d :: !drivers;
-        parse rest
-    | "--depth" :: v :: rest ->
-        int_arg "--depth" v (fun n -> bound := { !bound with Excamp.b_depth = n });
-        parse rest
-    | "--budget" :: v :: rest ->
-        int_arg "--budget" v (fun n -> bound := { !bound with Excamp.b_budget = n });
-        parse rest
-    | "--sites" :: v :: rest ->
-        int_arg "--sites" v (fun n -> bound := { !bound with Excamp.b_sites = n });
-        parse rest
-    | "--max-violations" :: v :: rest ->
-        int_arg "--max-violations" v (fun n -> max_violations := n);
-        parse rest
-    | "--no-policy" :: rest ->
-        bound := { !bound with Excamp.b_policy_axes = false };
-        parse rest
-    | "--out" :: dir :: rest ->
-        out := Some dir;
-        parse rest
-    | "--seeded-bug" :: rest ->
-        seeded := true;
-        parse rest
-    | "--pin" :: rest ->
-        pin := true;
-        parse rest
-    | "--fixture" :: f :: rest ->
-        fixture := Some f;
-        parse rest
-    | arg :: _ -> bad "unknown argument %s" arg
-  in
-  parse args;
-  (match !out with
-  | Some dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  | None -> ());
-  let code =
-    if !seeded then explore_seeded ~pin:!pin ~fixture:!fixture ~out:!out
-    else begin
-      let drivers =
-        match List.rev !drivers with [] -> [ "ide-read"; "gfx" ] | ds -> ds
-      in
-      let violations =
-        List.fold_left
-          (fun n d ->
-            n
-            + explore_one ~bound:!bound ~max_violations:!max_violations
-                ~out:!out d)
-          0 drivers
-      in
-      if violations = 0 then begin
-        Format.printf "explore: zero violations within the stated bound@.";
-        0
-      end
-      else begin
-        Format.printf "explore: %d violation(s) found@." violations;
-        1
-      end
-    end
-  in
-  exit code
-
-(* {1 The generated harness battery (DESIGN.md §14)} *)
-
-let harness_usage () =
-  Format.eprintf
-    "usage: bench harness [--qcount N] [--threshold PCT] [--missed]@.";
-  exit 1
-
-let harness_cmd args =
-  let qcount = ref 10 in
-  let threshold = ref 90.0 in
-  let missed = ref false in
-  let bad fmt =
-    Format.kasprintf
-      (fun s ->
-        Format.eprintf "bench harness: %s@." s;
-        harness_usage ())
-      fmt
-  in
-  let rec parse = function
-    | [] -> ()
-    | [ ("--qcount" | "--threshold") as o ] -> bad "option %s needs a value" o
-    | "--qcount" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 ->
-            qcount := n;
-            parse rest
-        | _ -> bad "bad --qcount value %S" v)
-    | "--threshold" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some p when p >= 0.0 && p <= 100.0 ->
-            threshold := p;
-            parse rest
-        | _ -> bad "bad --threshold value %S" v)
-    | "--missed" :: rest ->
-        missed := true;
-        parse rest
-    | arg :: _ -> bad "unknown argument %s" arg
-  in
-  parse args;
-  section "Generated per-spec harness battery";
-  Format.printf
-    "Every battery below is derived from the compiled IR and its site \
-     universe@.(Devil_ir.Sites) — zero per-spec harness code.@.@.";
-  let reports = Specharness.Battery.run_all ~qcount:!qcount () in
-  let failures =
-    List.filter_map
-      (fun r ->
-        Format.printf "%a@." Specharness.Battery.pp_report r;
-        if !missed then
-          Format.printf "%a"
-            Devil_runtime.Coverage.pp_missed
-            r.Specharness.Battery.bt_coverage;
-        match Specharness.Battery.gate ~threshold:!threshold r with
-        | Ok () -> None
-        | Error e -> Some e)
-      reports
-  in
-  Format.printf "@.";
-  if failures = [] then begin
-    Format.printf
-      "harness: %d specs, all register-coverage gates >= %.1f%%, zero \
-       divergences, zero fault violations@."
-      (List.length reports) !threshold;
-    exit 0
-  end
-  else begin
-    List.iter (fun e -> Format.printf "harness FAIL: %s@." e) failures;
-    exit 1
-  end
+     dune exec bench/main.exe -- soak [--ticks N] [--out FILE] \
+       [--series FILE] [--openmetrics FILE] # telemetry soak
+     dune exec bench/main.exe -- harness [--qcount N] [--threshold PCT] \
+       [--missed]                          # generated per-spec batteries
+
+   Every suite lives in its own module of the bench library; this file
+   only dispatches. Paper-vs-measured commentary lives in
+   EXPERIMENTS.md. *)
+
+open Bench_suites
 
 let () =
   let artifacts =
     [
-      ("table1", table1);
-      ("table2", table2);
-      ("table3", table3);
-      ("table4", table4);
-      ("census", census);
-      ("micro", micro);
-      ("ablation", ablation);
-      ("faultcamp", faultcamp);
-      ("obs", obs);
-      ("obs-json", obs_json);
-      ("bechamel", bechamel_suite);
-      ("benchjson", benchjson);
+      ("table1", Paper.table1);
+      ("table2", Paper.table2);
+      ("table3", Paper.table3);
+      ("table4", Paper.table4);
+      ("census", Paper.census);
+      ("micro", Paper.micro);
+      ("ablation", Paper.ablation);
+      ("faultcamp", Faults.run);
+      ("obs", Obs.run);
+      ("obs-json", Obs.run_json);
+      ("bechamel", Bechamel_suite.run);
+      ("benchjson", fun () -> Benchjson.run []);
     ]
   in
-  let args = List.tl (Array.to_list Sys.argv) in
-  match args with
-  | "profile" :: rest -> profile_cmd rest
-  | "explore" :: rest -> explore_cmd rest
-  | "async" :: rest -> async_cmd rest
-  | "latency" :: rest -> latency_cmd rest
-  | "soak" :: rest -> soak_cmd rest
-  | "harness" :: rest -> harness_cmd rest
+  match List.tl (Array.to_list Sys.argv) with
+  | "benchjson" :: (flag :: _ as rest) when String.starts_with ~prefix:"-" flag
+    ->
+      Benchjson.run rest
+  | "profile" :: rest -> Span_profile.run rest
+  | "explore" :: rest -> Exploration.run rest
+  | "async" :: rest -> Async.run rest
+  | "latency" :: rest -> Latency.run rest
+  | "soak" :: rest -> Soak.run rest
+  | "harness" :: rest -> Harness.run rest
   | [] ->
       Format.printf
         "Devil (OSDI 2000) reproduction: regenerating every evaluation \

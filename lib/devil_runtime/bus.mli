@@ -87,8 +87,7 @@ val observed : ?trace:Trace.t -> ?metrics:Metrics.t -> ?profile:Profile.t -> t -
     transactions, block elements and bytes are all counted separately)
     and, with a profiler, timed as a leaf span (["bus:read"],
     ["bus:write"], ["bus:block_read"], ["bus:block_write"]) under
-    whatever span is open — the precise alternative to
-    {!Profile.attach}'s gap estimate. With no handle supplied the
+    whatever span is open. With no handle supplied the
     wrapper is the identity — the very same closure record is
     returned, so the disabled path costs nothing and is trivially
     transparent. Faults raised by the underlying bus propagate before

@@ -10,7 +10,8 @@
    Stage boundaries are stamped with a caller-supplied clock (the
    default is the monotonic wall clock in nanoseconds; offline
    replays feed a synthetic clock), and each completed stage feeds a
-   [lifecycle.<dev>.<stage>.ns] histogram when a metrics registry is
+   [lifecycle.<dev>.<stage>.<unit>] histogram ([ns] on the default
+   clock, [ticks] on any other) when a metrics registry is
    attached. *)
 
 type record = {
@@ -59,6 +60,7 @@ let complete r = r.completed_at >= 0
 
 type t = {
   clock : unit -> int;
+  unit : string;  (* "ns" on the default clock, "ticks" on any other *)
   metrics : Metrics.t option;
   by_rid : (int, record) Hashtbl.t;
   mutable order : record list;  (* newest first; all requests ever seen *)
@@ -80,7 +82,8 @@ let feed_metrics t r =
           | None -> ()
           | Some ns ->
               Metrics.observe m
-                (Printf.sprintf "lifecycle.%s.%s.ns" r.dev (stage_label stage))
+                (Printf.sprintf "lifecycle.%s.%s.%s" r.dev (stage_label stage)
+                   t.unit)
                 ns)
         stages
 
@@ -158,10 +161,11 @@ let on_event t (e : Trace.event) =
       end
   | _ -> ()
 
-let attach ?(clock = default_clock) ?metrics trace =
+let attach ?clock ?metrics trace =
   let t =
     {
-      clock;
+      clock = Option.value clock ~default:default_clock;
+      unit = (if Option.is_none clock then "ns" else "ticks");
       metrics;
       by_rid = Hashtbl.create 64;
       order = [];
@@ -183,6 +187,7 @@ let of_events ?metrics events =
   let t =
     {
       clock = (fun () -> !now);
+      unit = "ticks";
       metrics;
       by_rid = Hashtbl.create 64;
       order = [];

@@ -24,7 +24,9 @@
     - [total] — submit to completion.
 
     With a metrics registry attached, each completed request feeds
-    [lifecycle.<dev>.<stage>.ns] histograms (p50/p95/p99 via
+    [lifecycle.<dev>.<stage>.<unit>] histograms, named by the clock's
+    unit: [ns] on the default monotonic clock, [ticks] on a supplied
+    clock or an offline replay (p50/p95/p99 via
     {!Metrics.histogram}) plus the counters [lifecycle.submitted],
     [lifecycle.completed], [lifecycle.lost_interrupts] and
     [lifecycle.spurious_completions]. Requests that never complete are
@@ -69,7 +71,8 @@ type t
 val attach : ?clock:(unit -> int) -> ?metrics:Metrics.t -> Trace.t -> t
 (** Subscribes to the trace and reconstructs lifecycles live. [clock]
     defaults to the monotonic wall clock in nanoseconds — the same
-    clock {!Profile} stamps spans with. Subscribers cannot be removed
+    clock {!Profile} stamps spans with; a supplied clock counts ticks,
+    and the stage histograms say so. Subscribers cannot be removed
     (see {!Trace.subscribe}); attach to traces you own. *)
 
 val of_events : ?metrics:Metrics.t -> Trace.event list -> t

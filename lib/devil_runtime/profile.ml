@@ -56,9 +56,7 @@ type t = {
   mutable stack : frame array;
   mutable depth : int;
   mutable clock : unit -> int;
-  mutable last_ns : int;
-      (* Last clock sample: the monotonic clamp, and the activity mark
-         the trace-subscriber leaves measure gaps against. *)
+  mutable last_ns : int;  (* last clock sample: the monotonic clamp *)
   mutable metrics : Metrics.t option;
   mutable unbalanced : int;  (* exits that found their span already closed *)
 }
@@ -194,9 +192,8 @@ let span t key f =
       exit t s;
       raise e
 
-(* A leaf span of known duration under the current stack top — the
-   trace-subscriber integration below uses it to attribute bus events
-   it only learns about after the fact. *)
+(* A leaf span of known duration under the current stack top, for work
+   timed outside the profiler. *)
 let leaf t key ns =
   let ns = max 0 ns in
   let parent = if t.depth = 0 then t.root else t.stack.(t.depth - 1).f_node in
@@ -212,29 +209,6 @@ let leaf t key ns =
 
 let live_depth t = t.depth
 let unbalanced_exits t = t.unbalanced
-
-(* {1 Trace integration}
-
-   For setups that cannot wrap their bus with [Bus.observed ?profile]
-   (a pre-built machine, a replayed tape) the profiler can ride the
-   trace stream instead: every bus event becomes a leaf span whose
-   duration is the gap since the profiler last saw any activity (a
-   span boundary or a previous event). The gap is an estimate — it
-   includes whatever OCaml ran between the bus transfer and the
-   subscriber — so a machine whose bus is already profile-wrapped must
-   NOT also attach, or bus time would be counted twice. *)
-
-let attach t trace =
-  Trace.subscribe trace (fun (e : Trace.event) ->
-      let mark = t.last_ns in
-      let stop = now t in
-      let gap = if mark = min_int then 0 else max 0 (stop - mark) in
-      match e.kind with
-      | Trace.Bus_read _ -> leaf t "bus:read" gap
-      | Trace.Bus_write _ -> leaf t "bus:write" gap
-      | Trace.Bus_block_read _ -> leaf t "bus:block_read" gap
-      | Trace.Bus_block_write _ -> leaf t "bus:block_write" gap
-      | _ -> ())
 
 (* {1 Environment opt-in} *)
 

@@ -70,16 +70,7 @@ val span : t -> string -> (unit -> 'a) -> 'a
 val leaf : t -> string -> int -> unit
 (** [leaf t key ns] records a completed child span of known duration
     under the currently open span (or at the root) without touching the
-    stack — how externally-timed work (a bus transfer measured by
-    {!Bus.observed}, a trace event) is attributed. *)
-
-val attach : t -> Trace.t -> unit
-(** Subscribe the profiler to a trace: every bus event becomes a
-    {!leaf} (["bus:read"] etc.) whose duration is the gap since the
-    profiler's last activity — an estimate for setups that cannot wrap
-    their bus with [Bus.observed ?profile]. Do {b not} combine with a
-    profile-wrapped bus on the same machine: bus time would be counted
-    twice. *)
+    stack — for work timed outside the profiler. *)
 
 (** {1 Aggregates} *)
 

@@ -172,9 +172,6 @@ let rec finish t q (rq : request) outcome =
   q.inflight <- None;
   let ok = match outcome with Ok () -> true | Error _ -> false in
   incr t "sched.completions";
-  (* Queue-scoped alias of the same count: the name telemetry rates
-     and the soak gate key on (sched.queue.completions/s). *)
-  incr t "sched.queue.completions";
   (match outcome with
   | Error (Policy.Timeout _) ->
       incr t "sched.timeouts";

@@ -28,9 +28,7 @@
     Metrics vocabulary (when a registry is attached):
     [sched.ticks], [sched.irqs.raised], [sched.irqs.delivered],
     [sched.irqs.unhandled], [sched.irqs.faults], [sched.irqs.storms],
-    [sched.submits], [sched.completions] (with its queue-scoped alias
-    [sched.queue.completions], the name telemetry windowed rates key
-    on), [sched.timeouts],
+    [sched.submits], [sched.completions], [sched.timeouts],
     [sched.handler_errors]; histograms [sched.queue.depth] (sampled at
     each submit) and [sched.queue.wait_ticks] (virtual ticks from
     submit to completion). Trace events: {!Trace.Irq_raised},

@@ -6,7 +6,7 @@
 
     - every counter gets a {!counter_point} — the cumulative total and
       the {e delta} since the previous tick, from which windowed rates
-      like [sched.queue.completions/s] are derived as [delta * hz];
+      like [sched.completions/s] are derived as [delta * hz];
     - every histogram gets a {!hist_point} — the count/sum delta plus
       {e windowed} p50/p95/p99 computed from the bucket-array delta
       with the same estimator as {!Metrics.percentile}, so per-window

@@ -10,6 +10,7 @@ type json =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
   | String of string
   | List of json list
   | Obj of (string * json) list
@@ -35,6 +36,15 @@ let rec render b = function
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int n -> Buffer.add_string b (string_of_int n)
+  | Float f when not (Float.is_finite f) -> Buffer.add_string b "null"
+  | Float f ->
+      (* The shortest of %.15g/%.17g that reads back as [f], keeping a
+         fraction or exponent so the value re-parses as a [Float]. *)
+      let s = Printf.sprintf "%.15g" f in
+      let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+      Buffer.add_string b s;
+      if not (String.exists (fun c -> c = '.' || c = 'e') s) then
+        Buffer.add_string b ".0"
   | String s ->
       Buffer.add_char b '"';
       Buffer.add_string b (escape s);
@@ -135,16 +145,34 @@ let json_of_string s =
     loop ();
     Buffer.contents b
   in
-  let parse_int () =
+  let parse_number () =
     let start = !pos in
+    let digits () =
+      while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
+        advance ()
+      done
+    in
     if peek () = Some '-' then advance ();
-    while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-      advance ()
-    done;
+    digits ();
     if !pos = start then fail "expected a number";
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "number out of range"
+    let fractional = ref false in
+    if peek () = Some '.' then (fractional := true; advance (); digits ());
+    (match peek () with
+    | Some ('e' | 'E') ->
+        fractional := true;
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
+    let text = String.sub s start (!pos - start) in
+    if !fractional then
+      match float_of_string_opt text with
+      | Some f -> Float f
+      | None -> fail "bad number"
+    else
+      match int_of_string_opt text with
+      | Some v -> Int v
+      | None -> fail "number out of range"
   in
   let rec parse_value () =
     skip_ws ();
@@ -186,7 +214,7 @@ let json_of_string s =
             | _ -> fail "expected , or } in object"
           in
           fields []
-    | Some ('-' | '0' .. '9') -> Int (parse_int ())
+    | Some ('-' | '0' .. '9') -> parse_number ()
     | Some c -> fail (Printf.sprintf "unexpected character %c" c)
   in
   try
@@ -824,8 +852,7 @@ let profile_to_speedscope ?(name = "devil profile") profile =
 
 (* Metric names: the registry's dotted names with every non
    [A-Za-z0-9_] byte flattened to '_' and a "devil_" prefix, so
-   "sched.queue.completions" scrapes as
-   devil_sched_queue_completions_total. *)
+   "sched.queue.wait_ticks" scrapes as devil_sched_queue_wait_ticks. *)
 let om_name name =
   let b = Buffer.create (String.length name + 8) in
   Buffer.add_string b "devil_";
@@ -930,8 +957,8 @@ type series_file = {
   sf_points : series_point list;
 }
 
-(* The JSON layer is integer-only, so hz travels as a string
-   ("%g"-rendered) and is re-parsed on read. *)
+(* hz travels as a "%g"-rendered string, as the version-1 format fixed
+   before the JSON layer had floats, and is re-parsed on read. *)
 let series_to_jsonl telemetry =
   let b = Buffer.create 4096 in
   let add j =

@@ -15,12 +15,16 @@
     and reason, never an exception. A file whose version is newer than
     this build is rejected rather than misread. *)
 
-(** The minimal JSON tree both formats share. Numbers are OCaml [int]s
-    — the runtime never traces anything wider. *)
+(** The minimal JSON tree every format here shares, and the benchmark
+    row artifacts (DESIGN.md §9) too. Traces and tapes only carry
+    [int]s; [Float] is for measured values. A number with a fraction or
+    an exponent parses as [Float], any other as [Int]; a [Float] always
+    renders with one of the two (and a non-finite one as [null]). *)
 type json =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
   | String of string
   | List of json list
   | Obj of (string * json) list
@@ -30,6 +34,12 @@ val version : int
 
 val json_to_string : json -> string
 val json_of_string : string -> (json, string) result
+
+val field : string -> json -> (json, string) result
+(** An object's member, or why the value has none. *)
+
+val as_string : string -> json -> (string, string) result
+(** A string member ([as_string name obj]). *)
 
 (** {1 Events} *)
 
@@ -100,7 +110,7 @@ val to_openmetrics :
     object per retained sample point, flat across all series
     (counters first, then histograms, then health, each grouped by
     metric name in sorted order, points oldest first). [hz] travels as
-    a ["%g"] string because the JSON layer is integer-only. *)
+    a ["%g"] string, as the version-1 format fixed before {!Float}. *)
 
 type series_point =
   | S_counter of { sp_tick : int; sp_metric : string; sp_total : int;
@@ -124,6 +134,9 @@ val series_of_jsonl : string -> (series_file, string) result
 
 val write_file : string -> string -> unit
 (** [write_file path contents] — plain [open_out]/[output_string]. *)
+
+val read_file : string -> (string, string) result
+(** The whole file, or the [Sys_error] message. *)
 
 val events_of_file : string -> (Trace.event list, string) result
 val tape_of_file : string -> (Bus.tape, string) result

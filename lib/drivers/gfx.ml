@@ -54,6 +54,12 @@ module Devil_driver = struct
     Instance.set t.inst "clip_rect" (Value.Int 0x03ff03ff);
     Instance.set t.inst "fill_color" (Value.Int color)
 
+  (* The FIFO entries [send_rect] writes: the two packed registers at
+     24 bpp, one per field (four) on the independent-variable path. The
+     model drops a write that finds the FIFO full, so each primitive
+     reserves what its path writes. *)
+  let rect_entries t = if t.depth = 24 then param_entries else 4
+
   let send_rect t { x; y; w; h } =
     if t.depth = 24 then begin
       (* Grouped structure stubs: one transfer per packed register. *)
@@ -75,7 +81,7 @@ module Devil_driver = struct
     protected "gfx: fill_rect" (fun () ->
         wait_fifo t state_entries;
         send_state t ~color;
-        wait_fifo t param_entries;
+        wait_fifo t (rect_entries t);
         send_rect t r;
         wait_fifo t 1;
         Instance.set t.inst "render_op" (Value.Enum "OP_FILL"))
@@ -84,7 +90,7 @@ module Devil_driver = struct
     protected "gfx: copy_rect" (fun () ->
         wait_fifo t state_entries;
         send_state t ~color:0;
-        wait_fifo t copy_param_entries;
+        wait_fifo t (rect_entries t + 1);
         send_rect t r;
         Instance.set_struct t.inst "copy_vector"
           [ ("copy_dx", Value.Int dx); ("copy_dy", Value.Int dy) ];

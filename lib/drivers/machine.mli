@@ -157,8 +157,7 @@ val create :
     done. [profile] additionally times every layer as hierarchical
     {!Devil_runtime.Profile} spans: stub accesses and actions in both
     engines, polls and retries in the policy layer, and each bus
-    transfer as a leaf (via [Bus.observed ?profile] — precise timing,
-    not {!Devil_runtime.Profile.attach}'s gap estimate). Handles not
+    transfer as a leaf (via [Bus.observed ?profile]). Handles not
     supplied are taken from the [DEVIL_TRACE], [DEVIL_METRICS] and
     [DEVIL_PROFILE] environment variables; with none of them, the
     machine is exactly the uninstrumented one.
@@ -174,7 +173,8 @@ val create :
     requests get per-stage latency accounting as they run;
     [lifecycle_clock] overrides its clock (tests use the scheduler's
     virtual tick counter, the latency bench the default monotonic
-    nanoseconds). With both trace and metrics present, ring evictions
+    nanoseconds), and its stage histograms then end in [.ticks]
+    rather than [.ns]. With both trace and metrics present, ring evictions
     are additionally surfaced live as the [trace.dropped_events]
     counter. *)
 

@@ -1,7 +1,8 @@
 (* End-to-end tests of the devilc binary itself: check every shipped
    .dil file, generate C and documentation to files, and verify exit
-   codes on bad input. The executable is a declared dune dependency of
-   the test (see test/dune). *)
+   codes on bad input; likewise tracetool and benchcheck. The
+   executables and the committed artifacts benchcheck reads are
+   declared dune dependencies of the test (see test/dune). *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -203,7 +204,7 @@ let telemetry_series_file () =
   let m = Metrics.create () in
   let tel = Telemetry.create ~capacity:8 m in
   for t = 1 to 3 do
-    Metrics.incr m ~by:(2 * t) "sched.queue.completions";
+    Metrics.incr m ~by:(2 * t) "sched.completions";
     Metrics.observe m "sched.queue.wait_ticks" (5 * t);
     Telemetry.tick ~health:(Health.evaluate ~metrics:m ()) tel
   done;
@@ -220,7 +221,7 @@ let test_tracetool_top_once () =
   Alcotest.(check bool) "renders the header" true
     (contains out "tracetool top");
   Alcotest.(check bool) "shows the hottest counter" true
-    (contains out "sched.queue.completions");
+    (contains out "sched.completions");
   Alcotest.(check bool) "shows the health verdict" true (contains out "ok");
   Alcotest.(check bool) "no eviction banner on a clean run" false
     (contains out "RING EVICTION")
@@ -230,11 +231,79 @@ let test_tracetool_series () =
   Alcotest.(check int) "series exits 0" 0 (run_tracetool [ "series"; file ]);
   let out = output () in
   Alcotest.(check bool) "lists the counter series" true
-    (contains out "sched.queue.completions");
+    (contains out "sched.completions");
   Alcotest.(check bool) "lists the histogram series" true
     (contains out "sched.queue.wait_ticks");
   Alcotest.(check int) "unreadable file is exit 2" 2
     (run_tracetool [ "series"; "no_such_series.jsonl" ])
+
+(* {1 benchcheck: the offline gate over row artifacts} *)
+
+let benchcheck =
+  List.find_opt Sys.file_exists
+    [ "../tools/benchcheck/benchcheck.exe";
+      "_build/default/tools/benchcheck/benchcheck.exe" ]
+  |> Option.value ~default:"../tools/benchcheck/benchcheck.exe"
+
+(* A committed artifact, from the stanza directory or the root. *)
+let committed name =
+  List.find_opt Sys.file_exists [ "../" ^ name; name ]
+  |> Option.value ~default:("../" ^ name)
+
+let run_benchcheck args =
+  Sys.command (Filename.quote_command benchcheck args ^ " > cli_out.txt 2>&1")
+
+(* BENCH_async.json with its first [needle] replaced, written to [path]. *)
+let edited_async ~path needle repl =
+  let ic = open_in_bin (committed "BENCH_async.json") in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rec find i =
+    if i + String.length needle > String.length text then
+      Alcotest.failf "BENCH_async.json has no %S" needle
+    else if String.sub text i (String.length needle) = needle then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let oc = open_out_bin path in
+  output_string oc
+    (String.sub text 0 i ^ repl
+    ^ String.sub text
+        (i + String.length needle)
+        (String.length text - i - String.length needle));
+  close_out oc;
+  path
+
+let test_benchcheck_validates () =
+  Alcotest.(check int) "committed artifact passes its gates" 0
+    (run_benchcheck [ committed "BENCH_async.json" ]);
+  Alcotest.(check bool) "reports the suite" true (contains (output ()) "ok (async");
+  let slow =
+    edited_async ~path:"cli_async_slow.json"
+      "\"ratio_vs_sync\",\"unit\":\"ratio\",\"value\":2.595"
+      "\"ratio_vs_sync\",\"unit\":\"ratio\",\"value\":1.5"
+  in
+  Alcotest.(check int) "gate violation exits 1" 1 (run_benchcheck [ slow ]);
+  Alcotest.(check bool) "names the gate" true
+    (contains (output ()) "ide-queued-dma/e2e/ratio_vs_sync = 1.5, gate >= 2");
+  let malformed =
+    edited_async ~path:"cli_async_malformed.json" "\"value\":128" "\"value\":\"128\""
+  in
+  Alcotest.(check int) "malformed row exits 1" 1 (run_benchcheck [ malformed ]);
+  Alcotest.(check bool) "says why" true
+    (contains (output ()) "must be a number or null");
+  Alcotest.(check int) "unknown option exits 2" 2
+    (run_benchcheck [ "--require-speedup"; committed "BENCH_async.json" ])
+
+let test_benchcheck_compare () =
+  let args old_ new_ = [ "compare"; old_; new_; "--max-regression"; "10" ] in
+  Alcotest.(check int) "the committed trajectory is within 10%" 0
+    (run_benchcheck (args (committed "BENCH_pr3.json") (committed "BENCH_pr5.json")));
+  Alcotest.(check int) "the synthetic regression is rejected" 1
+    (run_benchcheck
+       (args (committed "BENCH_pr3.json") (committed "test/golden/bench_regressed.json")));
+  Alcotest.(check bool) "flags the regressed rows" true
+    (contains (output ()) "REGRESSED")
 
 let test_list () =
   Alcotest.(check int) "list" 0 (run [ "list" ]);
@@ -266,5 +335,11 @@ let () =
           case "help and --help print usage, exit 0" test_tracetool_help;
           case "top --once renders the dashboard" test_tracetool_top_once;
           case "series lists the dumped metrics" test_tracetool_series;
+        ] );
+      ( "benchcheck",
+        [
+          case "validates, gates, rejects malformed rows" test_benchcheck_validates;
+          case "compare passes the trajectory, rejects the regression"
+            test_benchcheck_compare;
         ] );
     ]

@@ -339,6 +339,41 @@ let test_gfx_op_cost_rule () =
   Alcotest.(check int) "32bpp: +2" 2 (ops `Devil 32 - ops `Hand 32);
   Alcotest.(check int) "24bpp: parity" 0 (ops `Devil 24 - ops `Hand 24)
 
+(* Without [sync] between primitives the engine lags and the FIFO
+   fills up; a driver that reserves fewer entries than it writes then
+   loses writes to the full FIFO. At 32 bpp the Devil driver writes
+   the rectangle as four independent variables (plus the copy vector),
+   so it must reserve that many. The 32 bpp primitives here queue
+   behind 24 bpp ones, whose shorter entry groups leave the FIFO with
+   too little room as often as not. *)
+let test_gfx_unsynced_no_overflow () =
+  let run ~set_depth ~fill ~copy =
+    let rng = Random.State.make [| 32 |] in
+    for k = 0 to 1999 do
+      if k mod 8 = 0 then set_depth (if k mod 16 = 0 then 24 else 32);
+      let w = 2 + Random.State.int rng 9 and h = 2 + Random.State.int rng 9 in
+      let r =
+        { Drivers.Gfx.x = Random.State.int rng 900; y = Random.State.int rng 700; w; h }
+      in
+      if k mod 3 = 2 then copy r else fill r
+    done
+  in
+  let m1 = Machine.create () and m2 = Machine.create () in
+  let d = Drivers.Gfx.Devil_driver.create m1.Machine.gfx_dev in
+  run
+    ~set_depth:(Drivers.Gfx.Devil_driver.set_depth d)
+    ~fill:(fun r -> Drivers.Gfx.Devil_driver.fill_rect d r ~color:0xabcdef)
+    ~copy:(fun r -> Drivers.Gfx.Devil_driver.copy_rect d r ~dx:5 ~dy:(-3));
+  let h = Drivers.Gfx.Handcrafted.create m2.Machine.bus ~mmio_base:Machine.gfx_mmio_base in
+  run
+    ~set_depth:(Drivers.Gfx.Handcrafted.set_depth h)
+    ~fill:(fun r -> Drivers.Gfx.Handcrafted.fill_rect h r ~color:0xabcdef)
+    ~copy:(fun r -> Drivers.Gfx.Handcrafted.copy_rect h r ~dx:5 ~dy:(-3));
+  Alcotest.(check int) "hand-written driver drops no write" 0
+    (Hwsim.Permedia2.overflows m2.gfx);
+  Alcotest.(check int) "Devil driver drops no write" 0
+    (Hwsim.Permedia2.overflows m1.gfx)
+
 let () =
   Alcotest.run "drivers"
     [
@@ -374,5 +409,7 @@ let () =
         [
           case "drivers agree" test_gfx_drivers_agree;
           case "+2/-0 op rule" test_gfx_op_cost_rule;
+          case "unsynchronised 24/32 bpp: no FIFO overflow"
+            test_gfx_unsynced_no_overflow;
         ] );
     ]

@@ -124,11 +124,12 @@ let test_full_arc_online () =
       | Some d when d > 0 -> ()
       | _ -> Alcotest.fail "queued request shows no queue wait")
   | rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs));
-  (* Stage histograms fed under the metric vocabulary. *)
+  (* Stage histograms fed under the metric vocabulary, named by the
+     supplied clock's unit: it counts trace events, not nanoseconds. *)
   List.iter
     (fun st ->
       let name =
-        Printf.sprintf "lifecycle.d.%s.ns" (Lifecycle.stage_label st)
+        Printf.sprintf "lifecycle.d.%s.ticks" (Lifecycle.stage_label st)
       in
       match Metrics.histogram metrics name with
       | Some h -> Alcotest.(check int) (name ^ " fed twice") 2 h.Metrics.count
@@ -140,6 +141,27 @@ let test_full_arc_online () =
     (Metrics.count metrics "lifecycle.completed");
   Alcotest.(check (option Alcotest.int)) "find by rid" (Some 2)
     (Option.map (fun r -> r.Lifecycle.rid) (Lifecycle.find lc 2))
+
+(* On the default monotonic clock the stage histograms are in
+   nanoseconds, and say so. *)
+let test_default_clock_names_ns () =
+  let trace = Trace.create ~capacity:64 () in
+  let metrics = Metrics.create () in
+  let _lc = Lifecycle.attach ~metrics trace in
+  let t =
+    Sched.create ~trace ~metrics
+      {
+        Sched.ctl_raise = (fun ~line:_ -> ());
+        ctl_ack = (fun () -> None);
+        ctl_eoi = (fun ~line:_ -> ());
+      }
+  in
+  ignore (Sched.submit t ~dev:"d" ~label:"op" ~start:ignore ());
+  Sched.complete t ~dev:"d" (Ok ());
+  Alcotest.(check bool) "lifecycle.d.total.ns fed" true
+    (Metrics.histogram metrics "lifecycle.d.total.ns" <> None);
+  Alcotest.(check bool) "no ticks-named histogram" true
+    (Metrics.histogram metrics "lifecycle.d.total.ticks" = None)
 
 let test_rid_reaches_request_thunks () =
   let t, _, _, _ = quiet_observed () in
@@ -497,6 +519,7 @@ let () =
       ( "reconstruction",
         [
           case "full arc online, stages and histograms" test_full_arc_online;
+          case "default clock names histograms .ns" test_default_clock_names_ns;
           case "rid reaches request thunks" test_rid_reaches_request_thunks;
           case "orphan until completion" test_orphan_until_completion;
           case "offline replay in seq ticks" test_of_events_offline_ticks;

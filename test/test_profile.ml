@@ -3,8 +3,8 @@
    Four angles:
 
    - Metrics percentile estimation: exact expectations at the
-     power-of-two bucket boundaries, the single-sample clamp, and the
-     empty-histogram None.
+     power-of-two bucket boundaries, the single-sample clamp, the
+     empty-histogram None, and monotonicity in the quantile.
    - Span arithmetic under a deterministic substituted clock: the
      self/total split, the attributed = total identity, the call-path
      trie shape, [leaf] attribution, and exception safety.
@@ -15,7 +15,8 @@
      disabled-path discipline: [Bus.observed] with no handles is
      physically the identity.
    - Exporters: folded stacks and speedscope JSON from a profile with
-     known arithmetic. *)
+     known arithmetic; the speedscope document has the file-format
+     shape speedscope loads. *)
 
 module Ir = Devil_ir.Ir
 module Value = Devil_ir.Value
@@ -54,6 +55,29 @@ let test_bucket_boundaries () =
   done;
   Alcotest.(check int) "bucket_of 0" 0 (Metrics.bucket_of 0);
   Alcotest.(check int) "bucket_of -5" 0 (Metrics.bucket_of (-5))
+
+(* Both estimators, and the p50/p95/p99 a snapshot reports, are
+   monotone in the quantile: a higher quantile never estimates lower. *)
+let prop_percentiles_monotone =
+  QCheck.Test.make ~count:(qcount 200) ~name:"percentiles are monotone in p"
+    QCheck.(
+      triple
+        (list_of_size Gen.(1 -- 50) (int_bound 5_000_000))
+        (float_range 0.001 1.0) (float_range 0.001 1.0))
+    (fun (samples, a, b) ->
+      let lo = Float.min a b and hi = Float.max a b in
+      let m = Metrics.create () in
+      List.iter (Metrics.observe m "h") samples;
+      let p q = Option.get (Metrics.percentile m "h" q) in
+      let bp q =
+        Metrics.bucket_percentile ~count:(List.length samples)
+          ~min_value:(List.fold_left min max_int samples)
+          ~max_value:(List.fold_left max 0 samples)
+          (Option.get (Metrics.hist_buckets m "h"))
+          q
+      in
+      let s = Option.get (Metrics.histogram m "h") in
+      p lo <= p hi && bp lo <= bp hi && s.p50 <= s.p95 && s.p95 <= s.p99)
 
 let test_percentile_1_to_8 () =
   let m = Metrics.create () in
@@ -440,18 +464,58 @@ let test_exporters () =
   let folded = Trace_export.profile_to_folded p in
   Alcotest.(check string) "folded stacks" "root 70\nroot;kid 30\n" folded;
   let ss = Trace_export.profile_to_speedscope ~name:"t" p in
-  match Trace_export.json_of_string ss with
-  | Error e -> Alcotest.fail ("speedscope JSON does not parse: " ^ e)
-  | Ok json -> (
-      match json with
-      | Trace_export.Obj fields ->
-          Alcotest.(check bool) "$schema present" true
-            (List.mem_assoc "$schema" fields);
-          Alcotest.(check bool) "shared present" true
-            (List.mem_assoc "shared" fields);
-          Alcotest.(check bool) "profiles present" true
-            (List.mem_assoc "profiles" fields)
-      | _ -> Alcotest.fail "speedscope document is not an object")
+  let field k = function
+    | Trace_export.Obj fs -> (
+        match List.assoc_opt k fs with
+        | Some v -> v
+        | None -> Alcotest.failf "speedscope: missing field %S" k)
+    | _ -> Alcotest.failf "speedscope: %S is not in an object" k
+  in
+  let list = function
+    | Trace_export.List l -> l
+    | _ -> Alcotest.fail "speedscope: expected an array"
+  in
+  let doc =
+    match Trace_export.json_of_string ss with
+    | Ok j -> j
+    | Error e -> Alcotest.fail ("speedscope JSON does not parse: " ^ e)
+  in
+  Alcotest.(check bool) "$schema is the speedscope file-format URL" true
+    (field "$schema" doc
+    = Trace_export.String "https://www.speedscope.app/file-format-schema.json");
+  let frames = list (field "frames" (field "shared" doc)) in
+  Alcotest.(check int) "one frame per span key" 2 (List.length frames);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) "frame named" true
+        (field "name" f <> Trace_export.String ""))
+    frames;
+  match list (field "profiles" doc) with
+  | [ prof ] ->
+      Alcotest.(check bool) "sampled profile" true
+        (field "type" prof = Trace_export.String "sampled");
+      Alcotest.(check bool) "in nanoseconds" true
+        (field "unit" prof = Trace_export.String "nanoseconds");
+      let samples = list (field "samples" prof)
+      and weights = list (field "weights" prof) in
+      Alcotest.(check int) "one weight per sample" (List.length samples)
+        (List.length weights);
+      Alcotest.(check bool) "weights are the self times" true
+        (weights = [ Trace_export.Int 70; Trace_export.Int 30 ]);
+      Alcotest.(check bool) "spans [0, total]" true
+        (field "startValue" prof = Trace_export.Int 0
+        && field "endValue" prof = Trace_export.Int 100);
+      List.iter
+        (fun stack ->
+          Alcotest.(check bool) "non-empty stack of in-range frame indices" true
+            (list stack <> []
+            && List.for_all
+                 (function
+                   | Trace_export.Int i -> i >= 0 && i < List.length frames
+                   | _ -> false)
+                 (list stack)))
+        samples
+  | ps -> Alcotest.failf "expected one profile, got %d" (List.length ps)
 
 let () =
   let devices = [ ("uart16550", Specs.uart16550 ()); ("ide", Specs.ide ()) ] in
@@ -466,6 +530,7 @@ let () =
           Alcotest.test_case "empty histogram" `Quick test_percentile_empty;
           Alcotest.test_case "snapshot percentiles" `Quick
             test_hist_snapshot_percentiles;
+          QCheck_alcotest.to_alcotest prop_percentiles_monotone;
         ] );
       ( "spans",
         [

@@ -417,6 +417,17 @@ let test_chrome_export_smoke () =
     in
     find 0)
 
+(* Any finite float renders as a JSON number that parses back to the
+   same [Float] — integral ones included, which keep a ".0" so they do
+   not come back as [Int]. *)
+let prop_float_roundtrip =
+  QCheck.Test.make ~count:(qcount 500) ~name:"JSON Float round-trips"
+    QCheck.(oneof [ float; map float_of_int int; float_range 0.0 1e6 ])
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      let j = Trace_export.List [ Trace_export.Float f; Trace_export.Int 3 ] in
+      Trace_export.json_of_string (Trace_export.json_to_string j) = Ok j)
+
 (* {1 DEVIL_TRACE / DEVIL_METRICS env parsing} *)
 
 let test_trace_env_parse () =
@@ -470,6 +481,7 @@ let () =
           case "newer version rejected" test_jsonl_version_rejected;
           case "tape JSONL round-trip" test_tape_jsonl_roundtrip;
           case "chrome export smoke" test_chrome_export_smoke;
+          QCheck_alcotest.to_alcotest prop_float_roundtrip;
         ] );
       ( "env",
         [

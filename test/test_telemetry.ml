@@ -140,7 +140,7 @@ let test_parse_env_value () =
 
 let feed_fixture (m : Metrics.t) (tel : Telemetry.t) =
   for t = 1 to 6 do
-    Metrics.incr m ~by:(3 + (t mod 2)) "sched.queue.completions";
+    Metrics.incr m ~by:(3 + (t mod 2)) "sched.completions";
     Metrics.incr m "io.ops";
     Metrics.observe m "sched.queue.wait_ticks" (1 + ((t * 7) mod 40));
     Metrics.observe m "sched.queue.wait_ticks" (1 + ((t * 13) mod 90));
@@ -187,7 +187,7 @@ let test_series_roundtrip () =
 let test_openmetrics_exposition () =
   let m = Metrics.create () in
   let tel = Telemetry.create m in
-  Metrics.incr m ~by:42 "sched.queue.completions";
+  Metrics.incr m ~by:42 "sched.completions";
   Metrics.observe m "sched.queue.wait_ticks" 5;
   Metrics.observe m "sched.queue.wait_ticks" 900;
   Telemetry.tick tel;
@@ -199,8 +199,8 @@ let test_openmetrics_exposition () =
        let rec go i = i + nl <= ol && (String.sub out i nl = needle || go (i + 1)) in
        go 0)
   in
-  has "# TYPE devil_sched_queue_completions counter";
-  has "devil_sched_queue_completions_total 42";
+  has "# TYPE devil_sched_completions counter";
+  has "devil_sched_completions_total 42";
   (* The dropped-events counter is always exported, even at zero, so
      dashboards can alert on it without a state change. *)
   has "devil_trace_dropped_events_total 0";
@@ -218,13 +218,86 @@ let test_openmetrics_exposition () =
           (String.length tail)
         = tail)
 
+(* A syntax pass over a machine-generated exposition: a queued NE2000
+   send and UART traffic on a machine with trace, metrics, lifecycle
+   and telemetry. Every line is a [# TYPE]/[# HELP] comment or a
+   [name{labels} value] sample with a well-formed name, [# EOF] comes
+   last, and the samples alerting depends on are present. Not a full
+   OpenMetrics parser — enough to catch malformed names, missing
+   values or a truncated document. *)
+let test_openmetrics_line_syntax () =
+  let trace = Trace.create ~capacity:4096 () in
+  let metrics = Metrics.create () in
+  let telemetry = Telemetry.create metrics in
+  let m = Machine.create ~trace ~metrics ~telemetry ~lifecycle:true () in
+  Fun.protect ~finally:Policy.unobserve (fun () ->
+      let sync = Drivers.Net.Devil_driver.create m.ne2000_dev in
+      Drivers.Net.Devil_driver.init sync ~mac:"\x02\x00\x00\x00\x00\x42";
+      let net =
+        Drivers.Net.Async.create ~sched:(Machine.sched m) ~line:Machine.irq_net
+          m.ne2000_dev
+      in
+      Drivers.Net.Async.await net (Drivers.Net.Async.send net (String.make 48 'x'));
+      Drivers.Net.Async.drain net;
+      Machine.Instance.get_struct m.uart_dev "line_status";
+      Machine.telemetry_tick m);
+  let out =
+    Trace_export.to_openmetrics ~health:(Machine.health m) ~telemetry metrics
+  in
+  let name_ok n =
+    n <> ""
+    && (match n.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
+    && String.for_all
+         (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
+         n
+  in
+  let line_ok line =
+    match String.split_on_char ' ' line with
+    | [ "#"; "TYPE"; n; ("counter" | "gauge" | "histogram") ] -> name_ok n
+    | "#" :: "HELP" :: n :: _ :: _ -> name_ok n
+    | _ when line <> "" && line.[0] = '#' -> false
+    | _ -> (
+        match String.rindex_opt line ' ' with
+        | None -> false
+        | Some sp ->
+            let series = String.sub line 0 sp in
+            let name =
+              match String.index_opt series '{' with
+              | Some b when series.[String.length series - 1] = '}' ->
+                  String.sub series 0 b
+              | Some _ -> ""
+              | None -> series
+            in
+            name_ok name
+            && float_of_string_opt
+                 (String.sub line (sp + 1) (String.length line - sp - 1))
+               <> None)
+  in
+  match List.rev (String.split_on_char '\n' out) with
+  | "" :: "# EOF" :: body ->
+      List.iter
+        (fun l -> Alcotest.(check bool) ("well-formed: " ^ l) true (line_ok l))
+        body;
+      List.iter
+        (fun sample ->
+          Alcotest.(check bool) ("has " ^ sample) true
+            (List.exists (String.starts_with ~prefix:sample) body))
+        [
+          "devil_sched_completions_total 1";
+          "devil_trace_dropped_events_total 0";
+          "devil_lifecycle_ne2000_total_ns_count 1";
+          "devil_health 0";
+          "devil_telemetry_series_evictions_total 0";
+        ]
+  | _ -> Alcotest.fail "exposition must end with a single \"# EOF\" line"
+
 (* {1 Metrics merge laws} *)
 
 (* A shard-feedable event stream: each op is self-contained, so any
    split of the stream across registries is meaningful. *)
 type mop = C of string * int | H of string * int
 
-let mop_names = [| "a"; "b"; "io.lat"; "sched.queue.completions" |]
+let mop_names = [| "a"; "b"; "io.lat"; "sched.completions" |]
 
 let mop_gen =
   QCheck.Gen.(
@@ -521,6 +594,8 @@ let () =
             test_series_dump_deterministic;
           case "series JSONL round-trips" test_series_roundtrip;
           case "OpenMetrics exposition shape" test_openmetrics_exposition;
+          case "OpenMetrics line syntax, machine registry"
+            test_openmetrics_line_syntax;
         ] );
       ( "merge-laws",
         List.map QCheck_alcotest.to_alcotest

@@ -1,862 +1,118 @@
-(* Schema validator and regression gate for the benchmark artifacts
-   (BENCH_pr3.json, BENCH_pr5.json, ...).
+(* Offline validator and regression gate for the benchmark artifacts
+   (BENCH_*.json, DESIGN.md §17).
 
    Usage:
-     benchcheck FILE [--require-speedup]
+     benchcheck FILE...
      benchcheck compare OLD.json NEW.json [--max-regression PCT]
-     benchcheck speedscope FILE
-     benchcheck async FILE
-     benchcheck latency FILE
-     benchcheck latency OLD.json NEW.json [--max-regression PCT]
 
-   The first form checks that FILE is well-formed JSON matching the
-   DESIGN.md §9 schema: a schema_version-1 object whose "workloads"
-   array carries every expected (workload, engine) pair with a
-   numeric-or-null ns_per_op and a non-negative modeled_us. With
-   [--require-speedup] it additionally asserts the acceptance
-   criterion — the compiled engine strictly faster than the
-   interpreter on the register get and set workloads (so it needs real
-   estimates, not a smoke run's nulls).
+   The first form reads each FILE as a row artifact and evaluates the
+   gates its suite declares — the same Benchrow.check the suite ran
+   in-run — so a committed artifact stays checked against today's
+   gates.
 
-   [compare] is the perf-regression gate (DESIGN.md §11): for every
-   (workload, engine) pair with a real estimate in BOTH files, fail
-   (exit 1) when NEW's ns/op exceeds OLD's by more than PCT percent
-   (default 10). Null estimates are skipped; at least one comparable
-   pair is required.
+   [compare] is the perf-regression gate: for every row of the same
+   suite and key in both files whose unit is a time (ns, us, ticks),
+   fail when NEW exceeds OLD by more than PCT percent (default 10).
+   Config rows, null values and zero baselines are skipped; at least
+   one comparable row is required.
 
-   [async] validates a `bench async` artifact (suite devil_pr7_async)
-   and gates the queued-driver acceptance: ide-queued-dma at >= 2.0x
-   the polling row's sustainable command rate, net-burst-rx no slower
-   than its polling counterpart.
-
-   [latency] validates a `bench latency` artifact (suite
-   devil_pr9_latency) and gates the lifecycle acceptance: every
-   submitted request completed, zero orphans, zero late completions,
-   an "ok" embedded health verdict, and monotone per-stage
-   percentiles (p50 <= p95 <= p99). The two-file form is the latency
-   regression gate: fail (exit 1) when a (workload, stage) p99
-   grows by more than PCT percent (default 25 — wall-clock
-   nanoseconds are noisier than the modeled ns/op `compare` gates).
-
-   [speedscope] validates a Trace_export.profile_to_speedscope file
-   against the speedscope JSON expectations: the $schema URL, interned
-   frames, and per-profile type/unit plus samples/weights arrays of
-   equal length whose frame indices are in range.
-
-   Exit codes: 0 ok, 1 failed check or malformed artifact, 2 usage.
-
-   The parser below is a deliberately small recursive-descent JSON
-   reader — the toolchain has no JSON library baked in, and the
-   checker needs only enough JSON to falsify a malformed artifact. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+   Exit codes: 0 ok, 1 failed gate or malformed artifact, 2 usage. *)
 
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-module Parse = struct
-  type st = { s : string; mutable pos : int }
+let read path =
+  match Benchrow.read path with Ok a -> a | Error m -> bad "%s" m
 
-  let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
+let check_file path =
+  let suite_name, rows = read path in
+  match
+    List.find_opt
+      (fun (s : Benchrow.suite) -> s.name = suite_name)
+      Bench_suites.Suites.all
+  with
+  | None -> bad "unknown suite %S" suite_name
+  | Some suite -> (
+      match Benchrow.check suite rows with
+      | [] ->
+          Printf.printf "%s: ok (%s, %d rows, %d gates)\n" path suite_name
+            (List.length rows) (List.length suite.gates)
+      | violations -> bad "%s" (String.concat "\n  " violations))
 
-  let advance st = st.pos <- st.pos + 1
-
-  let rec skip_ws st =
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance st;
-        skip_ws st
-    | _ -> ()
-
-  let expect st c =
-    match peek st with
-    | Some c' when c' = c -> advance st
-    | Some c' -> bad "offset %d: expected '%c', found '%c'" st.pos c c'
-    | None -> bad "offset %d: expected '%c', found end of input" st.pos c
-
-  let literal st word value =
-    String.iter (fun c -> expect st c) word;
-    value
-
-  let string_body st =
-    (* Called after the opening quote. The artifact writer only emits
-       %S-escaped strings, so the escapes handled here cover it. *)
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek st with
-      | None -> bad "unterminated string"
-      | Some '"' -> advance st
-      | Some '\\' -> (
-          advance st;
-          match peek st with
-          | Some ('"' as c) | Some ('\\' as c) | Some ('/' as c) ->
-              Buffer.add_char b c;
-              advance st;
-              go ()
-          | Some 'n' ->
-              Buffer.add_char b '\n';
-              advance st;
-              go ()
-          | Some 't' ->
-              Buffer.add_char b '\t';
-              advance st;
-              go ()
-          | Some c -> bad "unsupported escape '\\%c'" c
-          | None -> bad "unterminated escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance st;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-
-  let number st =
-    let start = st.pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    let rec go () =
-      match peek st with
-      | Some c when is_num_char c ->
-          advance st;
-          go ()
-      | _ -> ()
-    in
-    go ();
-    let text = String.sub st.s start (st.pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> bad "offset %d: bad number %S" start text
-
-  let rec value st =
-    skip_ws st;
-    match peek st with
-    | Some '{' -> obj st
-    | Some '[' -> arr st
-    | Some '"' ->
-        advance st;
-        Str (string_body st)
-    | Some 't' -> literal st "true" (Bool true)
-    | Some 'f' -> literal st "false" (Bool false)
-    | Some 'n' -> literal st "null" Null
-    | Some ('-' | '0' .. '9') -> number st
-    | Some c -> bad "offset %d: unexpected '%c'" st.pos c
-    | None -> bad "unexpected end of input"
-
-  and obj st =
-    expect st '{';
-    skip_ws st;
-    match peek st with
-    | Some '}' ->
-        advance st;
-        Obj []
-    | _ ->
-        let rec members acc =
-          skip_ws st;
-          expect st '"';
-          let key = string_body st in
-          skip_ws st;
-          expect st ':';
-          let v = value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              members ((key, v) :: acc)
-          | Some '}' ->
-              advance st;
-              Obj (List.rev ((key, v) :: acc))
-          | _ -> bad "offset %d: expected ',' or '}'" st.pos
-        in
-        members []
-
-  and arr st =
-    expect st '[';
-    skip_ws st;
-    match peek st with
-    | Some ']' ->
-        advance st;
-        Arr []
-    | _ ->
-        let rec elements acc =
-          let v = value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              elements (v :: acc)
-          | Some ']' ->
-              advance st;
-              Arr (List.rev (v :: acc))
-          | _ -> bad "offset %d: expected ',' or ']'" st.pos
-        in
-        elements []
-
-  let document s =
-    let st = { s; pos = 0 } in
-    let v = value st in
-    skip_ws st;
-    if st.pos <> String.length s then bad "trailing garbage at offset %d" st.pos;
-    v
-end
-
-(* {1 Schema checks} *)
-
-let field name = function
-  | Obj members -> (
-      match List.assoc_opt name members with
-      | Some v -> v
-      | None -> bad "missing field %S" name)
-  | _ -> bad "expected an object around field %S" name
-
-let num name v =
-  match field name v with
-  | Num f -> f
-  | _ -> bad "field %S must be a number" name
-
-let str name v =
-  match field name v with
-  | Str s -> s
-  | _ -> bad "field %S must be a string" name
-
-let expected_workloads =
-  [
-    "reg_get";
-    "reg_set";
-    "reg_get_h";
-    "reg_set_h";
-    "struct_read";
-    "block_write";
-    "ide_read";
-    "gfx_fill";
-  ]
-
-let engines = [ "compiled"; "interpreted" ]
-
-let suites = [ "devil_pr3_access_plans"; "devil_pr5_span_profiler" ]
-
-let validate ~require_speedup doc =
-  if num "schema_version" doc <> 1.0 then bad "schema_version must be 1";
-  if not (List.mem (str "suite" doc) suites) then
-    bad "suite must be one of: %s" (String.concat ", " suites);
-  if num "quota_s" doc <= 0.0 then bad "quota_s must be positive";
-  if num "limit" doc < 1.0 then bad "limit must be at least 1";
-  let rows =
-    match field "workloads" doc with
-    | Arr rows -> rows
-    | _ -> bad "field \"workloads\" must be an array"
-  in
-  (* ns_per_op per (workload, engine); None for a smoke run's null. *)
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun row ->
-      let name = str "name" row and engine = str "engine" row in
-      if not (List.mem name expected_workloads) then
-        bad "unknown workload %S" name;
-      if not (List.mem engine engines) then bad "unknown engine %S" engine;
-      if Hashtbl.mem seen (name, engine) then
-        bad "duplicate row for %s/%s" name engine;
-      let ns =
-        match field "ns_per_op" row with
-        | Null -> None
-        | Num f when f >= 0.0 -> Some f
-        | Num _ -> bad "%s/%s: ns_per_op must be non-negative" name engine
-        | _ -> bad "%s/%s: ns_per_op must be a number or null" name engine
-      in
-      if num "modeled_us" row < 0.0 then
-        bad "%s/%s: modeled_us must be non-negative" name engine;
-      Hashtbl.add seen (name, engine) ns)
-    rows;
-  List.iter
-    (fun name ->
-      List.iter
-        (fun engine ->
-          if not (Hashtbl.mem seen (name, engine)) then
-            bad "missing row for %s/%s" name engine)
-        engines)
-    expected_workloads;
-  if require_speedup then
-    List.iter
-      (fun name ->
-        match
-          (Hashtbl.find seen (name, "compiled"),
-           Hashtbl.find seen (name, "interpreted"))
-        with
-        | Some c, Some i when c < i -> ()
-        | Some c, Some i ->
-            bad "%s: compiled (%.1f ns) not faster than interpreter (%.1f ns)"
-              name c i
-        | _ -> bad "%s: --require-speedup needs real estimates, found null" name)
-      [ "reg_get"; "reg_set"; "reg_get_h"; "reg_set_h" ]
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* {1 compare: the perf-regression gate} *)
-
-let ns_rows doc =
-  let rows =
-    match field "workloads" doc with
-    | Arr rows -> rows
-    | _ -> bad "field \"workloads\" must be an array"
-  in
-  List.filter_map
-    (fun row ->
-      let name = str "name" row and engine = str "engine" row in
-      match field "ns_per_op" row with
-      | Num f when f >= 0.0 -> Some ((name, engine), f)
-      | Null -> None
-      | Num _ -> bad "%s/%s: ns_per_op must be non-negative" name engine
-      | _ -> bad "%s/%s: ns_per_op must be a number or null" name engine)
-    rows
-
-let compare_cmd ~old_path ~new_path ~max_pct =
-  let olds = ns_rows (Parse.document (read_file old_path)) in
-  let news = ns_rows (Parse.document (read_file new_path)) in
+let compare_files ~old_path ~new_path ~max_pct =
+  let old_suite, olds = read old_path and new_suite, news = read new_path in
   let shared =
-    List.filter_map
-      (fun (key, old_ns) ->
-        Option.map (fun new_ns -> (key, old_ns, new_ns)) (List.assoc_opt key news))
-      olds
+    if old_suite <> new_suite then []
+    else
+      List.filter_map
+        (fun (o : Benchrow.row) ->
+          match
+            List.find_opt (fun (n : Benchrow.row) -> Benchrow.key n = Benchrow.key o) news
+          with
+          | Some { value = Some nv; _ }
+            when o.layer <> "config" && List.mem o.unit Benchrow.time_units -> (
+              match o.value with
+              | Some ov when ov > 0.0 -> Some (o, ov, nv)
+              | _ -> None)
+          | _ -> None)
+        olds
   in
-  if shared = [] then
-    bad "no (workload, engine) pair has a real estimate in both files";
-  Printf.printf "%-14s %-12s %12s %12s %9s\n" "workload" "engine" "old ns/op"
-    "new ns/op" "delta";
+  if shared = [] then bad "no row of %s has a comparable time in both files" new_suite;
+  Printf.printf "%-44s %5s %12s %12s %9s\n" "row" "unit" "old" "new" "delta";
   let regressions =
     List.fold_left
-      (fun acc ((name, engine), old_ns, new_ns) ->
-        let delta_pct = 100.0 *. (new_ns -. old_ns) /. old_ns in
-        let regressed = new_ns > old_ns *. (1.0 +. (max_pct /. 100.0)) in
-        Printf.printf "%-14s %-12s %12.1f %12.1f %+8.1f%%%s\n" name engine
-          old_ns new_ns delta_pct
+      (fun acc ((o : Benchrow.row), ov, nv) ->
+        let regressed = nv > ov *. (1.0 +. (max_pct /. 100.0)) in
+        Printf.printf "%-44s %5s %12.1f %12.1f %+8.1f%%%s\n"
+          (Benchrow.key_to_string (Benchrow.key o))
+          o.unit ov nv
+          (100.0 *. (nv -. ov) /. ov)
           (if regressed then "  REGRESSED" else "");
         if regressed then acc + 1 else acc)
       0 shared
   in
-  if regressions > 0 then (
-    Printf.eprintf
-      "%d workload(s) regressed by more than %.1f%% (%s -> %s)\n" regressions
-      max_pct old_path new_path;
-    exit 1);
-  Printf.printf "ok: %d pair(s) within %.1f%% of %s\n" (List.length shared)
-    max_pct old_path
-
-(* {1 async: the queued-driver acceptance gate (DESIGN.md §13)} *)
-
-let async_expected_rows =
-  [ "ide-sync-poll"; "ide-queued-dma"; "net-poll-rx"; "net-burst-rx" ]
-
-let async_cmd path =
-  let doc = Parse.document (read_file path) in
-  if num "schema_version" doc <> 1.0 then bad "schema_version must be 1";
-  if str "suite" doc <> "devil_pr7_async" then
-    bad "suite must be \"devil_pr7_async\"";
-  if num "dma_latency" doc < 1.0 then bad "dma_latency must be at least 1";
-  let rows =
-    match field "rows" doc with
-    | Arr rows -> rows
-    | _ -> bad "field \"rows\" must be an array"
-  in
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun row ->
-      let name = str "name" row in
-      if not (List.mem name async_expected_rows) then
-        bad "unknown row %S" name;
-      if Hashtbl.mem seen name then bad "duplicate row %S" name;
-      if num "ops" row < 1.0 then bad "%s: ops must be at least 1" name;
-      List.iter
-        (fun f ->
-          if num f row < 0.0 then bad "%s: %s must be non-negative" name f)
-        [
-          "singles_per_op"; "block_per_op"; "irqs_per_op"; "wait_ticks_per_op";
-          "p99_wait_ticks";
-        ];
-      if num "cpu_us_per_op" row <= 0.0 then
-        bad "%s: cpu_us_per_op must be positive" name;
-      if num "ops_per_s" row <= 0.0 then bad "%s: ops_per_s must be positive" name;
-      let ratio =
-        match field "ratio_vs_sync" row with
-        | Null -> None
-        | Num f when f > 0.0 -> Some f
-        | Num _ -> bad "%s: ratio_vs_sync must be positive" name
-        | _ -> bad "%s: ratio_vs_sync must be a number or null" name
-      in
-      Hashtbl.add seen name ratio)
-    rows;
-  List.iter
-    (fun name ->
-      if not (Hashtbl.mem seen name) then bad "missing row %S" name)
-    async_expected_rows;
-  (* The acceptance criterion: queued DMA sustains at least twice the
-     polling driver's command rate under the same cost model. *)
-  (match Hashtbl.find seen "ide-queued-dma" with
-  | Some r when r >= 2.0 -> ()
-  | Some r ->
-      bad "ide-queued-dma: %.2fx vs ide-sync-poll, acceptance needs >= 2.0x" r
-  | None -> bad "ide-queued-dma: ratio_vs_sync must be a real number");
-  (match Hashtbl.find seen "net-burst-rx" with
-  | Some r when r >= 1.0 -> ()
-  | Some r ->
-      bad "net-burst-rx: %.2fx vs net-poll-rx, must not be slower than polling"
-        r
-  | None -> bad "net-burst-rx: ratio_vs_sync must be a real number");
-  let ide_ratio = Option.get (Hashtbl.find seen "ide-queued-dma") in
-  Printf.printf "%s: ok (ide-queued-dma %.2fx vs sync poll)\n" path ide_ratio
-
-(* {1 latency: the request-lifecycle acceptance gate (DESIGN.md §15)} *)
-
-let latency_workloads = [ ("ide-dma-async", "ide"); ("net-async", "ne2000") ]
-let latency_stages = [ "queue_wait"; "service"; "irq_delivery"; "completion"; "total" ]
-
-(* [irq_delivery] is optional: coalesced interrupts (one raise
-   covering several completions) leave some requests without both
-   boundaries, and a histogram only exists once fed. *)
-let latency_required_stages = [ "queue_wait"; "service"; "completion"; "total" ]
-
-(* Validates the artifact and returns every ((workload, stage), p99)
-   pair — the comparison key of the two-file regression gate. *)
-let latency_rows doc =
-  if num "schema_version" doc <> 1.0 then bad "schema_version must be 1";
-  if str "suite" doc <> "devil_pr9_latency" then
-    bad "suite must be \"devil_pr9_latency\"";
-  if num "dma_latency" doc < 1.0 then bad "dma_latency must be at least 1";
-  let wls =
-    match field "workloads" doc with
-    | Arr wls -> wls
-    | _ -> bad "field \"workloads\" must be an array"
-  in
-  let seen = Hashtbl.create 4 in
-  let p99s = ref [] in
-  List.iter
-    (fun w ->
-      let name = str "name" w in
-      (match List.assoc_opt name latency_workloads with
-      | None -> bad "unknown workload %S" name
-      | Some dev ->
-          if str "dev" w <> dev then bad "%s: dev must be %S" name dev);
-      if Hashtbl.mem seen name then bad "duplicate workload %S" name;
-      Hashtbl.add seen name ();
-      let requests = num "requests" w and completed = num "completed" w in
-      if requests < 1.0 then bad "%s: requests must be at least 1" name;
-      if completed <> requests then
-        bad "%s: only %g of %g requests completed" name completed requests;
-      List.iter
-        (fun f ->
-          if num f w <> 0.0 then
-            bad "%s: %s must be 0 on a committed run (found %g)" name f
-              (num f w))
-        [ "orphans"; "lost_interrupts"; "spurious_completions" ];
-      let verdict = str "verdict" (field "health" w) in
-      if verdict <> "ok" then
-        bad "%s: health verdict %S, a committed run must be \"ok\"" name
-          verdict;
-      let stages =
-        match field "stages" w with
-        | Arr stages -> stages
-        | _ -> bad "%s: field \"stages\" must be an array" name
-      in
-      let seen_stages = Hashtbl.create 8 in
-      List.iter
-        (fun s ->
-          let stage = str "stage" s in
-          if not (List.mem stage latency_stages) then
-            bad "%s: unknown stage %S" name stage;
-          if Hashtbl.mem seen_stages stage then
-            bad "%s: duplicate stage %S" name stage;
-          Hashtbl.add seen_stages stage ();
-          if num "count" s < 1.0 then
-            bad "%s/%s: count must be at least 1" name stage;
-          let p50 = num "p50_ns" s
-          and p95 = num "p95_ns" s
-          and p99 = num "p99_ns" s in
-          if p50 < 0.0 then bad "%s/%s: p50_ns must be non-negative" name stage;
-          if not (p50 <= p95 && p95 <= p99) then
-            bad "%s/%s: percentiles not monotone (p50 %g, p95 %g, p99 %g)"
-              name stage p50 p95 p99;
-          if num "mean_ns" s < 0.0 then
-            bad "%s/%s: mean_ns must be non-negative" name stage;
-          p99s := ((name, stage), p99) :: !p99s)
-        stages;
-      List.iter
-        (fun stage ->
-          if not (Hashtbl.mem seen_stages stage) then
-            bad "%s: missing stage %S" name stage)
-        latency_required_stages)
-    wls;
-  List.iter
-    (fun (name, _) ->
-      if not (Hashtbl.mem seen name) then bad "missing workload %S" name)
-    latency_workloads;
-  List.rev !p99s
-
-let latency_cmd path =
-  let rows = latency_rows (Parse.document (read_file path)) in
-  Printf.printf
-    "%s: ok (%d workloads, %d stage histograms; all requests completed, \
-     zero orphans, health ok)\n"
-    path
-    (List.length latency_workloads)
-    (List.length rows)
-
-let latency_compare_cmd ~old_path ~new_path ~max_pct =
-  let olds = latency_rows (Parse.document (read_file old_path)) in
-  let news = latency_rows (Parse.document (read_file new_path)) in
-  let shared =
-    List.filter_map
-      (fun (key, old_p99) ->
-        match List.assoc_opt key news with
-        (* A zero p99 carries no baseline to regress against. *)
-        | Some new_p99 when old_p99 > 0.0 -> Some (key, old_p99, new_p99)
-        | _ -> None)
-      olds
-  in
-  if shared = [] then
-    bad "no (workload, stage) pair has a comparable p99 in both files";
-  Printf.printf "%-14s %-13s %12s %12s %9s\n" "workload" "stage" "old p99 ns"
-    "new p99 ns" "delta";
-  let regressions =
-    List.fold_left
-      (fun acc ((name, stage), old_p99, new_p99) ->
-        let delta_pct = 100.0 *. (new_p99 -. old_p99) /. old_p99 in
-        let regressed = new_p99 > old_p99 *. (1.0 +. (max_pct /. 100.0)) in
-        Printf.printf "%-14s %-13s %12.0f %12.0f %+8.1f%%%s\n" name stage
-          old_p99 new_p99 delta_pct
-          (if regressed then "  REGRESSED" else "");
-        if regressed then acc + 1 else acc)
-      0 shared
-  in
-  if regressions > 0 then (
-    Printf.eprintf
-      "%d (workload, stage) p99(s) regressed by more than %.1f%% (%s -> %s)\n"
+  if regressions > 0 then begin
+    Printf.eprintf "%d row(s) regressed by more than %.1f%% (%s -> %s)\n"
       regressions max_pct old_path new_path;
-    exit 1);
-  Printf.printf "ok: %d pair(s) within %.1f%% of %s\n" (List.length shared)
+    exit 1
+  end;
+  Printf.printf "ok: %d row(s) within %.1f%% of %s\n" (List.length shared)
     max_pct old_path
-
-(* {1 speedscope: exporter-format validation} *)
-
-let speedscope_cmd path =
-  let doc = Parse.document (read_file path) in
-  if str "$schema" doc <> "https://www.speedscope.app/file-format-schema.json"
-  then bad "$schema must be the speedscope file-format-schema URL";
-  let frames =
-    match field "frames" (field "shared" doc) with
-    | Arr frames -> frames
-    | _ -> bad "shared.frames must be an array"
-  in
-  List.iteri
-    (fun i f ->
-      if str "name" f = "" then bad "shared.frames[%d]: empty frame name" i)
-    frames;
-  let n_frames = List.length frames in
-  let profiles =
-    match field "profiles" doc with
-    | Arr (_ :: _ as ps) -> ps
-    | Arr [] -> bad "profiles must be non-empty"
-    | _ -> bad "field \"profiles\" must be an array"
-  in
-  List.iteri
-    (fun i p ->
-      if str "type" p <> "sampled" then bad "profiles[%d]: type must be \"sampled\"" i;
-      if str "unit" p <> "nanoseconds" then
-        bad "profiles[%d]: unit must be \"nanoseconds\"" i;
-      let start_v = num "startValue" p and end_v = num "endValue" p in
-      if end_v < start_v then bad "profiles[%d]: endValue < startValue" i;
-      let samples =
-        match field "samples" p with
-        | Arr s -> s
-        | _ -> bad "profiles[%d]: samples must be an array" i
-      in
-      let weights =
-        match field "weights" p with
-        | Arr w -> w
-        | _ -> bad "profiles[%d]: weights must be an array" i
-      in
-      if List.length samples <> List.length weights then
-        bad "profiles[%d]: %d samples but %d weights" i (List.length samples)
-          (List.length weights);
-      List.iteri
-        (fun j s ->
-          match s with
-          | Arr stack ->
-              if stack = [] then bad "profiles[%d].samples[%d]: empty stack" i j;
-              List.iter
-                (fun frame ->
-                  match frame with
-                  | Num f
-                    when Float.is_integer f && f >= 0.0
-                         && int_of_float f < n_frames ->
-                      ()
-                  | Num f ->
-                      bad
-                        "profiles[%d].samples[%d]: frame index %g out of range \
-                         (%d frames)"
-                        i j f n_frames
-                  | _ ->
-                      bad "profiles[%d].samples[%d]: frame index must be a number"
-                        i j)
-                stack
-          | _ -> bad "profiles[%d].samples[%d]: must be a stack array" i j)
-        samples;
-      List.iteri
-        (fun j w ->
-          match w with
-          | Num f when f >= 0.0 -> ()
-          | _ -> bad "profiles[%d].weights[%d]: must be a non-negative number" i j)
-        weights)
-    profiles;
-  Printf.printf "%s: ok (%d frames, %d profile(s))\n" path n_frames
-    (List.length profiles)
-
-(* {1 telemetry: the soak-series gate (DESIGN.md §16)} *)
-
-let om_valid_name s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-               | _ -> false)
-       s
-
-(* A syntax pass over the embedded Prometheus text exposition: every
-   line must be a [# TYPE]/[# HELP]/[# EOF] comment or a
-   [name{labels} value] sample, the terminator must be last. Not a
-   full OpenMetrics parser — enough to catch an exporter emitting
-   malformed names, missing values or a truncated document. *)
-let check_openmetrics text =
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
-  in
-  if lines = [] then bad "openmetrics: empty document";
-  let n = List.length lines in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      if line.[0] = '#' then (
-        match String.split_on_char ' ' line with
-        | [ "#"; "EOF" ] ->
-            if i <> n - 1 then
-              bad "openmetrics line %d: \"# EOF\" before end of document"
-                lineno
-        | [ "#"; "TYPE"; name; kind ] ->
-            if not (om_valid_name name) then
-              bad "openmetrics line %d: bad metric name %S" lineno name;
-            if not (List.mem kind [ "counter"; "gauge"; "histogram" ]) then
-              bad "openmetrics line %d: unknown type %S" lineno kind
-        | "#" :: "HELP" :: name :: _ :: _ ->
-            if not (om_valid_name name) then
-              bad "openmetrics line %d: bad metric name %S" lineno name
-        | _ -> bad "openmetrics line %d: malformed comment %S" lineno line)
-      else
-        match String.rindex_opt line ' ' with
-        | None -> bad "openmetrics line %d: sample has no value" lineno
-        | Some sp ->
-            let series = String.sub line 0 sp in
-            let value =
-              String.sub line (sp + 1) (String.length line - sp - 1)
-            in
-            if float_of_string_opt value = None then
-              bad "openmetrics line %d: value %S is not a number" lineno value;
-            let name =
-              match String.index_opt series '{' with
-              | None -> series
-              | Some b ->
-                  if series.[String.length series - 1] <> '}' then
-                    bad "openmetrics line %d: unterminated label set" lineno;
-                  String.sub series 0 b
-            in
-            if not (om_valid_name name) then
-              bad "openmetrics line %d: bad metric name %S" lineno name)
-    lines;
-  match List.rev lines with
-  | last :: _ when last = "# EOF" -> ()
-  | _ -> bad "openmetrics: document must end with \"# EOF\""
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let telemetry_cmd path =
-  let doc = Parse.document (read_file path) in
-  if num "schema_version" doc <> 1.0 then bad "schema_version must be 1";
-  if str "suite" doc <> "devil_pr10_telemetry" then
-    bad "suite must be \"devil_pr10_telemetry\"";
-  let ticks = num "ticks" doc in
-  if ticks < 1.0 then bad "ticks must be at least 1";
-  if num "series_evictions" doc < 0.0 then
-    bad "series_evictions must be non-negative";
-  let rates =
-    match field "rates" doc with
-    | Arr r -> r
-    | _ -> bad "field \"rates\" must be an array"
-  in
-  if rates = [] then bad "rates must be non-empty";
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let metric = str "metric" r in
-      if Hashtbl.mem seen metric then bad "duplicate rate for %S" metric;
-      Hashtbl.add seen metric ();
-      let total = num "total" r
-      and last = num "last_delta" r
-      and mean = num "mean_per_tick" r in
-      if total < 0.0 then bad "%s: total must be non-negative" metric;
-      if last < 0.0 then bad "%s: last_delta must be non-negative" metric;
-      if mean < 0.0 then bad "%s: mean_per_tick must be non-negative" metric;
-      if last > total then bad "%s: last_delta exceeds total" metric)
-    rates;
-  (* The point of a soak: the queue keeps completing work at a nonzero
-     steady-state rate. *)
-  (match
-     List.find_opt (fun r -> str "metric" r = "sched.queue.completions") rates
-   with
-  | None -> bad "missing rate for \"sched.queue.completions\""
-  | Some r ->
-      if num "mean_per_tick" r <= 0.0 then
-        bad
-          "sched.queue.completions: steady-state completion rate must be \
-           nonzero");
-  let windows =
-    match field "windows" doc with
-    | Arr w -> w
-    | _ -> bad "field \"windows\" must be an array"
-  in
-  List.iter
-    (fun w ->
-      let metric = str "metric" w in
-      let p50 = num "p50" w and p95 = num "p95" w and p99 = num "p99" w in
-      if not (p50 <= p95 && p95 <= p99) then
-        bad "%s: windowed percentiles not monotone (p50 %g, p95 %g, p99 %g)"
-          metric p50 p95 p99)
-    windows;
-  let verdict = str "verdict" (field "health" doc) in
-  if verdict <> "ok" then
-    bad "health verdict %S, a committed soak must be \"ok\"" verdict;
-  let om = str "openmetrics" doc in
-  check_openmetrics om;
-  List.iter
-    (fun needle ->
-      if not (contains_substring om needle) then
-        bad "openmetrics: missing expected sample %S" needle)
-    [
-      "devil_sched_queue_completions_total";
-      "devil_trace_dropped_events_total";
-      "devil_health ";
-      "devil_telemetry_series_evictions_total";
-    ];
-  Printf.printf
-    "%s: ok (%g ticks, %d counter rates, %d windowed histograms; health ok, \
-     openmetrics well-formed)\n"
-    path ticks (List.length rates) (List.length windows)
-
-(* {1 Entry point} *)
 
 let usage () =
-  prerr_endline "usage: benchcheck FILE [--require-speedup]";
-  prerr_endline
-    "       benchcheck compare OLD.json NEW.json [--max-regression PCT]";
-  prerr_endline "       benchcheck speedscope FILE";
-  prerr_endline "       benchcheck async FILE";
-  prerr_endline "       benchcheck latency FILE";
-  prerr_endline
-    "       benchcheck latency OLD.json NEW.json [--max-regression PCT]";
-  prerr_endline "       benchcheck telemetry FILE";
+  prerr_endline "usage: benchcheck FILE...";
+  prerr_endline "       benchcheck compare OLD.json NEW.json [--max-regression PCT]";
   exit 2
 
 let checked path f =
-  try f () with
-  | Bad m ->
-      Printf.eprintf "%s: invalid benchmark artifact: %s\n" path m;
-      exit 1
-  | Sys_error m ->
-      Printf.eprintf "%s\n" m;
-      exit 1
+  try
+    f ();
+    true
+  with Bad m ->
+    Printf.eprintf "%s: invalid benchmark artifact: %s\n" path m;
+    false
 
 let () =
+  let is_option = String.starts_with ~prefix:"-" in
   match List.tl (Array.to_list Sys.argv) with
-  | "compare" :: rest ->
-      let max_pct = ref 10.0 in
-      let files = ref [] in
-      let rec go = function
-        | [] -> ()
-        | "--max-regression" :: v :: tl ->
-            (match float_of_string_opt v with
-            | Some p when p >= 0.0 -> max_pct := p
-            | _ ->
-                Printf.eprintf "benchcheck compare: bad --max-regression %S\n" v;
-                usage ());
-            go tl
-        | [ "--max-regression" ] ->
-            prerr_endline "benchcheck compare: --max-regression needs a value";
-            usage ()
-        | a :: _ when String.length a > 0 && a.[0] = '-' ->
-            Printf.eprintf "benchcheck compare: unknown option %s\n" a;
-            usage ()
-        | a :: tl ->
-            files := a :: !files;
-            go tl
+  | "compare" :: rest -> (
+      let rec parse pct files = function
+        | [] -> (pct, List.rev files)
+        | "--max-regression" :: v :: tl -> (
+            match float_of_string_opt v with
+            | Some p when p >= 0.0 -> parse p files tl
+            | _ -> usage ())
+        | a :: _ when is_option a -> usage ()
+        | a :: tl -> parse pct (a :: files) tl
       in
-      go rest;
-      (match List.rev !files with
-      | [ old_path; new_path ] ->
-          checked new_path (fun () ->
-              compare_cmd ~old_path ~new_path ~max_pct:!max_pct)
+      match parse 10.0 [] rest with
+      | max_pct, [ old_path; new_path ] ->
+          if not (checked new_path (fun () -> compare_files ~old_path ~new_path ~max_pct))
+          then exit 1
       | _ -> usage ())
-  | [ "speedscope"; path ] -> checked path (fun () -> speedscope_cmd path)
-  | "speedscope" :: _ -> usage ()
-  | [ "async"; path ] -> checked path (fun () -> async_cmd path)
-  | "async" :: _ -> usage ()
-  | [ "telemetry"; path ] -> checked path (fun () -> telemetry_cmd path)
-  | "telemetry" :: _ -> usage ()
-  | "latency" :: rest -> (
-      let max_pct = ref 25.0 in
-      let files = ref [] in
-      let rec go = function
-        | [] -> ()
-        | "--max-regression" :: v :: tl ->
-            (match float_of_string_opt v with
-            | Some p when p >= 0.0 -> max_pct := p
-            | _ ->
-                Printf.eprintf "benchcheck latency: bad --max-regression %S\n" v;
-                usage ());
-            go tl
-        | [ "--max-regression" ] ->
-            prerr_endline "benchcheck latency: --max-regression needs a value";
-            usage ()
-        | a :: _ when String.length a > 0 && a.[0] = '-' ->
-            Printf.eprintf "benchcheck latency: unknown option %s\n" a;
-            usage ()
-        | a :: tl ->
-            files := a :: !files;
-            go tl
-      in
-      go rest;
-      match List.rev !files with
-      | [ path ] -> checked path (fun () -> latency_cmd path)
-      | [ old_path; new_path ] ->
-          checked new_path (fun () ->
-              latency_compare_cmd ~old_path ~new_path ~max_pct:!max_pct)
-      | _ -> usage ())
-  | args -> (
-      let require_speedup = List.mem "--require-speedup" args in
-      match List.filter (fun a -> a <> "--require-speedup") args with
-      | [ path ] ->
-          checked path (fun () ->
-              validate ~require_speedup (Parse.document (read_file path));
-              Printf.printf "%s: ok\n" path)
-      | _ -> usage ())
+  | [] -> usage ()
+  | paths when List.exists is_option paths -> usage ()
+  | paths ->
+      let ok = List.map (fun path -> checked path (fun () -> check_file path)) paths in
+      if List.mem false ok then exit 1
