@@ -21,10 +21,22 @@ type t
 val create : unit -> t
 
 val attach : t -> base:int -> size:int -> Model.t -> unit
-(** Claims [base .. base+size-1] for a device. Overlapping claims raise
+(** Claims [base .. base+size-1] for a device. A claim of no address
+    ([size <= 0]) or one that overlaps an earlier claim raises
     [Invalid_argument]. *)
 
 val bus : t -> Bus.t
+(** The bus over every region attached, before or after this call. An
+    access to an address no region claims raises
+    [Devil_runtime.Instance.Device_error "bus fault: no device at address
+    ADDR"].
+
+    A block transfer decodes its address once, then makes one model call
+    per element, in order, all at that one offset and width, so a model
+    that changes state on each access (a FIFO, an interrupt after the
+    last word of a sector) sees exactly the accesses the single
+    transfers would make. An empty block decodes nothing and cannot
+    fault; it still counts as one block instruction. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

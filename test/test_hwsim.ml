@@ -18,13 +18,37 @@ let test_io_space_dispatch () =
   (match bus.Devil_runtime.Bus.read ~width:8 ~addr:0x300 with
   | exception Devil_runtime.Instance.Device_error _ -> ()
   | _ -> Alcotest.fail "bus fault not raised");
-  match Io_space.attach space ~base:0x102 ~size:4 (Hwsim.Model.ram ~name:"c" ~size:4) with
+  (match Io_space.attach space ~base:0x102 ~size:4 (Hwsim.Model.ram ~name:"c" ~size:4) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "overlapping attach accepted"
+  | _ -> Alcotest.fail "overlapping attach accepted");
+  (* An empty or negative claim at a real region's base, or inside it,
+     would otherwise sort next to it and could hide it from decode. *)
+  List.iter
+    (fun (base, size) ->
+      match Io_space.attach space ~base ~size (Hwsim.Model.ram ~name:"e" ~size:1) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "attach of size %d at %#x accepted" size base)
+    [ (0x100, 0); (0x202, -1); (0x300, 0) ];
+  Alcotest.(check int) "still routed" 0x42 (bus.Devil_runtime.Bus.read ~width:8 ~addr:0x101)
 
 let test_io_space_blocks () =
   let space = Io_space.create () in
   Io_space.attach space ~base:0 ~size:1 (Hwsim.Model.ram ~name:"r" ~size:1);
+  (* Logs every model call; reads answer a running count, so the order
+     of the calls shows in the data. *)
+  let calls = ref [] and count = ref 0 in
+  Io_space.attach space ~base:0x40 ~size:4
+    {
+      Hwsim.Model.name = "recorder";
+      read =
+        (fun ~width ~offset ->
+          incr count;
+          calls := (`R, width, offset, !count) :: !calls;
+          !count);
+      write =
+        (fun ~width ~offset ~value ->
+          calls := (`W, width, offset, value) :: !calls);
+    };
   let bus = Io_space.bus space in
   bus.Devil_runtime.Bus.write_block ~width:8 ~addr:0 ~from:[| 1; 2; 3 |];
   let into = Array.make 2 0 in
@@ -33,7 +57,176 @@ let test_io_space_blocks () =
   Alcotest.(check int) "block ops" 2 stats.Io_space.block_ops;
   Alcotest.(check int) "block items" 5 stats.Io_space.block_items;
   Alcotest.(check int) "io ops" 5 (Io_space.io_ops space);
-  Alcotest.(check int) "singles" 0 (Io_space.single_ops space)
+  Alcotest.(check int) "singles" 0 (Io_space.single_ops space);
+  (* n elements are n model calls, in order, at one offset and width. *)
+  bus.Devil_runtime.Bus.write_block ~width:16 ~addr:0x42 ~from:[| 7; 8; 9 |];
+  let into = Array.make 4 0 in
+  bus.Devil_runtime.Bus.read_block ~width:16 ~addr:0x42 ~into;
+  Alcotest.(check (array int)) "reads in order" [| 1; 2; 3; 4 |] into;
+  Alcotest.(check bool) "one model call per element" true
+    (List.rev !calls
+    = [
+        (`W, 16, 2, 7); (`W, 16, 2, 8); (`W, 16, 2, 9);
+        (`R, 16, 2, 1); (`R, 16, 2, 2); (`R, 16, 2, 3); (`R, 16, 2, 4);
+      ]);
+  (* An empty block decodes nothing, so it cannot fault; it still
+     counts as a block instruction. *)
+  Io_space.reset_stats space;
+  bus.Devil_runtime.Bus.read_block ~width:8 ~addr:0x300 ~into:[||];
+  Alcotest.(check int) "empty block op" 1 stats.Io_space.block_ops;
+  Alcotest.(check int) "empty block items" 0 stats.Io_space.block_items;
+  bus.Devil_runtime.Bus.write_block ~width:8 ~addr:0x300 ~from:[||];
+  (match bus.Devil_runtime.Bus.read_block ~width:8 ~addr:0x300 ~into:[| 0 |] with
+  | exception Devil_runtime.Instance.Device_error _ -> ()
+  | () -> Alcotest.fail "unmapped read_block accepted");
+  match bus.Devil_runtime.Bus.write_block ~width:8 ~addr:0x300 ~from:[| 0 |] with
+  | exception Devil_runtime.Instance.Device_error _ -> ()
+  | () -> Alcotest.fail "unmapped write_block accepted"
+
+(* A transfer allocates nothing in the bus: its cost is its decode and
+   its model's. *)
+let test_io_space_allocation_free () =
+  let space = Io_space.create () in
+  for k = 0 to 15 do
+    Io_space.attach space ~base:(0x100 * k) ~size:8
+      (Hwsim.Model.ram ~name:(string_of_int k) ~size:8)
+  done;
+  let bus = Io_space.bus space in
+  let block = Array.make 2048 0 in
+  let a0 = Gc.allocated_bytes () in
+  for i = 1 to 10_000 do
+    let addr = (0x100 * (i land 15)) + (i land 7) in
+    bus.Devil_runtime.Bus.write ~width:16 ~addr ~value:i;
+    ignore (bus.Devil_runtime.Bus.read ~width:16 ~addr)
+  done;
+  bus.Devil_runtime.Bus.read_block ~width:16 ~addr:0xf00 ~into:block;
+  bus.Devil_runtime.Bus.write_block ~width:16 ~addr:0xf04 ~from:block;
+  let a1 = Gc.allocated_bytes () in
+  (* allocated_bytes itself boxes its float results; allow that. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "no per-transfer allocation (%.0f bytes)" (a1 -. a0))
+    true
+    (a1 -. a0 < 512.0)
+
+(* Random layouts: up to ten regions in the port space and up to ten
+   from 0xd000_0000 up, sizes 1-64, half of the neighbours adjacent and
+   the rest 1-8 apart; attached in a random order, the first [early]
+   before the bus is taken and the rest after; then an attach that
+   overlaps one region ([clash]). *)
+type layout = {
+  regions : (int * int) array;
+  order : int array;
+  early : int;
+  clash : int * int * int;
+}
+
+let layout_gen =
+  let open QCheck.Gen in
+  let zone start =
+    start >>= fun start ->
+    list_size (int_bound 10)
+      (pair (oneof [ return 0; int_range 1 8 ]) (int_range 1 64))
+    >|= fun segments ->
+    let cursor = ref start in
+    List.map
+      (fun (gap, size) ->
+        let base = !cursor + gap in
+        cursor := base + size;
+        (base, size))
+      segments
+  in
+  zone (oneof [ return 0; int_bound 0xf000 ]) >>= fun ports ->
+  zone (map (( + ) 0xd000_0000) (int_bound 0x1000_0000)) >>= fun mmio ->
+  let regions = Array.of_list (ports @ mmio) in
+  let n = Array.length regions in
+  let order = Array.init n Fun.id in
+  shuffle_a order >>= fun () ->
+  int_bound n >>= fun early ->
+  triple (int_bound 1000) (int_range 1 64) (int_bound 1000) >|= fun clash ->
+  { regions; order; early; clash }
+
+let print_layout l =
+  Printf.sprintf "regions [%s] order [%s] early %d"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (fun (b, s) -> Printf.sprintf "%#x+%d" b s) l.regions)))
+    (String.concat "; " (Array.to_list (Array.map string_of_int l.order)))
+    l.early
+
+let prop_decode =
+  QCheck.Test.make ~name:"decode matches a linear scan" ~count:200
+    (QCheck.make ~print:print_layout layout_gen)
+    (fun l ->
+      let space = Io_space.create () in
+      (* Region [i]'s model answers a read with [i * 64 + offset] and
+         records the last write. *)
+      let last_write = ref None in
+      let attach i =
+        let base, size = l.regions.(i) in
+        Io_space.attach space ~base ~size
+          {
+            Hwsim.Model.name = string_of_int i;
+            read = (fun ~width:_ ~offset -> (i * 64) + offset);
+            write =
+              (fun ~width:_ ~offset ~value ->
+                last_write := Some (i, offset, value));
+          }
+      in
+      Array.iteri (fun k i -> if k < l.early then attach i) l.order;
+      let bus = Io_space.bus space in
+      Array.iteri (fun k i -> if k >= l.early then attach i) l.order;
+      let n = Array.length l.regions in
+      let refused =
+        n = 0
+        ||
+        let pick, size, shift = l.clash in
+        let base, victim = l.regions.(pick mod n) in
+        (* [base - size + 1 .. base + victim - 1] all overlap the victim. *)
+        let base = base - size + 1 + (shift mod (victim + size - 1)) in
+        match
+          Io_space.attach space ~base ~size (Hwsim.Model.ram ~name:"x" ~size)
+        with
+        | exception Invalid_argument _ -> true
+        | () -> false
+      in
+      let reference addr =
+        let hit = ref None in
+        Array.iteri
+          (fun i (base, size) ->
+            if addr >= base && addr < base + size then
+              hit := Some (i, addr - base))
+          l.regions;
+        !hit
+      in
+      let faults addr f =
+        match f () with
+        | exception Devil_runtime.Instance.Device_error m ->
+            m = Printf.sprintf "bus fault: no device at address %#x" addr
+        | _ -> false
+      in
+      let probe addr =
+        match reference addr with
+        | Some (i, offset) ->
+            bus.Devil_runtime.Bus.read ~width:8 ~addr = (i * 64) + offset
+            && (bus.Devil_runtime.Bus.write ~width:8 ~addr ~value:addr;
+                !last_write = Some (i, offset, addr))
+        | None ->
+            faults addr (fun () -> bus.Devil_runtime.Bus.read ~width:8 ~addr)
+            && faults addr (fun () ->
+                   bus.Devil_runtime.Bus.write ~width:8 ~addr ~value:0)
+      in
+      (* Every gap is at most 8 wide, so probing 9 below and past each
+         region covers every mapped address, every gap, the address
+         below the first region and the one past the last. *)
+      let ok = ref refused in
+      Array.iter
+        (fun (base, size) ->
+          for addr = base - 9 to base + size + 8 do
+            if not (probe addr) then ok := false
+          done)
+        l.regions;
+      !ok
+      && List.for_all probe [ 0; 0xffff; 0x1_0000; 0xcfff_ffff; 0xd000_0000 ])
 
 (* {1 Busmouse} *)
 
@@ -408,6 +601,8 @@ let () =
         [
           case "dispatch and faults" test_io_space_dispatch;
           case "block accounting" test_io_space_blocks;
+          case "transfers allocate nothing" test_io_space_allocation_free;
+          QCheck_alcotest.to_alcotest prop_decode;
         ] );
       ( "busmouse",
         [
