@@ -71,13 +71,15 @@ let forced_positions t =
     t.bits;
   !v
 
-let writable_frame t ~value =
-  let covered = ref 0 in
+let covered_value t =
+  let v = ref 0 in
   Array.iteri
-    (fun i c -> match c with Covered -> covered := !covered lor (1 lsl i)
+    (fun i c -> match c with Covered -> v := !v lor (1 lsl i)
                            | Forced _ | Irrelevant -> ())
     t.bits;
-  value land !covered lor forced_value t
+  !v
+
+let writable_frame t ~value = value land covered_value t lor forced_value t
 
 let char_of_class = function
   | Covered -> '.'

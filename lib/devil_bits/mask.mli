@@ -35,6 +35,9 @@ val bit : t -> int -> bit_class
 val covered_bits : t -> int list
 (** Positions of ['.'] bits, ascending. *)
 
+val covered_value : t -> int
+(** Bit set marking the covered (['.']) positions. *)
+
 val forced_value : t -> int
 (** Value contributed by the forced bits (['1'] bits set). *)
 

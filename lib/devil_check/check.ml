@@ -545,11 +545,8 @@ let disjoint_pre (a : Ir.action) (b : Ir.action) =
         cb)
     ca
 
-let mask_covered_set (m : Mask.t) =
-  List.fold_left (fun acc bit -> acc lor (1 lsl bit)) 0 (Mask.covered_bits m)
-
 let disjoint_masks (a : Mask.t) (b : Mask.t) =
-  mask_covered_set a land mask_covered_set b = 0
+  Mask.covered_value a land Mask.covered_value b = 0
 
 (* Two masks also separate registers when some bit position is forced
    to different values: the hardware decodes the write by that bit

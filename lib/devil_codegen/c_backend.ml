@@ -1,8 +1,10 @@
 module Ir = Devil_ir.Ir
 module Dtype = Devil_ir.Dtype
 module Value = Devil_ir.Value
+module Layout = Devil_ir.Layout
 module Mask = Devil_bits.Mask
 module Bitpat = Devil_bits.Bitpat
+module Bitops = Devil_bits.Bitops
 
 type ctx = {
   buf : Buffer.t;
@@ -73,6 +75,8 @@ let emit_enum_macros ctx =
 
 (* {1 Value rendering} *)
 
+let getter ctx name = Printf.sprintf "%s_get_%s()" ctx.prefix name
+
 let render_const ctx (target : Ir.var) (value : Value.t) =
   match (value, target.v_type) with
   | Value.Int n, _ -> Printf.sprintf "0x%xu" n
@@ -88,7 +92,7 @@ let render_operand ctx (target : Ir.var) (o : Ir.operand) =
   | Ir.O_bool b -> if b then "1u" else "0u"
   | Ir.O_enum name -> render_const ctx target (Value.Enum name)
   | Ir.O_any -> "0u /* any */"
-  | Ir.O_var src -> Printf.sprintf "%s_get_%s()" ctx.prefix src
+  | Ir.O_var src -> getter ctx src
   | Ir.O_param p -> Printf.sprintf "(%s)" p
 
 (* {1 Actions} *)
@@ -114,8 +118,7 @@ let emit_action ctx ~indent (a : Ir.action) =
                         match Ir.find_var ctx.device fname with
                         | Some fv -> render_operand ctx fv o
                         | None -> "0u")
-                    | None ->
-                        Printf.sprintf "%s_get_%s()" ctx.prefix fname)
+                    | None -> getter ctx fname)
                   s.s_fields
               in
               add ctx "%s%s_set_%s(%s);\n" indent ctx.prefix target
@@ -125,21 +128,19 @@ let emit_action ctx ~indent (a : Ir.action) =
 
 (* {1 Register raw accessors} *)
 
-let covered_mask (m : Mask.t) =
-  List.fold_left (fun acc b -> acc lor (1 lsl b)) 0 (Mask.covered_bits m)
+(* The masked frame write of [raw] (paper §2.1). *)
+let emit_frame_write ctx (lp : Ir.located_port) (m : Mask.t) =
+  add ctx "  %s((raw & 0x%xu) | 0x%xu, %s);\n" (io_out (port_width ctx lp))
+    (Mask.covered_value m) (Mask.forced_value m) (addr_expr ctx lp)
 
 let emit_reg_writer ctx (r : Ir.reg) =
   match r.r_write with
   | None -> ()
   | Some lp ->
-      let w = port_width ctx lp in
       add ctx "static inline void %s_write_%s(unsigned int raw)\n{\n"
         ctx.prefix r.r_name;
       emit_action ctx ~indent:"  " r.r_pre;
-      let cm = covered_mask r.r_mask in
-      let forced = Mask.forced_value r.r_mask in
-      add ctx "  %s((raw & 0x%xu) | 0x%xu, %s);\n" (io_out w) cm forced
-        (addr_expr ctx lp);
+      emit_frame_write ctx lp r.r_mask;
       emit_action ctx ~indent:"  " r.r_post;
       emit_action ctx ~indent:"  " r.r_set;
       add ctx "  %s.%s = raw;\n" (cache_name ctx) (reg_cache r.r_name);
@@ -163,98 +164,71 @@ let emit_reg_reader ctx (r : Ir.reg) =
 (* {1 Bit plumbing expressions} *)
 
 (* Expression extracting variable bits from per-register raw
-   expressions (MSB-first). *)
+   expressions. *)
 let gather_expr (v : Ir.var) ~(reg_expr : string -> string) =
-  let parts = ref [] in
-  let shift = ref (Ir.var_width v) in
+  String.concat " | "
+    (List.map
+       (fun (p : Layout.piece) ->
+         Printf.sprintf "(((%s >> %d) & 0x%xu) << %d)" (reg_expr p.reg) p.lo
+           (Bitops.width_mask p.width) p.shift)
+       (Layout.pieces v))
+
+(* Statements inserting variable bits into the register images
+   [img_<reg>]. *)
+let emit_scatter ctx (v : Ir.var) ~value_expr =
   List.iter
-    (fun (c : Ir.chunk) ->
-      List.iter
-        (fun (hi, lo) ->
-          let w = hi - lo + 1 in
-          shift := !shift - w;
-          let m = (1 lsl w) - 1 in
-          let part =
-            Printf.sprintf "(((%s >> %d) & 0x%xu) << %d)" (reg_expr c.c_reg)
-              lo m !shift
+    (fun (p : Layout.piece) ->
+      add ctx
+        "  img_%s = (img_%s & ~0x%xu) | ((((%s) >> %d) & 0x%xu) << %d);\n"
+        p.reg p.reg (Layout.field_mask p) value_expr p.shift
+        (Bitops.width_mask p.width) p.lo)
+    (Layout.pieces v)
+
+(* One image per register: cached bits if valid, with every
+   write-trigger sibling forced to its neutral. *)
+let emit_images ctx regs =
+  List.iter
+    (fun (r : Ir.reg) ->
+      add ctx "  unsigned int img_%s = %s;\n" r.r_name
+        (List.fold_left
+           (fun expr (clear, set) ->
+             Printf.sprintf "((%s & ~0x%xu) | 0x%xu)" expr clear set)
+           (Printf.sprintf "(%s.%s ? %s.%s : 0u)" (cache_name ctx)
+              (reg_valid r.r_name) (cache_name ctx) (reg_cache r.r_name))
+           (Layout.neutral_fields ctx.device r)))
+    regs
+
+(* The register writes of a setter; [actual] renders the variable a
+   serialization condition tests. *)
+let emit_writes ctx ~actual order =
+  List.iter
+    (fun ((cond : Ir.serial_cond option), (r : Ir.reg)) ->
+      let write =
+        Printf.sprintf "%s_write_%s(img_%s);" ctx.prefix r.r_name r.r_name
+      in
+      match cond with
+      | None -> add ctx "  %s\n" write
+      | Some c ->
+          let expected =
+            match Ir.find_var ctx.device c.sc_var with
+            | Some cv -> render_operand ctx cv c.sc_value
+            | None -> "0u"
           in
-          parts := part :: !parts)
-        c.c_ranges)
-    v.v_chunks;
-  String.concat " | " (List.rev !parts)
-
-(* Statements inserting variable bits into a register image variable
-   named [img_of reg]. *)
-let emit_scatter ctx ~indent (v : Ir.var) ~value_expr ~img_of =
-  let total = Ir.var_width v in
-  let consumed = ref 0 in
-  List.iter
-    (fun (c : Ir.chunk) ->
-      List.iter
-        (fun (hi, lo) ->
-          let w = hi - lo + 1 in
-          let m = (1 lsl w) - 1 in
-          let src_shift = total - !consumed - w in
-          add ctx "%s%s = (%s & ~0x%xu) | ((((%s) >> %d) & 0x%xu) << %d);\n"
-            indent (img_of c.c_reg) (img_of c.c_reg) (m lsl lo) value_expr
-            src_shift m lo;
-          consumed := !consumed + w)
-        c.c_ranges)
-    v.v_chunks
-
-let neutral_const ctx (v : Ir.var) =
-  match v.v_behaviour.b_trigger with
-  | Some { tr_write = true; tr_exempt = Some (Ir.Neutral value); _ } -> (
-      match Dtype.encode v.v_type value with Ok raw -> Some raw | Error _ -> None)
-  | Some { tr_write = true; tr_exempt = Some (Ir.Only value); _ } -> (
-      match Dtype.encode v.v_type value with
-      | Ok raw -> Some (if raw = 0 then 1 else 0)
-      | Error _ -> Some 0)
-  | Some _ | None ->
-      ignore ctx;
-      None
-
-(* The compose-base expression for rewriting register [r]: cached bits
-   if valid, with every write-trigger sibling forced to its neutral. *)
-let compose_base_expr ctx (r : Ir.reg) =
-  let base =
-    Printf.sprintf "(%s.%s ? %s.%s : 0u)" (cache_name ctx)
-      (reg_valid r.r_name) (cache_name ctx) (reg_cache r.r_name)
-  in
-  let vars = Ir.vars_of_reg ctx.device r.r_name in
-  List.fold_left
-    (fun expr (v : Ir.var) ->
-      match neutral_const ctx v with
-      | None -> expr
-      | Some raw ->
-          (* Clear the sibling's bits, then set the neutral pattern. *)
-          let clear = ref 0 and setv = ref 0 in
-          let total = Ir.var_width v in
-          let consumed = ref 0 in
-          List.iter
-            (fun (c : Ir.chunk) ->
-              List.iter
-                (fun (hi, lo) ->
-                  let w = hi - lo + 1 in
-                  if String.equal c.c_reg r.r_name then begin
-                    let m = ((1 lsl w) - 1) lsl lo in
-                    clear := !clear lor m;
-                    let field = (raw lsr (total - !consumed - w)) land ((1 lsl w) - 1) in
-                    setv := !setv lor (field lsl lo)
-                  end;
-                  consumed := !consumed + w)
-                c.c_ranges)
-            v.v_chunks;
-          Printf.sprintf "((%s & ~0x%xu) | 0x%xu)" expr !clear !setv)
-    base vars
+          add ctx "  if (%s %s %s) %s\n" (actual c.sc_var)
+            (if c.sc_negated then "!=" else "==")
+            expected write)
+    order
 
 (* {1 Dynamic checks} *)
 
-let emit_write_check ctx ~indent (v : Ir.var) =
+let emit_write_check ctx (v : Ir.var) =
   let fail msg =
-    add ctx "%s#ifdef DEVIL_DEBUG\n" indent;
-    add ctx "%sif (%s) devil_check_failed(\"%s\");\n" indent msg v.v_name;
-    add ctx "%s#endif\n" indent
+    add ctx "  #ifdef DEVIL_DEBUG\n";
+    add ctx "  if (%s) devil_check_failed(\"%s\");\n" msg v.v_name;
+    add ctx "  #endif\n"
+  in
+  let not_one_of raws =
+    String.concat " && " (List.map (Printf.sprintf "v != 0x%xu") raws)
   in
   match v.v_type with
   | Dtype.Bool -> fail "(v & ~1u) != 0u"
@@ -265,19 +239,11 @@ let emit_write_check ctx ~indent (v : Ir.var) =
         (Printf.sprintf "(int)(v) < -%d || (int)(v) >= %d" (1 lsl (bits - 1))
            (1 lsl (bits - 1)))
   | Dtype.Int_set { values; _ } ->
-      let tests =
-        List.map (fun x -> Printf.sprintf "v != 0x%xu" x) values
-      in
-      if List.length tests <= 16 then fail (String.concat " && " tests)
-  | Dtype.Enum cases ->
-      let writable =
-        List.filter_map
-          (fun (c : Dtype.enum_case) ->
-            if Dtype.writable_case c.dir then Bitpat.value c.pattern else None)
-          cases
-      in
-      let tests = List.map (fun x -> Printf.sprintf "v != 0x%xu" x) writable in
-      if tests <> [] then fail (String.concat " && " tests)
+      if List.length values <= 16 then fail (not_one_of values)
+  | Dtype.Enum _ -> (
+      match Dtype.writable_raws v.v_type with
+      | [] -> ()
+      | raws -> fail (not_one_of raws))
 
 (* {1 Variable accessors} *)
 
@@ -292,74 +258,29 @@ let sign_adjust (v : Ir.var) expr =
       Printf.sprintf "(((int)((%s) << %d)) >> %d)" expr (32 - bits) (32 - bits)
   | _ -> expr
 
+let has_setter ctx (v : Ir.var) =
+  v.v_chunks = [] || List.exists Ir.reg_writable (Ir.regs_of_var ctx.device v)
+
 let emit_var_setter ctx (v : Ir.var) =
-  let regs =
-    List.filter_map
-      (fun (c : Ir.chunk) -> Ir.find_reg ctx.device c.c_reg)
-      v.v_chunks
-  in
-  let seen = Hashtbl.create 4 in
-  let regs =
-    List.filter
-      (fun (r : Ir.reg) ->
-        if Hashtbl.mem seen r.r_name then false
-        else begin
-          Hashtbl.add seen r.r_name ();
-          true
-        end)
-      regs
-  in
-  if v.v_chunks = [] then begin
-    (* Memory cell. *)
+  if has_setter ctx v then begin
     add ctx "static inline void %s_set_%s(unsigned int v)\n{\n" ctx.prefix
       v.v_name;
-    add ctx "  %s.%s = v;\n}\n\n" (cache_name ctx) (mem_field v.v_name)
-  end
-  else if List.for_all (fun (r : Ir.reg) -> not (Ir.reg_writable r)) regs then
-    ()
-  else begin
-    add ctx "static inline void %s_set_%s(unsigned int v)\n{\n" ctx.prefix
-      v.v_name;
-    emit_write_check ctx ~indent:"  " v;
-    emit_action ctx ~indent:"  " v.v_pre;
-    List.iter
-      (fun (r : Ir.reg) ->
-        add ctx "  unsigned int img_%s = %s;\n" r.r_name
-          (compose_base_expr ctx r))
-      regs;
-    emit_scatter ctx ~indent:"  " v ~value_expr:"v" ~img_of:(fun reg ->
-        Printf.sprintf "img_%s" reg);
-    let order =
-      match v.v_serial with
-      | None -> List.map (fun (r : Ir.reg) -> (None, r)) regs
-      | Some items ->
-          List.filter_map
-            (fun (i : Ir.serial_item) ->
-              Option.map
-                (fun r -> (i.si_cond, r))
-                (Ir.find_reg ctx.device i.si_reg))
-            items
-    in
-    List.iter
-      (fun ((cond : Ir.serial_cond option), (r : Ir.reg)) ->
-        match cond with
-        | None -> add ctx "  %s_write_%s(img_%s);\n" ctx.prefix r.r_name r.r_name
-        | Some c ->
-            let actual =
-              if String.equal c.sc_var v.v_name then "v"
-              else Printf.sprintf "%s_get_%s()" ctx.prefix c.sc_var
-            in
-            let expected =
-              match Ir.find_var ctx.device c.sc_var with
-              | Some cv -> render_operand ctx cv c.sc_value
-              | None -> "0u"
-            in
-            add ctx "  if (%s %s %s) %s_write_%s(img_%s);\n" actual
-              (if c.sc_negated then "!=" else "==")
-              expected ctx.prefix r.r_name r.r_name)
-      order;
-    emit_action ctx ~indent:"  " v.v_set;
-    emit_action ctx ~indent:"  " v.v_post;
+    if v.v_chunks = [] then
+      (* Memory cell. *)
+      add ctx "  %s.%s = v;\n" (cache_name ctx) (mem_field v.v_name)
+    else begin
+      let regs = Ir.regs_of_var ctx.device v in
+      emit_write_check ctx v;
+      emit_action ctx ~indent:"  " v.v_pre;
+      emit_images ctx regs;
+      emit_scatter ctx v ~value_expr:"v";
+      emit_writes ctx
+        (Layout.write_order ctx.device regs v.v_serial)
+        ~actual:(fun name ->
+          if String.equal name v.v_name then "v" else getter ctx name);
+      emit_action ctx ~indent:"  " v.v_set;
+      emit_action ctx ~indent:"  " v.v_post
+    end;
     add ctx "}\n\n"
   end
 
@@ -370,12 +291,6 @@ let emit_var_getter ctx (v : Ir.var) =
     add ctx "  return %s.%s;\n}\n\n" (cache_name ctx) (mem_field v.v_name)
   end
   else begin
-    let fresh =
-      v.v_behaviour.b_volatile
-      || match v.v_behaviour.b_trigger with
-         | Some { tr_read = true; _ } -> true
-         | Some _ | None -> false
-    in
     add ctx "static inline %s %s_get_%s(void)\n{\n" (c_type_of v) ctx.prefix
       v.v_name;
     (match v.v_struct with
@@ -387,26 +302,20 @@ let emit_var_getter ctx (v : Ir.var) =
         in
         add ctx "  return %s;\n" (sign_adjust v (gather_expr v ~reg_expr))
     | None ->
-        let reg_expr reg =
-          match Ir.find_reg ctx.device reg with
-          | Some r when fresh && Ir.reg_readable r ->
-              Printf.sprintf "%s_read_%s()" ctx.prefix reg
-          | Some r when Ir.reg_readable r ->
-              Printf.sprintf "(%s.%s ? %s.%s : %s_read_%s())" (cache_name ctx)
-                (reg_valid reg) (cache_name ctx) (reg_cache reg) ctx.prefix reg
-          | _ ->
-              Printf.sprintf "%s.%s" (cache_name ctx) (reg_cache reg)
-        in
         (* Evaluate register reads once, in chunk order. *)
-        let seen = Hashtbl.create 4 in
         List.iter
-          (fun (c : Ir.chunk) ->
-            if not (Hashtbl.mem seen c.c_reg) then begin
-              Hashtbl.add seen c.c_reg ();
-              add ctx "  unsigned int raw_%s = %s;\n" c.c_reg
-                (reg_expr c.c_reg)
-            end)
-          v.v_chunks;
+          (fun (r : Ir.reg) ->
+            let cached =
+              Printf.sprintf "%s.%s" (cache_name ctx) (reg_cache r.r_name)
+            in
+            let read = Printf.sprintf "%s_read_%s()" ctx.prefix r.r_name in
+            add ctx "  unsigned int raw_%s = %s;\n" r.r_name
+              (if not (Ir.reg_readable r) then cached
+               else if Layout.fresh v then read
+               else
+                 Printf.sprintf "(%s.%s ? %s : %s)" (cache_name ctx)
+                   (reg_valid r.r_name) cached read))
+          (Ir.regs_of_var ctx.device v);
         add ctx "  return %s;\n"
           (sign_adjust v
              (gather_expr v ~reg_expr:(fun reg -> "raw_" ^ reg))));
@@ -415,25 +324,8 @@ let emit_var_getter ctx (v : Ir.var) =
 
 (* {1 Structures} *)
 
-let struct_regs ctx (s : Ir.strct) =
-  let seen = Hashtbl.create 8 in
-  List.concat_map
-    (fun fname ->
-      match Ir.find_var ctx.device fname with
-      | None -> []
-      | Some v ->
-          List.filter_map
-            (fun (c : Ir.chunk) ->
-              if Hashtbl.mem seen c.c_reg then None
-              else begin
-                Hashtbl.add seen c.c_reg ();
-                Ir.find_reg ctx.device c.c_reg
-              end)
-            v.v_chunks)
-    s.s_fields
-
 let emit_struct_getter ctx (s : Ir.strct) =
-  let regs = struct_regs ctx s in
+  let regs = Layout.struct_regs ctx.device s in
   if List.for_all (fun (r : Ir.reg) -> Ir.reg_readable r) regs then begin
     add ctx "static inline void %s_get_%s(void)\n{\n" ctx.prefix s.s_name;
     List.iter
@@ -445,58 +337,24 @@ let emit_struct_getter ctx (s : Ir.strct) =
   end
 
 let emit_struct_setter ctx (s : Ir.strct) =
-  let regs = struct_regs ctx s in
+  let regs = Layout.struct_regs ctx.device s in
   if List.exists (fun (r : Ir.reg) -> Ir.reg_writable r) regs then begin
     let params =
       String.concat ", "
         (List.map (fun f -> Printf.sprintf "unsigned int %s" f) s.s_fields)
     in
     add ctx "static inline void %s_set_%s(%s)\n{\n" ctx.prefix s.s_name params;
-    List.iter
-      (fun (r : Ir.reg) ->
-        add ctx "  unsigned int img_%s = %s;\n" r.r_name
-          (compose_base_expr ctx r))
-      regs;
+    emit_images ctx regs;
     List.iter
       (fun fname ->
-        match Ir.find_var ctx.device fname with
-        | Some v ->
-            emit_scatter ctx ~indent:"  " v ~value_expr:fname
-              ~img_of:(fun reg -> Printf.sprintf "img_%s" reg)
-        | None -> ())
+        Option.iter
+          (fun v -> emit_scatter ctx v ~value_expr:fname)
+          (Ir.find_var ctx.device fname))
       s.s_fields;
-    let order =
-      match s.s_serial with
-      | None -> List.map (fun (r : Ir.reg) -> (None, r)) regs
-      | Some items ->
-          List.filter_map
-            (fun (i : Ir.serial_item) ->
-              Option.map
-                (fun r -> (i.si_cond, r))
-                (Ir.find_reg ctx.device i.si_reg))
-            items
-    in
-    List.iter
-      (fun ((cond : Ir.serial_cond option), (r : Ir.reg)) ->
-        let write =
-          Printf.sprintf "%s_write_%s(img_%s);" ctx.prefix r.r_name r.r_name
-        in
-        match cond with
-        | None -> add ctx "  %s\n" write
-        | Some c ->
-            let actual =
-              if List.mem c.sc_var s.s_fields then c.sc_var
-              else Printf.sprintf "%s_get_%s()" ctx.prefix c.sc_var
-            in
-            let expected =
-              match Ir.find_var ctx.device c.sc_var with
-              | Some cv -> render_operand ctx cv c.sc_value
-              | None -> "0u"
-            in
-            add ctx "  if (%s %s %s) %s\n" actual
-              (if c.sc_negated then "!=" else "==")
-              expected write)
-      order;
+    emit_writes ctx
+      (Layout.write_order ctx.device regs s.s_serial)
+      ~actual:(fun name ->
+        if List.mem name s.s_fields then name else getter ctx name);
     (* Per-field set actions, with the new values in scope. *)
     List.iter
       (fun fname ->
@@ -525,38 +383,22 @@ let emit_struct_setter ctx (s : Ir.strct) =
 (* {1 Block transfer stubs} *)
 
 let emit_block_stubs ctx (v : Ir.var) =
-  match v.v_chunks with
-  | [ { c_reg; c_ranges = [ (hi, lo) ] } ] when v.v_behaviour.b_block -> (
-      match Ir.find_reg ctx.device c_reg with
-      | Some r when lo = 0 && hi = r.r_size - 1 ->
-          let emit_one dir (lp : Ir.located_port) =
-            let w = port_width ctx lp in
-            if dir = `Read then begin
-              add ctx
-                "static inline void %s_read_%s_block(unsigned int *buf, \
-                 unsigned int count)\n{\n"
-                ctx.prefix v.v_name;
-              emit_action ctx ~indent:"  " r.r_pre;
-              add ctx "  __devil_ins%d(%s, buf, count);\n" w (addr_expr ctx lp);
-              emit_action ctx ~indent:"  " r.r_post;
-              add ctx "}\n\n"
-            end
-            else begin
-              add ctx
-                "static inline void %s_write_%s_block(const unsigned int \
-                 *buf, unsigned int count)\n{\n"
-                ctx.prefix v.v_name;
-              emit_action ctx ~indent:"  " r.r_pre;
-              add ctx "  __devil_outs%d(%s, buf, count);\n" w
-                (addr_expr ctx lp);
-              emit_action ctx ~indent:"  " r.r_post;
-              add ctx "}\n\n"
-            end
-          in
-          Option.iter (emit_one `Read) r.r_read;
-          Option.iter (emit_one `Write) r.r_write
-      | Some _ | None -> ())
-  | _ -> ()
+  match Layout.block_reg ctx.device v with
+  | Error _ -> ()
+  | Ok r ->
+      let emit_one (dir, const, prim) (lp : Ir.located_port) =
+        add ctx
+          "static inline void %s_%s_%s_block(%sunsigned int *buf, unsigned \
+           int count)\n{\n"
+          ctx.prefix dir v.v_name const;
+        emit_action ctx ~indent:"  " r.r_pre;
+        add ctx "  __devil_%s%d(%s, buf, count);\n" prim (port_width ctx lp)
+          (addr_expr ctx lp);
+        emit_action ctx ~indent:"  " r.r_post;
+        add ctx "}\n\n"
+      in
+      Option.iter (emit_one ("read", "", "ins")) r.r_read;
+      Option.iter (emit_one ("write", "const ", "outs")) r.r_write
 
 (* {1 Templates: indexed register stubs} *)
 
@@ -576,15 +418,11 @@ let emit_template_stubs ctx (t : Ir.template) =
   | None -> ());
   match t.t_write with
   | Some lp ->
-      let w = port_width ctx lp in
       let params' = if params = "" then "unsigned int raw" else params ^ ", unsigned int raw" in
       add ctx "static inline void %s_write_%s(%s)\n{\n" ctx.prefix t.t_name
         params';
       emit_action ctx ~indent:"  " t.t_pre;
-      let cm = covered_mask t.t_mask in
-      let forced = Mask.forced_value t.t_mask in
-      add ctx "  %s((raw & 0x%xu) | 0x%xu, %s);\n" (io_out w) cm forced
-        (addr_expr ctx lp);
+      emit_frame_write ctx lp t.t_mask;
       emit_action ctx ~indent:"  " t.t_post;
       add ctx "}\n\n"
   | None -> ()
@@ -607,7 +445,7 @@ let emit_cache_struct ctx =
       add ctx "  struct {\n";
       List.iter
         (fun (r : Ir.reg) -> add ctx "    unsigned int %s;\n" (reg_cache r.r_name))
-        (struct_regs ctx s);
+        (Layout.struct_regs ctx.device s);
       add ctx "  } %s;\n" (struct_cache s.s_name))
     ctx.device.d_structs;
   List.iter
@@ -662,25 +500,15 @@ let epilogue ctx =
 let emit_forward_decls ctx =
   List.iter
     (fun (v : Ir.var) ->
-      if v.v_chunks = [] then
+      if has_setter ctx v then
         add ctx "static inline void %s_set_%s(unsigned int v);\n" ctx.prefix
-          v.v_name
-      else begin
-        let regs =
-          List.filter_map
-            (fun (c : Ir.chunk) -> Ir.find_reg ctx.device c.c_reg)
-            v.v_chunks
-        in
-        if List.exists Ir.reg_writable regs then
-          add ctx "static inline void %s_set_%s(unsigned int v);\n" ctx.prefix
-            v.v_name
-      end;
+          v.v_name;
       add ctx "static inline %s %s_get_%s(void);\n" (c_type_of v) ctx.prefix
         v.v_name)
     ctx.device.d_vars;
   List.iter
     (fun (s : Ir.strct) ->
-      let regs = struct_regs ctx s in
+      let regs = Layout.struct_regs ctx.device s in
       if List.for_all Ir.reg_readable regs && regs <> [] then
         add ctx "static inline void %s_get_%s(void);\n" ctx.prefix s.s_name;
       if List.exists Ir.reg_writable regs then begin

@@ -1,8 +1,10 @@
 module Ir = Devil_ir.Ir
 module Dtype = Devil_ir.Dtype
 module Value = Devil_ir.Value
+module Layout = Devil_ir.Layout
 module Mask = Devil_bits.Mask
 module Bitpat = Devil_bits.Bitpat
+module Bitops = Devil_bits.Bitops
 
 type ctx = { buf : Buffer.t; device : Ir.device }
 
@@ -27,8 +29,11 @@ let addr_expr (lp : Ir.located_port) =
   if lp.lp_offset = 0 then Printf.sprintf "base_%s" lp.lp_port
   else Printf.sprintf "base_%s + %d" lp.lp_port lp.lp_offset
 
-let covered_mask (m : Mask.t) =
-  List.fold_left (fun acc b -> acc lor (1 lsl b)) 0 (Mask.covered_bits m)
+(* The masked frame write of [raw] (paper §2.1). *)
+let frame_write ctx (lp : Ir.located_port) (m : Mask.t) =
+  Printf.sprintf "Env.write ~width:%d ~addr:(%s) ~value:((raw land %d) lor %d)"
+    (port_width ctx lp) (addr_expr lp) (Mask.covered_value m)
+    (Mask.forced_value m)
 
 (* {1 Value rendering} *)
 
@@ -45,13 +50,15 @@ let render_const ctx (target : Ir.var) (value : Value.t) =
           | None -> "0")
       | None -> "0")
 
+let getter name = Printf.sprintf "(get_%s ())" name
+
 let render_operand ctx (target : Ir.var) (o : Ir.operand) =
   match o with
   | Ir.O_int n -> string_of_int n
   | Ir.O_bool b -> if b then "1" else "0"
   | Ir.O_enum name -> render_const ctx target (Value.Enum name)
   | Ir.O_any -> "0"
-  | Ir.O_var src -> Printf.sprintf "(get_%s ())" src
+  | Ir.O_var src -> getter src
   | Ir.O_param p -> Printf.sprintf "%s" p
 
 let label f = String.lowercase_ascii f
@@ -81,7 +88,7 @@ let emit_action ctx ~indent (a : Ir.action) =
                                  (render_operand ctx fv o)
                            | None -> Printf.sprintf "~%s:0" (label fname))
                        | None ->
-                           Printf.sprintf "~%s:(get_%s ())" (label fname) fname)
+                           Printf.sprintf "~%s:%s" (label fname) (getter fname))
                      s.s_fields)
               in
               add ctx "%sset_%s %s;\n" indent target args
@@ -95,9 +102,7 @@ let emit_reg ctx (r : Ir.reg) =
   | Some lp ->
       add ctx "  and write_%s raw =\n" r.r_name;
       emit_action ctx ~indent:"    " r.r_pre;
-      add ctx "    Env.write ~width:%d ~addr:(%s) ~value:((raw land %d) lor %d);\n"
-        (port_width ctx lp) (addr_expr lp) (covered_mask r.r_mask)
-        (Mask.forced_value r.r_mask);
+      add ctx "    %s;\n" (frame_write ctx lp r.r_mask);
       emit_action ctx ~indent:"    " r.r_post;
       emit_action ctx ~indent:"    " r.r_set;
       add ctx "    %s := raw;\n" (reg_cache r.r_name);
@@ -118,84 +123,74 @@ let emit_reg ctx (r : Ir.reg) =
 (* {1 Bit plumbing} *)
 
 let gather_expr (v : Ir.var) ~(reg_expr : string -> string) =
-  let parts = ref [] in
-  let shift = ref (Ir.var_width v) in
+  String.concat " lor "
+    (List.map
+       (fun (p : Layout.piece) ->
+         Printf.sprintf "(((%s lsr %d) land %d) lsl %d)" (reg_expr p.reg) p.lo
+           (Bitops.width_mask p.width) p.shift)
+       (Layout.pieces v))
+
+let emit_scatter ctx (v : Ir.var) ~value_expr =
   List.iter
-    (fun (c : Ir.chunk) ->
-      List.iter
-        (fun (hi, lo) ->
-          let w = hi - lo + 1 in
-          shift := !shift - w;
-          parts :=
-            Printf.sprintf "(((%s lsr %d) land %d) lsl %d)" (reg_expr c.c_reg)
-              lo
-              ((1 lsl w) - 1)
-              !shift
-            :: !parts)
-        c.c_ranges)
-    v.v_chunks;
-  String.concat " lor " (List.rev !parts)
+    (fun (p : Layout.piece) ->
+      add ctx
+        "    img_%s := (!(img_%s) land (lnot %d)) lor ((((%s) lsr %d) land %d) \
+         lsl %d);\n"
+        p.reg p.reg (Layout.field_mask p) value_expr p.shift
+        (Bitops.width_mask p.width) p.lo)
+    (Layout.pieces v)
 
-let emit_scatter ctx ~indent (v : Ir.var) ~value_expr ~img_of =
-  let total = Ir.var_width v in
-  let consumed = ref 0 in
+(* One image per register: cached bits if valid, with every
+   write-trigger sibling forced to its neutral. *)
+let emit_images ctx regs =
   List.iter
-    (fun (c : Ir.chunk) ->
-      List.iter
-        (fun (hi, lo) ->
-          let w = hi - lo + 1 in
-          let m = (1 lsl w) - 1 in
-          add ctx
-            "%s%s := (!(%s) land (lnot %d)) lor ((((%s) lsr %d) land %d) lsl \
-             %d);\n"
-            indent (img_of c.c_reg) (img_of c.c_reg) (m lsl lo) value_expr
-            (total - !consumed - w)
-            m lo;
-          consumed := !consumed + w)
-        c.c_ranges)
-    v.v_chunks
+    (fun (r : Ir.reg) ->
+      add ctx "    let img_%s = ref (%s) in\n" r.r_name
+        (List.fold_left
+           (fun expr (clear, set) ->
+             Printf.sprintf "(((%s) land (lnot %d)) lor %d)" expr clear set)
+           (Printf.sprintf "(if !(%s) then !(%s) else 0)" (reg_valid r.r_name)
+              (reg_cache r.r_name))
+           (Layout.neutral_fields ctx.device r)))
+    regs
 
-let neutral_const (v : Ir.var) =
-  match v.v_behaviour.b_trigger with
-  | Some { tr_write = true; tr_exempt = Some (Ir.Neutral value); _ } -> (
-      match Dtype.encode v.v_type value with Ok raw -> Some raw | Error _ -> None)
-  | Some { tr_write = true; tr_exempt = Some (Ir.Only value); _ } -> (
-      match Dtype.encode v.v_type value with
-      | Ok raw -> Some (if raw = 0 then 1 else 0)
-      | Error _ -> Some 0)
-  | Some _ | None -> None
+(* The register writes of a setter; [actual] renders the variable a
+   serialization condition tests. *)
+let emit_writes ctx ~actual order =
+  List.iter
+    (fun ((cond : Ir.serial_cond option), (r : Ir.reg)) ->
+      match cond with
+      | None -> add ctx "    write_%s !(img_%s);\n" r.r_name r.r_name
+      | Some c ->
+          let expected =
+            match Ir.find_var ctx.device c.sc_var with
+            | Some cv -> render_operand ctx cv c.sc_value
+            | None -> "0"
+          in
+          add ctx "    if %s %s %s then write_%s !(img_%s);\n"
+            (actual c.sc_var)
+            (if c.sc_negated then "<>" else "=")
+            expected r.r_name r.r_name)
+    order
 
-let compose_base_expr ctx (r : Ir.reg) =
-  let base =
-    Printf.sprintf "(if !(%s) then !(%s) else 0)" (reg_valid r.r_name)
-      (reg_cache r.r_name)
-  in
-  List.fold_left
-    (fun expr (v : Ir.var) ->
-      match neutral_const v with
-      | None -> expr
-      | Some raw ->
-          let clear = ref 0 and setv = ref 0 in
-          let total = Ir.var_width v in
-          let consumed = ref 0 in
-          List.iter
-            (fun (c : Ir.chunk) ->
-              List.iter
-                (fun (hi, lo) ->
-                  let w = hi - lo + 1 in
-                  if String.equal c.c_reg r.r_name then begin
-                    clear := !clear lor (((1 lsl w) - 1) lsl lo);
-                    let field =
-                      (raw lsr (total - !consumed - w)) land ((1 lsl w) - 1)
-                    in
-                    setv := !setv lor (field lsl lo)
-                  end;
-                  consumed := !consumed + w)
-                c.c_ranges)
-            v.v_chunks;
-          Printf.sprintf "(((%s) land (lnot %d)) lor %d)" expr !clear !setv)
-    base
-    (Ir.vars_of_reg ctx.device r.r_name)
+(* The set actions of the variable [name], whose new value is the
+   expression [self]. *)
+let emit_set_action ctx ~name ~self (a : Ir.action) =
+  List.iter
+    (fun (assignment : Ir.assignment) ->
+      match assignment with
+      | Ir.Set_var { target; value } ->
+          let expr =
+            match value with
+            | Ir.O_var src when String.equal src name -> self
+            | o -> (
+                match Ir.find_var ctx.device target with
+                | Some tv -> render_operand ctx tv o
+                | None -> "0")
+          in
+          add ctx "    set_%s %s;\n" target expr
+      | Ir.Set_struct _ -> ())
+    a
 
 (* {1 Range checks (always on)} *)
 
@@ -218,17 +213,13 @@ let emit_check ctx ~indent (v : Ir.var) =
         fail
           (Printf.sprintf "not (List.mem v [%s])"
              (String.concat "; " (List.map string_of_int values)))
-  | Dtype.Enum cases ->
-      let writable =
-        List.filter_map
-          (fun (c : Dtype.enum_case) ->
-            if Dtype.writable_case c.dir then Bitpat.value c.pattern else None)
-          cases
-      in
-      if writable <> [] then
-        fail
-          (Printf.sprintf "not (List.mem v [%s])"
-             (String.concat "; " (List.map string_of_int writable)))
+  | Dtype.Enum _ -> (
+      match Dtype.writable_raws v.v_type with
+      | [] -> ()
+      | raws ->
+          fail
+            (Printf.sprintf "not (List.mem v [%s])"
+               (String.concat "; " (List.map string_of_int raws))))
 
 (* {1 Variable accessors} *)
 
@@ -238,17 +229,6 @@ let sign_adjust (v : Ir.var) expr =
       Printf.sprintf "(((%s) lsl %d) asr %d)" expr (63 - bits) (63 - bits)
   | _ -> expr
 
-let regs_of ctx (v : Ir.var) =
-  let seen = Hashtbl.create 4 in
-  List.filter_map
-    (fun (c : Ir.chunk) ->
-      if Hashtbl.mem seen c.c_reg then None
-      else begin
-        Hashtbl.add seen c.c_reg ();
-        Ir.find_reg ctx.device c.c_reg
-      end)
-    v.v_chunks
-
 let emit_var_setter ctx (v : Ir.var) =
   if v.v_chunks = [] then begin
     add ctx "  and set_%s v =\n" v.v_name;
@@ -256,7 +236,7 @@ let emit_var_setter ctx (v : Ir.var) =
     add ctx "    %s := v\n" (mem_cell v.v_name)
   end
   else begin
-    let regs = regs_of ctx v in
+    let regs = Ir.regs_of_var ctx.device v in
     if List.exists Ir.reg_writable regs then begin
       add ctx "  and set_%s v =\n" v.v_name;
       emit_check ctx ~indent:"    " v;
@@ -265,42 +245,12 @@ let emit_var_setter ctx (v : Ir.var) =
           add ctx "    let v = v land %d in\n" ((1 lsl bits) - 1)
       | _ -> ());
       emit_action ctx ~indent:"    " v.v_pre;
-      List.iter
-        (fun (r : Ir.reg) ->
-          add ctx "    let img_%s = ref (%s) in\n" r.r_name
-            (compose_base_expr ctx r))
-        regs;
-      emit_scatter ctx ~indent:"    " v ~value_expr:"v" ~img_of:(fun reg ->
-          "img_" ^ reg);
-      let order =
-        match v.v_serial with
-        | None -> List.map (fun (r : Ir.reg) -> (None, r)) regs
-        | Some items ->
-            List.filter_map
-              (fun (i : Ir.serial_item) ->
-                Option.map
-                  (fun r -> (i.si_cond, r))
-                  (Ir.find_reg ctx.device i.si_reg))
-              items
-      in
-      List.iter
-        (fun ((cond : Ir.serial_cond option), (r : Ir.reg)) ->
-          match cond with
-          | None -> add ctx "    write_%s !(img_%s);\n" r.r_name r.r_name
-          | Some c ->
-              let actual =
-                if String.equal c.sc_var v.v_name then "v"
-                else Printf.sprintf "(get_%s ())" c.sc_var
-              in
-              let expected =
-                match Ir.find_var ctx.device c.sc_var with
-                | Some cv -> render_operand ctx cv c.sc_value
-                | None -> "0"
-              in
-              add ctx "    if %s %s %s then write_%s !(img_%s);\n" actual
-                (if c.sc_negated then "<>" else "=")
-                expected r.r_name r.r_name)
-        order;
+      emit_images ctx regs;
+      emit_scatter ctx v ~value_expr:"v";
+      emit_writes ctx
+        (Layout.write_order ctx.device regs v.v_serial)
+        ~actual:(fun name ->
+          if String.equal name v.v_name then "v" else getter name);
       (* Keep the owning structure's cache coherent, like the runtime. *)
       (match v.v_struct with
       | Some sname ->
@@ -313,21 +263,7 @@ let emit_var_setter ctx (v : Ir.var) =
           add ctx "    end;\n"
       | None -> ());
       (* Self-referencing set actions see the value just written. *)
-      List.iter
-        (fun (assignment : Ir.assignment) ->
-          match assignment with
-          | Ir.Set_var { target; value } ->
-              let expr =
-                match value with
-                | Ir.O_var src when String.equal src v.v_name -> "v"
-                | o -> (
-                    match Ir.find_var ctx.device target with
-                    | Some tv -> render_operand ctx tv o
-                    | None -> "0")
-              in
-              add ctx "    set_%s %s;\n" target expr
-          | Ir.Set_struct _ -> ())
-        v.v_set;
+      emit_set_action ctx ~name:v.v_name ~self:"v" v.v_set;
       emit_action ctx ~indent:"    " v.v_post;
       add ctx "    ()\n"
     end
@@ -337,72 +273,36 @@ let emit_var_getter ctx (v : Ir.var) =
   add ctx "  and get_%s () =\n" v.v_name;
   if v.v_chunks = [] then add ctx "    !(%s)\n" (mem_cell v.v_name)
   else begin
-    let fresh =
-      v.v_behaviour.b_volatile
-      || match v.v_behaviour.b_trigger with
-         | Some { tr_read = true; _ } -> true
-         | Some _ | None -> false
-    in
-    (match v.v_struct with
-    | Some sname ->
-        (* Field stub: structure cache first, then register cache. *)
-        let seen = Hashtbl.create 4 in
-        List.iter
-          (fun (c : Ir.chunk) ->
-            if not (Hashtbl.mem seen c.c_reg) then begin
-              Hashtbl.add seen c.c_reg ();
-              add ctx
-                "    let raw_%s = if !(%s) then !(%s) else if !(%s) then \
-                 !(%s) else failwith \"%s: structure not read\" in\n"
-                c.c_reg (svalid sname) (scache sname c.c_reg)
-                (reg_valid c.c_reg) (reg_cache c.c_reg) v.v_name
-            end)
-          v.v_chunks
-    | None ->
-        let seen = Hashtbl.create 4 in
-        List.iter
-          (fun (c : Ir.chunk) ->
-            if not (Hashtbl.mem seen c.c_reg) then begin
-              Hashtbl.add seen c.c_reg ();
-              match Ir.find_reg ctx.device c.c_reg with
-              | Some r when fresh && Ir.reg_readable r ->
-                  add ctx "    let raw_%s = read_%s () in\n" c.c_reg c.c_reg
-              | Some r when Ir.reg_readable r ->
-                  add ctx
-                    "    let raw_%s = if !(%s) then !(%s) else read_%s () in\n"
-                    c.c_reg (reg_valid c.c_reg) (reg_cache c.c_reg) c.c_reg
-              | _ ->
-                  add ctx
-                    "    let raw_%s = if !(%s) then !(%s) else failwith \
-                     \"%s: write-only and not cached\" in\n"
-                    c.c_reg (reg_valid c.c_reg) (reg_cache c.c_reg) v.v_name
-            end)
-          v.v_chunks);
+    List.iter
+      (fun (r : Ir.reg) ->
+        let cached = Printf.sprintf "!(%s)" (reg_cache r.r_name) in
+        add ctx "    let raw_%s = %s in\n" r.r_name
+          (match v.v_struct with
+          | Some sname ->
+              (* Field stub: structure cache first, then register cache. *)
+              Printf.sprintf
+                "if !(%s) then !(%s) else if !(%s) then %s else failwith \
+                 \"%s: structure not read\""
+                (svalid sname) (scache sname r.r_name) (reg_valid r.r_name)
+                cached v.v_name
+          | None when not (Ir.reg_readable r) ->
+              Printf.sprintf
+                "if !(%s) then %s else failwith \"%s: write-only and not \
+                 cached\""
+                (reg_valid r.r_name) cached v.v_name
+          | None when Layout.fresh v -> Printf.sprintf "read_%s ()" r.r_name
+          | None ->
+              Printf.sprintf "if !(%s) then %s else read_%s ()"
+                (reg_valid r.r_name) cached r.r_name))
+      (Ir.regs_of_var ctx.device v);
     add ctx "    %s\n"
       (sign_adjust v (gather_expr v ~reg_expr:(fun reg -> "raw_" ^ reg)))
   end
 
 (* {1 Structures} *)
 
-let struct_regs ctx (s : Ir.strct) =
-  let seen = Hashtbl.create 8 in
-  List.concat_map
-    (fun fname ->
-      match Ir.find_var ctx.device fname with
-      | None -> []
-      | Some v ->
-          List.filter_map
-            (fun (c : Ir.chunk) ->
-              if Hashtbl.mem seen c.c_reg then None
-              else begin
-                Hashtbl.add seen c.c_reg ();
-                Ir.find_reg ctx.device c.c_reg
-              end)
-            v.v_chunks)
-    s.s_fields
-
 let emit_struct ctx (s : Ir.strct) =
-  let regs = struct_regs ctx s in
+  let regs = Layout.struct_regs ctx.device s in
   if List.for_all Ir.reg_readable regs && regs <> [] then begin
     add ctx "  and get_%s () =\n" s.s_name;
     List.iter
@@ -416,70 +316,20 @@ let emit_struct ctx (s : Ir.strct) =
       String.concat " " (List.map (fun f -> "~" ^ label f) s.s_fields)
     in
     add ctx "  and set_%s %s =\n" s.s_name params;
+    let fields = List.filter_map (Ir.find_var ctx.device) s.s_fields in
+    emit_images ctx regs;
     List.iter
-      (fun (r : Ir.reg) ->
-        add ctx "    let img_%s = ref (%s) in\n" r.r_name
-          (compose_base_expr ctx r))
-      regs;
-    List.iter
-      (fun fname ->
-        match Ir.find_var ctx.device fname with
-        | Some v ->
-            emit_scatter ctx ~indent:"    " v ~value_expr:(label fname)
-              ~img_of:(fun reg -> "img_" ^ reg)
-        | None -> ())
-      s.s_fields;
-    let order =
-      match s.s_serial with
-      | None -> List.map (fun (r : Ir.reg) -> (None, r)) regs
-      | Some items ->
-          List.filter_map
-            (fun (i : Ir.serial_item) ->
-              Option.map
-                (fun r -> (i.si_cond, r))
-                (Ir.find_reg ctx.device i.si_reg))
-            items
-    in
-    List.iter
-      (fun ((cond : Ir.serial_cond option), (r : Ir.reg)) ->
-        match cond with
-        | None -> add ctx "    write_%s !(img_%s);\n" r.r_name r.r_name
-        | Some c ->
-            let actual =
-              if List.mem c.sc_var s.s_fields then label c.sc_var
-              else Printf.sprintf "(get_%s ())" c.sc_var
-            in
-            let expected =
-              match Ir.find_var ctx.device c.sc_var with
-              | Some cv -> render_operand ctx cv c.sc_value
-              | None -> "0"
-            in
-            add ctx "    if %s %s %s then write_%s !(img_%s);\n" actual
-              (if c.sc_negated then "<>" else "=")
-              expected r.r_name r.r_name)
-      order;
+      (fun (v : Ir.var) -> emit_scatter ctx v ~value_expr:(label v.v_name))
+      fields;
+    emit_writes ctx
+      (Layout.write_order ctx.device regs s.s_serial)
+      ~actual:(fun name ->
+        if List.mem name s.s_fields then label name else getter name);
     (* Per-field set actions with the new values in scope. *)
     List.iter
-      (fun fname ->
-        match Ir.find_var ctx.device fname with
-        | Some v ->
-            List.iter
-              (fun (assignment : Ir.assignment) ->
-                match assignment with
-                | Ir.Set_var { target; value } ->
-                    let expr =
-                      match value with
-                      | Ir.O_var src when String.equal src fname -> label fname
-                      | o -> (
-                          match Ir.find_var ctx.device target with
-                          | Some tv -> render_operand ctx tv o
-                          | None -> "0")
-                    in
-                    add ctx "    set_%s %s;\n" target expr
-                | Ir.Set_struct _ -> ())
-              v.v_set
-        | None -> ())
-      s.s_fields;
+      (fun (v : Ir.var) ->
+        emit_set_action ctx ~name:v.v_name ~self:(label v.v_name) v.v_set)
+      fields;
     List.iter
       (fun (r : Ir.reg) ->
         add ctx "    %s := !(img_%s);\n" (scache s.s_name r.r_name) r.r_name)
@@ -490,32 +340,29 @@ let emit_struct ctx (s : Ir.strct) =
 (* {1 Block and template stubs} *)
 
 let emit_block ctx (v : Ir.var) =
-  match v.v_chunks with
-  | [ { c_reg; c_ranges = [ (hi, lo) ] } ] when v.v_behaviour.b_block -> (
-      match Ir.find_reg ctx.device c_reg with
-      | Some r when lo = 0 && hi = r.r_size - 1 ->
-          (match r.r_read with
-          | Some lp ->
-              add ctx "  and read_%s_block count =\n" v.v_name;
-              emit_action ctx ~indent:"    " r.r_pre;
-              add ctx "    let into = Array.make count 0 in\n";
-              add ctx "    Env.read_block ~width:%d ~addr:(%s) ~into;\n"
-                (port_width ctx lp) (addr_expr lp);
-              emit_action ctx ~indent:"    " r.r_post;
-              add ctx "    into\n"
-          | None -> ());
-          (match r.r_write with
-          | Some lp ->
-              add ctx "  and write_%s_block from =\n" v.v_name;
-              emit_action ctx ~indent:"    " r.r_pre;
-              add ctx "    Env.write_block ~width:%d ~addr:(%s) ~from;\n"
-                (port_width ctx lp) (addr_expr lp);
-              emit_action ctx ~indent:"    " r.r_post;
-              emit_action ctx ~indent:"    " r.r_set;
-              add ctx "    ()\n"
-          | None -> ())
-      | Some _ | None -> ())
-  | _ -> ()
+  match Layout.block_reg ctx.device v with
+  | Error _ -> ()
+  | Ok r ->
+      Option.iter
+        (fun lp ->
+          add ctx "  and read_%s_block count =\n" v.v_name;
+          emit_action ctx ~indent:"    " r.r_pre;
+          add ctx "    let into = Array.make count 0 in\n";
+          add ctx "    Env.read_block ~width:%d ~addr:(%s) ~into;\n"
+            (port_width ctx lp) (addr_expr lp);
+          emit_action ctx ~indent:"    " r.r_post;
+          add ctx "    into\n")
+        r.r_read;
+      Option.iter
+        (fun lp ->
+          add ctx "  and write_%s_block from =\n" v.v_name;
+          emit_action ctx ~indent:"    " r.r_pre;
+          add ctx "    Env.write_block ~width:%d ~addr:(%s) ~from;\n"
+            (port_width ctx lp) (addr_expr lp);
+          emit_action ctx ~indent:"    " r.r_post;
+          emit_action ctx ~indent:"    " r.r_set;
+          add ctx "    ()\n")
+        r.r_write
 
 let emit_template ctx (t : Ir.template) =
   let params = String.concat " " (List.map fst t.t_params) in
@@ -544,9 +391,7 @@ let emit_template ctx (t : Ir.template) =
       add ctx "  and write_%s %s raw =\n" t.t_name params;
       range_checks "    ";
       emit_action ctx ~indent:"    " t.t_pre;
-      add ctx "    Env.write ~width:%d ~addr:(%s) ~value:((raw land %d) lor %d)\n"
-        (port_width ctx lp) (addr_expr lp) (covered_mask t.t_mask)
-        (Mask.forced_value t.t_mask)
+      add ctx "    %s\n" (frame_write ctx lp t.t_mask)
   | None -> ()
 
 (* {1 Top level} *)
@@ -578,7 +423,7 @@ let generate (device : Ir.device) =
       List.iter
         (fun (r : Ir.reg) ->
           add ctx "  let %s = ref 0\n" (scache s.s_name r.r_name))
-        (struct_regs ctx s);
+        (Layout.struct_regs ctx.device s);
       add ctx "  let %s = ref false\n" (svalid s.s_name))
     device.d_structs;
   List.iter

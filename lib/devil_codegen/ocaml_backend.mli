@@ -16,9 +16,9 @@
     setters take raw integers and perform the §3.2 range checks
     unconditionally. Enumeration cases are exposed as integer
     constants [const_<variable>_<case>]. The test suite compiles the
-    generated module for the busmouse through a dune rule and checks
-    it behaves exactly like the interpreting runtime, I/O operation
-    for I/O operation. *)
+    generated module of every bundled spec through dune rules and
+    checks that the busmouse and i8042 modules behave exactly like the
+    interpreting runtime, I/O operation for I/O operation. *)
 
 module Ir = Devil_ir.Ir
 

@@ -26,6 +26,13 @@ let find_case t name =
 let readable_case = function Read | Both -> true | Write -> false
 let writable_case = function Write | Both -> true | Read -> false
 
+let writable_raws = function
+  | Enum cases ->
+      List.filter_map
+        (fun c -> if writable_case c.dir then Bitpat.value c.pattern else None)
+        cases
+  | Bool | Int _ | Int_set _ -> []
+
 let encode t (v : Value.t) =
   match (t, v) with
   | Bool, Bool b -> Ok (if b then 1 else 0)

@@ -25,6 +25,10 @@ val find_case : t -> string -> enum_case option
 val readable_case : dir -> bool
 val writable_case : dir -> bool
 
+val writable_raws : t -> int list
+(** The encodings of an enumerated type's writable cases that have an
+    exact pattern, in declaration order; empty for other types. *)
+
 val encode : t -> Value.t -> (int, string) result
 (** Value → raw bits, for writing to the device. Rejects values outside
     the type (wrong kind, out of range, read-only enum case). *)

@@ -9,6 +9,13 @@ type kind =
   | Duplicate_write of { probability : float }
   | Transient of { probability : float }
 
+let kind_tag = function
+  | Stuck_bits _ -> "stuck"
+  | Flip_bits _ -> "flip"
+  | Drop_write _ -> "drop"
+  | Duplicate_write _ -> "dup"
+  | Transient _ -> "transient"
+
 type plan = {
   label : string;
   first : int;

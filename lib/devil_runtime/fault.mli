@@ -50,6 +50,11 @@ type kind =
       (** The operation raises {!Bus_fault} {e before} touching the
           device, so a retry observes a clean device state. *)
 
+val kind_tag : kind -> string
+(** A short name for the kind (["stuck"], ["flip"], ["drop"], ["dup"],
+    ["transient"]): it labels fault decisions in traces, schedules and
+    battery choices. *)
+
 type plan = {
   label : string;  (** Names the plan in traces and counters. *)
   first : int;  (** First address covered (inclusive). *)

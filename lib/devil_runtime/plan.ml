@@ -1,6 +1,7 @@
 module Ir = Devil_ir.Ir
 module Value = Devil_ir.Value
 module Dtype = Devil_ir.Dtype
+module Layout = Devil_ir.Layout
 module Bitops = Devil_bits.Bitops
 module Mask = Devil_bits.Mask
 
@@ -248,59 +249,15 @@ let compile_serial env (items : Ir.serial_item list option) : serial_plan =
          }))
     items
 
-(* Same as the interpreter's scatter_bits, generalized to expose the
-   positions so compile time can fold them into masks. *)
-let scatter_apply (v : Ir.var) ~raw
-    ~(update : string -> hi:int -> lo:int -> field:int -> unit) =
-  let total = Ir.var_width v in
-  let consumed = ref 0 in
-  List.iter
-    (fun (c : Ir.chunk) ->
-      List.iter
-        (fun (hi, lo) ->
-          let w = hi - lo + 1 in
-          let field =
-            Bitops.extract ~hi:(total - !consumed - 1)
-              ~lo:(total - !consumed - w) raw
-          in
-          update c.c_reg ~hi ~lo ~field;
-          consumed := !consumed + w)
-        c.c_ranges)
-    v.v_chunks
-
-let neutral_raw (v : Ir.var) =
-  let encode value =
-    match Dtype.encode v.v_type value with
-    | Ok raw -> Some raw
-    | Error _ -> None
-  in
-  match v.v_behaviour.b_trigger with
-  | Some { tr_write = true; tr_exempt = Some (Ir.Neutral value); _ } ->
-      encode value
-  | Some { tr_write = true; tr_exempt = Some (Ir.Only value); _ } -> (
-      match encode value with
-      | Some raw ->
-          Some (if raw = 0 then 1 land Bitops.width_mask (Ir.var_width v) else 0)
-      | None -> Some 0)
-  | Some _ | None -> None
-
 (* Fold the interpreter's compose_base neutral pass into two masks:
-   base = (cached land keep) lor neutral. Sequential [insert]s into the
-   cached image are exactly clearing the covered slices then or-ing. *)
+   base = (cached land keep) lor neutral. Each neutral sibling clears
+   its bits in the cached image, then sets its neutral pattern. *)
 let base_masks device (r : Ir.reg) =
-  let keep = ref (-1) and neutral = ref 0 in
-  List.iter
-    (fun (v : Ir.var) ->
-      match neutral_raw v with
-      | None -> ()
-      | Some raw ->
-          scatter_apply v ~raw ~update:(fun reg ~hi ~lo ~field ->
-              if String.equal reg r.Ir.r_name then begin
-                keep := Bitops.insert ~hi ~lo ~field:0 !keep;
-                neutral := Bitops.insert ~hi ~lo ~field !neutral
-              end))
-    (Ir.vars_of_reg device r.Ir.r_name);
-  (!keep, !neutral)
+  List.fold_left
+    (fun (keep, neutral) (clear, set) ->
+      (keep land lnot clear, neutral land lnot clear lor set))
+    (-1, 0)
+    (Layout.neutral_fields device r)
 
 (* A register rewrite must re-read the register first when a volatile
    sibling (other than the variables being rewritten) has bits in it
@@ -323,9 +280,6 @@ let refresh_excluding device (r : Ir.reg) ~exclude =
             | Some _ | None -> false)
           sibs)
 
-let covered_mask m =
-  List.fold_left (fun acc i -> acc lor (1 lsl i)) 0 (Mask.covered_bits m)
-
 let compile_reg env ~slot (r : Ir.reg) =
   let base_keep, base_neutral = base_masks env.ce_device r in
   {
@@ -333,7 +287,7 @@ let compile_reg env ~slot (r : Ir.reg) =
     rp_slot = slot;
     rp_read = Option.map (resolve_point env) r.r_read;
     rp_write = Option.map (resolve_point env) r.r_write;
-    rp_keep = covered_mask r.r_mask;
+    rp_keep = Mask.covered_value r.r_mask;
     rp_force = Mask.forced_value r.r_mask;
     rp_base_keep = base_keep;
     rp_base_neutral = base_neutral;
@@ -377,40 +331,20 @@ let compile_var env regs (v : Ir.var) =
       v.v_chunks
   in
   let vp_scatter =
-    let total = Ir.var_width v in
-    let consumed = ref 0 in
-    List.concat_map
-      (fun (c : Ir.chunk) ->
-        let slot =
-          match resolve_reg env c.c_reg with Ok i -> i | Error _ -> -1
-        in
-        List.map
-          (fun (hi, lo) ->
-            let w = hi - lo + 1 in
-            let sp =
-              {
-                sp_slot = slot;
-                sp_hi = hi;
-                sp_lo = lo;
-                sp_src_hi = total - !consumed - 1;
-                sp_src_lo = total - !consumed - w;
-              }
-            in
-            consumed := !consumed + w;
-            sp)
-          c.c_ranges)
-      v.v_chunks
+    List.map
+      (fun (p : Layout.piece) ->
+        {
+          sp_slot = Result.value (resolve_reg env p.reg) ~default:(-1);
+          sp_hi = p.lo + p.width - 1;
+          sp_lo = p.lo;
+          sp_src_hi = p.shift + p.width - 1;
+          sp_src_lo = p.shift;
+        })
+      (Layout.pieces v)
   in
   let vp_regs =
     write_regs env regs ~exclude:[ v.v_name ]
       (List.map (fun (c : Ir.chunk) -> c.c_reg) v.v_chunks)
-  in
-  let vp_must_io =
-    v.v_behaviour.b_volatile
-    ||
-    match v.v_behaviour.b_trigger with
-    | Some { tr_read = true; _ } -> true
-    | Some _ | None -> false
   in
   let vp_route =
     match v.v_struct with
@@ -419,37 +353,20 @@ let compile_var env regs (v : Ir.var) =
         R_field
           { fr_sname = sname; fr_slot = Hashtbl.find_opt env.ce_struct_idx sname }
   in
-  let vp_block =
-    if not v.v_behaviour.b_block then
-      Error (Printf.sprintf "variable %s has no block behaviour" v.v_name)
-    else
-      match v.v_chunks with
-      | [ { c_reg; c_ranges = [ (hi, lo) ] } ] -> (
-          match resolve_reg env c_reg with
-          | Error m -> Error m
-          | Ok i ->
-              if lo <> 0 || hi <> regs.(i).rp_reg.r_size - 1 then
-                Error
-                  (Printf.sprintf "block variable %s must span its whole register"
-                     v.v_name)
-              else Ok i)
-      | _ ->
-          Error
-            (Printf.sprintf "block variable %s must map to a single register"
-               v.v_name)
-  in
   {
     vp_var = v;
     vp_gather;
     vp_scatter;
     vp_regs;
-    vp_must_io;
+    vp_must_io = Layout.fresh v;
     vp_route;
     vp_serial = compile_serial env v.v_serial;
     vp_pre = compile_action env v.v_pre;
     vp_post = compile_action env v.v_post;
     vp_set = compile_action env v.v_set;
-    vp_block;
+    vp_block =
+      Result.bind (Layout.block_reg env.ce_device v) (fun r ->
+          resolve_reg env r.Ir.r_name);
     vp_k_read = env.ce_label ^ "/var:" ^ v.v_name ^ ":read";
     vp_k_write = env.ce_label ^ "/var:" ^ v.v_name ^ ":write";
     vp_k_bread = env.ce_label ^ "/var:" ^ v.v_name ^ ":block_read";
@@ -458,8 +375,9 @@ let compile_var env regs (v : Ir.var) =
 
 let compile_struct env regs (s : Ir.strct) =
   let st_regs =
-    (* struct_regs: fields in order, each field's chunk registers,
-       deduplicated; an unknown field fails first. *)
+    (* The interpreter's structure registers: fields in order, each
+       field's chunk registers, deduplicated; an unknown field fails
+       first. *)
     let rec fields acc = function
       | [] -> write_regs env regs ~exclude:s.s_fields (List.rev acc)
       | fname :: rest -> (

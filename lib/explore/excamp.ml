@@ -39,15 +39,6 @@ let pp_choice fmt = function
 
 let choice_to_string c = Format.asprintf "%a" pp_choice c
 
-(* The kind tag names the decision in traces and schedule printouts;
-   probabilities inside scheduled kinds are ignored by the injector. *)
-let kind_tag = function
-  | Fault.Transient _ -> "transient"
-  | Fault.Flip_bits _ -> "flip"
-  | Fault.Stuck_bits _ -> "stuck"
-  | Fault.Drop_write _ -> "drop"
-  | Fault.Duplicate_write _ -> "dup"
-
 (* Value-corruption kinds can defeat any checksum-free driver, so
    silent data corruption under them is the fault campaign's business
    (its Silent column), not an exploration violation. The invariants
@@ -135,7 +126,7 @@ type bound = {
   b_depth : int;  (* covered-access ordinals 0 .. depth-1 per site *)
   b_budget : int;  (* maximum simultaneous decisions *)
   b_sites : int;  (* busiest (op, addr) sites kept per workload *)
-  b_kinds : Fault.kind list;
+  b_kinds : Fault.kind list;  (* probabilities ignored when scheduled *)
   b_policy_axes : bool;  (* include Poll_timeout / Retry_deny *)
 }
 
@@ -151,7 +142,7 @@ let default_bound =
 let pp_bound fmt b =
   Format.fprintf fmt "depth %d, budget %d, %d sites x {%s}%s" b.b_depth
     b.b_budget b.b_sites
-    (String.concat ", " (List.map kind_tag b.b_kinds))
+    (String.concat ", " (List.map Fault.kind_tag b.b_kinds))
     (if b.b_policy_axes then " + policy axes" else "")
 
 (* {1 Site discovery}
@@ -224,7 +215,7 @@ let choices_of_sites ~bound sites =
               | _ -> true
             in
             if applicable then
-              Some (Inject { addr; op; kind; tag = kind_tag kind })
+              Some (Inject { addr; op; kind; tag = Fault.kind_tag kind })
             else None)
           bound.b_kinds)
       sites
@@ -237,7 +228,7 @@ let choices_of_sites ~bound sites =
 let probe_label op addr = Printf.sprintf "probe:%c%#x" (op_letter op) addr
 
 let inject_label op addr kind =
-  Printf.sprintf "%s:%c%#x" (kind_tag kind) (op_letter op) addr
+  Printf.sprintf "%s:%c%#x" (Fault.kind_tag kind) (op_letter op) addr
 
 (* Everything one run produces; the Explore outcome is a projection. *)
 type exec = {

@@ -369,12 +369,7 @@ let constraint_of_type (ty : Dtype.t) : C_lang.constraint_ =
   | Dtype.Int { signed = true; bits } ->
       C_lang.Range (-(1 lsl (bits - 1)), (1 lsl (bits - 1)) - 1)
   | Dtype.Int_set { values; _ } -> C_lang.One_of values
-  | Dtype.Enum cases ->
-      C_lang.One_of
-        (List.filter_map
-           (fun (c : Dtype.enum_case) ->
-             if Dtype.writable_case c.dir then Bitpat.value c.pattern else None)
-           cases)
+  | Dtype.Enum _ -> C_lang.One_of (Dtype.writable_raws ty)
 
 let cdevil_env (device : Ir.device) ~prefix : C_lang.env =
   let upper = String.uppercase_ascii in

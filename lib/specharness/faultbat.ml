@@ -25,13 +25,6 @@ type choice = {
   c_label : string;
 }
 
-let kind_tag = function
-  | Fault.Stuck_bits _ -> "stuck"
-  | Fault.Flip_bits _ -> "flip"
-  | Fault.Drop_write _ -> "drop"
-  | Fault.Duplicate_write _ -> "dup"
-  | Fault.Transient _ -> "transient"
-
 let choice ~op ~addr kind =
   {
     c_op = op;
@@ -40,7 +33,7 @@ let choice ~op ~addr kind =
     c_label =
       Printf.sprintf "%s@0x%x:%s"
         (match op with Fault.Read -> "read" | Fault.Write -> "write")
-        addr (kind_tag kind);
+        addr (Fault.kind_tag kind);
   }
 
 let pp_choice fmt c = Format.pp_print_string fmt c.c_label

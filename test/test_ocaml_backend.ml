@@ -2,7 +2,9 @@
    generates for a specification (compiled into this binary by a dune
    rule — see test/dune) must behave exactly like the interpreting
    runtime bound to the same specification: same values, same bus
-   operations, in the same order. *)
+   operations, in the same order. The busmouse and the i8042 are
+   checked this way; the other modules are driven over their models
+   or RAM. *)
 
 module Instance = Devil_runtime.Instance
 module Bus = Devil_runtime.Bus
@@ -18,18 +20,19 @@ let pp_op fmt = function
 
 let op = Alcotest.testable pp_op ( = )
 
-(* A bus over a fresh busmouse model that logs every operation. *)
-let logging_mouse_bus () =
-  let mouse = Hwsim.Busmouse.create () in
-  let model = Hwsim.Busmouse.model mouse in
+(* A bus that logs every operation; [route addr] names the model and
+   offset an address decodes to. *)
+let logging_bus route =
   let log = ref [] in
   let read ~width ~addr =
     log := R (width, addr) :: !log;
-    model.Hwsim.Model.read ~width ~offset:(addr - 0x23c)
+    let (model : Hwsim.Model.t), offset = route addr in
+    model.read ~width ~offset
   in
   let write ~width ~addr ~value =
     log := W (width, addr, value) :: !log;
-    model.Hwsim.Model.write ~width ~offset:(addr - 0x23c) ~value
+    let (model : Hwsim.Model.t), offset = route addr in
+    model.write ~width ~offset ~value
   in
   let bus =
     {
@@ -43,7 +46,15 @@ let logging_mouse_bus () =
           Array.iter (fun value -> write ~width ~addr ~value) from);
     }
   in
-  (mouse, bus, fun () -> List.rev !log)
+  (bus, fun () -> List.rev !log)
+
+(* A bus over a fresh busmouse model that logs every operation. *)
+let logging_mouse_bus () =
+  let mouse = Hwsim.Busmouse.create () in
+  let bus, log =
+    logging_bus (fun addr -> (Hwsim.Busmouse.model mouse, addr - 0x23c))
+  in
+  (mouse, bus, log)
 
 module Gen_env (B : sig
   val bus : Bus.t
@@ -120,6 +131,65 @@ let test_busmouse_generated_checks () =
   match G.set_config 2 with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "non-case enum value accepted"
+
+(* The i8042 has two ports and a controller command that fires on
+   write; the generated module must issue the interpreter's exact bus
+   operations through a self-test and a keypress. *)
+let kbd_data_base = 0x60
+let kbd_ctl_base = 0x64
+
+let logging_kbd_bus () =
+  let kbd = Hwsim.I8042.create () in
+  let bus, log =
+    logging_bus (fun addr ->
+        if addr = kbd_data_base then (Hwsim.I8042.data_model kbd, 0)
+        else (Hwsim.I8042.control_model kbd, addr - kbd_ctl_base))
+  in
+  (kbd, bus, log)
+
+let test_i8042_differential () =
+  let kbd_i, bus_i, log_i = logging_kbd_bus () in
+  let inst =
+    Instance.create ~interpret:true (Devil_specs.Specs.i8042 ()) ~bus:bus_i
+      ~bases:[ ("data", kbd_data_base); ("ctl", kbd_ctl_base) ]
+  in
+  let kbd_g, bus_g, log_g = logging_kbd_bus () in
+  let module G =
+    Gen_i8042.Make (struct
+      let read = bus_g.Bus.read
+      let write = bus_g.Bus.write
+      let read_block = bus_g.Bus.read_block
+      let write_block = bus_g.Bus.write_block
+      let base = function "data" -> kbd_data_base | _ -> kbd_ctl_base
+    end)
+  in
+  let get name = int_of_value (Instance.get inst name) in
+  let check_status what =
+    Instance.get_struct inst "kbd_status";
+    G.get_kbd_status ();
+    Alcotest.(check int) (what ^ ": output_full") (get "output_full")
+      (G.get_output_full ());
+    Alcotest.(check int) (what ^ ": system_flag") (get "system_flag")
+      (G.get_system_flag ());
+    Alcotest.(check int) (what ^ ": output_full set") 1 (G.get_output_full ())
+  in
+  (* The self test answers 0x55 on the data port. *)
+  Instance.set inst "controller_command" (Value.Enum "SELF_TEST");
+  G.set_controller_command G.const_controller_command_self_test;
+  check_status "self test";
+  let answer = get "kbd_data" in
+  Alcotest.(check int) "self-test answer" answer (G.get_kbd_data ());
+  Alcotest.(check int) "self-test answer value" 0x55 answer;
+  (* One pressed scancode. *)
+  List.iter
+    (fun kbd ->
+      Alcotest.(check bool) "press accepted" true (Hwsim.I8042.press kbd 0x1c))
+    [ kbd_i; kbd_g ];
+  check_status "keypress";
+  let code = get "kbd_data" in
+  Alcotest.(check int) "scancode" code (G.get_kbd_data ());
+  Alcotest.(check int) "scancode value" 0x1c code;
+  Alcotest.(check (list op)) "identical I/O traces" (log_i ()) (log_g ())
 
 (* The UART exercises the DLAB overlay, serialization and block
    stubs through the generated module. *)
@@ -283,6 +353,7 @@ let () =
       ( "differential",
         [
           case "busmouse: generated = interpreted" test_busmouse_differential;
+          case "i8042: generated = interpreted" test_i8042_differential;
           case "generated range checks" test_busmouse_generated_checks;
           case "uart: overlay, blocks, structures" test_uart_generated_driver;
           case "cs4236b: templates and automaton" test_cs4236b_generated_automaton;

@@ -290,6 +290,24 @@ let test_block_transfers () =
     [ W (0, 1); W (0, 2); W (0, 3); R 0; R 0 ]
     (log ())
 
+(* Block stubs need a single chunk spanning its whole register; both
+   engines refuse any other block variable before touching the bus. *)
+let run_block_needs_whole_register ~interpret () =
+  let inst, log, _ =
+    make ~interpret
+      "register r = base @ 0 : bit[8];
+       variable b = r[3..0], block : int(4); variable c = r[7..4] : int(4);
+       register o = base @ 1 : bit[8]; variable vo = o : int(8);
+       register p = base @ 2 : bit[8]; variable vp = p : int(8);
+       register q = base @ 3 : bit[8]; variable vq = q : int(8);"
+  in
+  (match Instance.read_block inst "b" ~count:1 with
+  | exception Instance.Device_error msg ->
+      Alcotest.(check string) "refused"
+        "block variable b must span its whole register" msg
+  | _ -> Alcotest.fail "block transfer on part of a register allowed");
+  check_log "no transfer" [] (log ())
+
 let test_indexed_access () =
   let inst, log, _ =
     make
@@ -354,6 +372,20 @@ let run_no_refresh_with_read_trigger ~interpret () =
   Instance.set inst "v" (Value.Int 5);
   check_log "no side-effecting re-read" [ W (0, 0x05) ] (log ())
 
+(* A read trigger makes every read reach the device, as [volatile]
+   does: the read's side effect is the point of the access. *)
+let run_read_trigger_rereads ~interpret () =
+  let inst, log, _ =
+    make ~interpret
+      "register r = base @ 0 : bit[8]; variable g = r, read trigger : int(8);
+       register o = base @ 1 : bit[8]; variable vo = o : int(8);
+       register p = base @ 2 : bit[8]; variable vp = p : int(8);
+       register q = base @ 3 : bit[8]; variable vq = q : int(8);"
+  in
+  ignore (Instance.get inst "g");
+  ignore (Instance.get inst "g");
+  check_log "each read reaches the device" [ R 0; R 0 ] (log ())
+
 let test_invalidate_cache () =
   let inst, log, poke =
     make
@@ -389,6 +421,10 @@ let () =
             (run_no_refresh_with_read_trigger ~interpret:false);
           case "read trigger forbids refresh (interpreted)"
             (run_no_refresh_with_read_trigger ~interpret:true);
+          case "read trigger re-reads (compiled)"
+            (run_read_trigger_rereads ~interpret:false);
+          case "read trigger re-reads (interpreted)"
+            (run_read_trigger_rereads ~interpret:true);
         ] );
       ( "structures",
         [
@@ -407,6 +443,10 @@ let () =
           case "dynamic checks" test_dynamic_checks;
           case "private variables refused" test_private_refused;
           case "block transfers" test_block_transfers;
+          case "block needs a whole register (compiled)"
+            (run_block_needs_whole_register ~interpret:false);
+          case "block needs a whole register (interpreted)"
+            (run_block_needs_whole_register ~interpret:true);
           case "indexed registers" test_indexed_access;
         ] );
     ]

@@ -15,6 +15,12 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+# The compiled access plans at their acceptance depth (DESIGN.md §9):
+# 500 random op sequences per spec against the interpreter, where
+# `dune runtest` runs the default 60.
+echo "== plan acceptance depth =="
+DEVIL_QCHECK_COUNT=500 dune build @plan --force
+
 # A fast end-to-end pass over the benchmark pipeline: run every
 # bechamel workload once on both engines (--smoke) — the run evaluates
 # its own gates and exits 1 on a violation — then re-check the
