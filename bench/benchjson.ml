@@ -5,10 +5,13 @@
    access plans and the [~interpret:true] oracle — and writes one
    [ns_per_op] row per (workload, engine), the cost-model time of one
    operation ([modeled_us]), and the interpreted/compiled [speedup] of
-   the get/set workloads (DESIGN.md §9, §17). [--smoke] samples each
-   workload once (quota 1 ms, limit 1): the pipeline runs end to end,
-   but a 1-run estimate cannot rank engines, so its speedup rows are
-   null. The default output is BENCH_pr3.json. *)
+   the get/set workloads (DESIGN.md §9, §17). The speedup is paired:
+   each get/set workload alternates [pairs] estimates of the two engines
+   within the run, and the row is the median of the per-pair ratios, so
+   drift of the host between estimates falls on both engines alike.
+   [--smoke] samples each workload once (quota 1 ms, limit 1): the
+   pipeline runs end to end, but a 1-run estimate cannot rank engines,
+   so its speedup rows are null. The default output is BENCH_pr3.json. *)
 
 module Machine = Drivers.Machine
 
@@ -122,6 +125,15 @@ let modeled_us_per_op workload =
 let speedup_workloads = [ "reg_get"; "reg_set"; "reg_get_h"; "reg_set_h" ]
 let engines = [ ("compiled", false); ("interpreted", true) ]
 
+let median = function
+  | [] -> None
+  | xs ->
+      let a = Array.of_list (List.sort compare xs) in
+      let n = Array.length a in
+      Some
+        (if n mod 2 = 1 then a.(n / 2)
+         else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0)
+
 let suite =
   let open Benchrow in
   let names = List.map fst workloads in
@@ -169,25 +181,52 @@ let run args =
   parse args;
   Common.section "Benchmark trajectory: compiled plans vs the interpreter";
   let quota_us, limit = if !smoke then (1_000, 1) else (250_000, 2000) in
+  let pairs = if !smoke then 1 else 5 in
   let quota = float_of_int quota_us /. 1e6 in
   let modeled =
     List.map (fun (name, wl) -> (name, modeled_us_per_op wl)) workloads
   in
+  let machines =
+    List.map
+      (fun (engine, interpret) -> (engine, Machine.create ~interpret ()))
+      engines
+  in
+  (* Per workload, its pairs of estimates, each pair an association from
+     engine to estimate. Odd-numbered pairs run the interpreter first. *)
+  let samples =
+    List.map
+      (fun (name, wl) ->
+        let runs =
+          List.map
+            (fun (engine, m) ->
+              let run = wl m in
+              run ();
+              (* warm caches before sampling *)
+              (engine, run))
+            machines
+        in
+        let estimate (engine, run) =
+          let label = name ^ "/" ^ engine in
+          let test = Bechamel.Test.make ~name:label (Bechamel.Staged.stage run) in
+          (engine, estimate_ns ~quota ~limit test)
+        in
+        let n = if List.mem name speedup_workloads then pairs else 1 in
+        ( name,
+          List.init n (fun i ->
+              List.map estimate (if i mod 2 = 0 then runs else List.rev runs)) ))
+      workloads
+  in
   let estimates =
     List.concat_map
-      (fun (engine, interpret) ->
-        let m = Machine.create ~interpret () in
+      (fun (engine, _) ->
         List.map
-          (fun (name, wl) ->
-            let run = wl m in
-            run ();
-            (* warm caches before sampling *)
-            let label = name ^ "/" ^ engine in
-            let test =
-              Bechamel.Test.make ~name:label (Bechamel.Staged.stage run)
+          (fun (name, _) ->
+            let ns =
+              List.assoc name samples
+              |> List.filter_map (List.assoc engine)
+              |> median |> Option.map (Benchrow.fixed 3)
             in
-            let ns = Option.map (Benchrow.fixed 3) (estimate_ns ~quota ~limit test) in
-            Format.printf "%-28s %s@." label
+            Format.printf "%-28s %s@." (name ^ "/" ^ engine)
               (match ns with
               | Some v -> Printf.sprintf "%12.1f ns/op" v
               | None -> "   (no estimate)");
@@ -201,6 +240,7 @@ let run args =
       [
         row "benchjson" "config" "quota" "us" (float_of_int quota_us);
         row "benchjson" "config" "limit" "count" (float_of_int limit);
+        row "benchjson" "config" "pairs" "count" (float_of_int pairs);
       ]
     @ List.concat_map
         (fun (engine, _) ->
@@ -222,11 +262,16 @@ let run args =
         engines
     @ List.map
         (fun name ->
-          let value =
-            match (ns name "compiled", ns name "interpreted") with
-            | Some c, Some i when (not !smoke) && c > 0.0 ->
-                Some (Benchrow.fixed 3 (i /. c))
+          let ratio pair =
+            match (List.assoc "compiled" pair, List.assoc "interpreted" pair) with
+            | Some c, Some i when c > 0.0 -> Some (i /. c)
             | _ -> None
+          in
+          let value =
+            if !smoke then None
+            else
+              median (List.filter_map ratio (List.assoc name samples))
+              |> Option.map (Benchrow.fixed 3)
           in
           Benchrow.
             { workload = name; layer = "e2e"; metric = "speedup"; unit = "ratio"; value })

@@ -19,13 +19,15 @@ let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else No
 let peek2 st =
   if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
 
+(* [advance], [skip_trivia] and [lex_while] run once per source byte, so
+   they read the string directly: [peek]'s [Some c] would allocate a word
+   pair for every character. *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-  | Some _ | None -> ());
-  st.pos <- st.pos + 1
+  let pos = st.pos in
+  if pos < String.length st.src && String.unsafe_get st.src pos = '\n' then (
+    st.line <- st.line + 1;
+    st.bol <- pos + 1);
+  st.pos <- pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
@@ -33,52 +35,41 @@ let is_lower c = (c >= 'a' && c <= 'z') || c = '_'
 let is_upper c = c >= 'A' && c <= 'Z'
 let is_ident_char c = is_lower c || is_upper c || is_digit c
 
+(* The character at offset [i], or NUL past the end (NUL is not trivia). *)
+let char_at st i =
+  if i < String.length st.src then String.unsafe_get st.src i else '\000'
+
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match char_at st st.pos with
+  | ' ' | '\t' | '\r' | '\n' ->
       advance st;
       skip_trivia st
-  | Some '/' -> (
-      match peek2 st with
-      | Some '/' ->
-          let rec to_eol () =
-            match peek st with
-            | Some '\n' | None -> ()
-            | Some _ ->
-                advance st;
-                to_eol ()
-          in
-          to_eol ();
-          skip_trivia st
-      | Some '*' ->
-          let start = current_pos st in
-          advance st;
-          advance st;
-          let rec to_close () =
-            match (peek st, peek2 st) with
-            | Some '*', Some '/' ->
-                advance st;
-                advance st
-            | Some _, _ ->
-                advance st;
-                to_close ()
-            | None, _ -> fail_at st start "unterminated block comment"
-          in
-          to_close ();
-          skip_trivia st
-      | Some _ | None -> ())
-  | Some _ | None -> ()
+  | '/' when char_at st (st.pos + 1) = '/' ->
+      while st.pos < String.length st.src && char_at st st.pos <> '\n' do
+        advance st
+      done;
+      skip_trivia st
+  | '/' when char_at st (st.pos + 1) = '*' ->
+      let start = current_pos st in
+      advance st;
+      advance st;
+      while not (char_at st st.pos = '*' && char_at st (st.pos + 1) = '/') do
+        if st.pos >= String.length st.src then
+          fail_at st start "unterminated block comment";
+        advance st
+      done;
+      advance st;
+      advance st;
+      skip_trivia st
+  | _ -> ()
 
 let lex_while st pred =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when pred c ->
-        advance st;
-        go ()
-    | Some _ | None -> ()
-  in
-  go ();
+  while
+    st.pos < String.length st.src && pred (String.unsafe_get st.src st.pos)
+  do
+    advance st
+  done;
   String.sub st.src start (st.pos - start)
 
 let lex_number st start_pos =

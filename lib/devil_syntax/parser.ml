@@ -1,17 +1,30 @@
 open Ast
 
-type state = { tokens : Token.loc_token array; mutable cursor : int }
+(* The state is the list of tokens not yet consumed; it is never empty,
+   because [advance] keeps the last token (the [EOF]). The parser looks
+   at most two tokens ahead, so it walks the lexer's list as it is. An
+   [Array.of_list] copy would cost more than the parse: an array over 256
+   words made from a young list first forces a minor collection, which
+   promotes the whole list. *)
+type state = { mutable tokens : Token.loc_token list }
 
-let current st = st.tokens.(st.cursor)
+let current st =
+  match st.tokens with
+  | t :: _ -> t
+  | [] -> assert false
+
 let current_loc st = (current st).Token.loc
 let peek_token st = (current st).Token.token
 
 let peek_token_at st n =
-  let i = st.cursor + n in
-  if i < Array.length st.tokens then st.tokens.(i).Token.token else Token.EOF
+  match List.nth_opt st.tokens n with
+  | Some t -> t.Token.token
+  | None -> Token.EOF
 
 let advance st =
-  if st.cursor < Array.length st.tokens - 1 then st.cursor <- st.cursor + 1
+  match st.tokens with
+  | _ :: (_ :: _ as rest) -> st.tokens <- rest
+  | [ _ ] | [] -> ()
 
 let fail st fmt = Diagnostics.fail (current_loc st) fmt
 
@@ -599,7 +612,7 @@ let parse_tokens tokens =
   match tokens with
   | [] -> invalid_arg "Parser.parse_tokens: empty token list"
   | _ ->
-      let st = { tokens = Array.of_list tokens; cursor = 0 } in
+      let st = { tokens } in
       parse_device_toplevel st
 
 let parse_device ?file src = parse_tokens (Lexer.tokenize ?file src)

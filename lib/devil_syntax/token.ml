@@ -87,7 +87,13 @@ let keywords =
     ("false", Kfalse);
   ]
 
-let keyword_of_string s = List.assoc_opt s keywords
+(* The lexer looks up every lowercase word, so index [keywords] once. *)
+let keyword_table =
+  let table = Hashtbl.create 32 in
+  List.iter (fun (s, k) -> Hashtbl.replace table s k) keywords;
+  table
+
+let keyword_of_string s = Hashtbl.find_opt keyword_table s
 
 let string_of_keyword k =
   (* The keyword table is a bijection, so the reverse lookup always finds. *)

@@ -6,6 +6,8 @@ module Ast = Devil_syntax.Ast
 module Parser = Devil_syntax.Parser
 module Pretty = Devil_syntax.Pretty
 module Specs = Devil_specs.Specs
+module Lexer = Devil_syntax.Lexer
+module Check = Devil_check.Check
 
 let parse src = Parser.parse_device ("device d (base : bit[8] port @ {0..7}) {" ^ src ^ "}")
 
@@ -159,6 +161,49 @@ let test_roundtrip_specs () =
       Alcotest.(check string) (name ^ " roundtrip") p1 p2)
     Specs.all
 
+(* The front end's cost, pinned by counts rather than by time. With a
+   256k-word minor heap emptied first, compiling any bundled spec fits in
+   it, so a minor collection during [Check.compile] can only be one the
+   front end forced (as [Array.of_list] does on a young list of more than
+   256 tokens). The lexer's allocation is capped per source byte. The
+   minor heap is set here so that OCAMLRUNPARAM cannot change either
+   figure. *)
+let test_front_end_allocation () =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 262_144 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      let compile (name, src) =
+        let config =
+          if name = "pic8259" then [ ("is_master", Devil_ir.Value.Bool true) ]
+          else []
+        in
+        match Check.compile ~config ~file:name src with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.failf "%s does not compile" name
+      in
+      List.iter compile Specs.all;
+      List.iter
+        (fun ((name, _) as spec) ->
+          Gc.minor ();
+          let before = (Gc.quick_stat ()).Gc.minor_collections in
+          compile spec;
+          let after = (Gc.quick_stat ()).Gc.minor_collections in
+          Alcotest.(check int) (name ^ ": minor collections") 0 (after - before))
+        Specs.all;
+      (* [Gc.minor_words], not [quick_stat]: the latter's [minor_words]
+         only moves at collections. *)
+      let bytes =
+        List.fold_left (fun n (_, src) -> n + String.length src) 0 Specs.all
+      in
+      let before = Gc.minor_words () in
+      List.iter (fun (name, src) -> ignore (Lexer.tokenize ~file:name src)) Specs.all;
+      let per_byte = (Gc.minor_words () -. before) /. float_of_int bytes in
+      if per_byte > 9.0 then
+        Alcotest.failf "the lexer allocates %.2f words per source byte (cap 9.0)"
+          per_byte)
+
 let () =
   Alcotest.run "parser"
     [
@@ -180,4 +225,9 @@ let () =
         [ Alcotest.test_case "syntax errors" `Quick test_errors ] );
       ( "roundtrip",
         [ Alcotest.test_case "specification library" `Quick test_roundtrip_specs ] );
+      ( "cost",
+        [
+          Alcotest.test_case "compiling forces no collection" `Quick
+            test_front_end_allocation;
+        ] );
     ]
