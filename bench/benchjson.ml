@@ -77,8 +77,11 @@ let estimate_ns ~quota ~limit test =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
+  (* The steady state: no compaction before each sample. With one, a
+     sample times a cold op after a [Gc.compact], and the quota holds
+     a few dozen short samples instead of hundreds. *)
   let cfg =
-    Benchmark.cfg ~limit ~quota:(Time.second quota) ~stabilize:true ()
+    Benchmark.cfg ~limit ~quota:(Time.second quota) ~stabilize:false ()
   in
   (* Smoke runs use a tiny quota/limit; when OLS cannot produce an
      estimate from so few samples we report null rather than fail. *)

@@ -179,36 +179,66 @@ let replaying tape =
 
 let bytes_of ~width n = n * ((width + 7) / 8)
 
+(* The bus counters, resolved once per wrapper. *)
+type bus_counters = {
+  reads : Metrics.Counter.t;
+  writes : Metrics.Counter.t;
+  block_reads : Metrics.Counter.t;
+  block_writes : Metrics.Counter.t;
+  read_items : Metrics.Counter.t;
+  write_items : Metrics.Counter.t;
+  bytes_read : Metrics.Counter.t;
+  bytes_written : Metrics.Counter.t;
+  block_len : Metrics.Histogram.t;
+}
+
+let bus_counters m =
+  let c = Metrics.Counter.make m in
+  {
+    reads = c "bus.reads";
+    writes = c "bus.writes";
+    block_reads = c "bus.block_reads";
+    block_writes = c "bus.block_writes";
+    read_items = c "bus.read_items";
+    write_items = c "bus.write_items";
+    bytes_read = c "bus.bytes_read";
+    bytes_written = c "bus.bytes_written";
+    block_len = Metrics.Histogram.make m "bus.block_len";
+  }
+
 let observed ?trace ?metrics ?profile bus =
   match (trace, metrics, profile) with
   | None, None, None -> bus
   | _ ->
+      let metrics = Option.map bus_counters metrics in
       (* The bus transfer is the leaf of the span hierarchy: the
          wrapper times the underlying call precisely and records it as
          a child of whatever span is open. Faults propagate before
          anything is recorded — the trace and the profile hold only
-         transfers that completed. *)
-      let timed key f =
-        match profile with
-        | None -> f ()
-        | Some p ->
-            let s = Profile.enter p key in
-            (match f () with
-            | v ->
-                Profile.exit p s;
-                v
-            | exception e ->
-                Profile.exit p s;
-                raise e)
+         transfers that completed. Without a profiler the transfer is
+         called directly, with no closure built around it. *)
+      let timed p key f =
+        let s = Profile.enter p key in
+        match f () with
+        | v ->
+            Profile.exit p s;
+            v
+        | exception e ->
+            Profile.exit p s;
+            raise e
       in
       {
         read =
           (fun ~width ~addr ->
-            let value = timed "bus:read" (fun () -> bus.read ~width ~addr) in
+            let value =
+              match profile with
+              | None -> bus.read ~width ~addr
+              | Some p -> timed p "bus:read" (fun () -> bus.read ~width ~addr)
+            in
             (match metrics with
             | Some m ->
-                Metrics.incr m "bus.reads";
-                Metrics.incr m ~by:(bytes_of ~width 1) "bus.bytes_read"
+                Metrics.Counter.incr m.reads;
+                Metrics.Counter.add m.bytes_read (bytes_of ~width 1)
             | None -> ());
             (match trace with
             | Some tr -> Trace.emit tr (Trace.Bus_read { addr; width; value })
@@ -216,26 +246,32 @@ let observed ?trace ?metrics ?profile bus =
             value);
         write =
           (fun ~width ~addr ~value ->
-            timed "bus:write" (fun () -> bus.write ~width ~addr ~value);
+            (match profile with
+            | None -> bus.write ~width ~addr ~value
+            | Some p ->
+                timed p "bus:write" (fun () -> bus.write ~width ~addr ~value));
             (match metrics with
             | Some m ->
-                Metrics.incr m "bus.writes";
-                Metrics.incr m ~by:(bytes_of ~width 1) "bus.bytes_written"
+                Metrics.Counter.incr m.writes;
+                Metrics.Counter.add m.bytes_written (bytes_of ~width 1)
             | None -> ());
             match trace with
             | Some tr -> Trace.emit tr (Trace.Bus_write { addr; width; value })
             | None -> ());
         read_block =
           (fun ~width ~addr ~into ->
-            timed "bus:block_read" (fun () ->
-                bus.read_block ~width ~addr ~into);
+            (match profile with
+            | None -> bus.read_block ~width ~addr ~into
+            | Some p ->
+                timed p "bus:block_read" (fun () ->
+                    bus.read_block ~width ~addr ~into));
             let count = Array.length into in
             (match metrics with
             | Some m ->
-                Metrics.incr m "bus.block_reads";
-                Metrics.incr m ~by:count "bus.read_items";
-                Metrics.incr m ~by:(bytes_of ~width count) "bus.bytes_read";
-                Metrics.observe m "bus.block_len" count
+                Metrics.Counter.incr m.block_reads;
+                Metrics.Counter.add m.read_items count;
+                Metrics.Counter.add m.bytes_read (bytes_of ~width count);
+                Metrics.Histogram.observe m.block_len count
             | None -> ());
             match trace with
             | Some tr ->
@@ -243,15 +279,18 @@ let observed ?trace ?metrics ?profile bus =
             | None -> ());
         write_block =
           (fun ~width ~addr ~from ->
-            timed "bus:block_write" (fun () ->
-                bus.write_block ~width ~addr ~from);
+            (match profile with
+            | None -> bus.write_block ~width ~addr ~from
+            | Some p ->
+                timed p "bus:block_write" (fun () ->
+                    bus.write_block ~width ~addr ~from));
             let count = Array.length from in
             (match metrics with
             | Some m ->
-                Metrics.incr m "bus.block_writes";
-                Metrics.incr m ~by:count "bus.write_items";
-                Metrics.incr m ~by:(bytes_of ~width count) "bus.bytes_written";
-                Metrics.observe m "bus.block_len" count
+                Metrics.Counter.incr m.block_writes;
+                Metrics.Counter.add m.write_items count;
+                Metrics.Counter.add m.bytes_written (bytes_of ~width count);
+                Metrics.Histogram.observe m.block_len count
             | None -> ());
             match trace with
             | Some tr ->

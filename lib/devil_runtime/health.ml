@@ -112,7 +112,7 @@ let observed ?lifecycle ?trace metrics code =
   | "request_timeouts" -> m "sched.timeouts"
   | "orphaned_requests" -> (
       match lifecycle with
-      | Some lc -> List.length (Lifecycle.orphans lc)
+      | Some lc -> Lifecycle.open_requests lc
       | None -> max 0 (m "lifecycle.submitted" - m "lifecycle.completed"))
   | "irq_storms" -> m "sched.irqs.storms"
   | "unhandled_irqs" -> m "sched.irqs.unhandled"
@@ -141,16 +141,20 @@ let evaluate ?(thresholds = []) ?lifecycle ?trace ?metrics () =
     | Some t -> t
     | None -> rule.rl_threshold
   in
+  let counts =
+    List.map
+      (fun rule -> (rule, observed ?lifecycle ?trace metrics rule.rl_code))
+      default_rules
+  in
   let reasons =
     List.filter_map
-      (fun rule ->
-        let count = observed ?lifecycle ?trace metrics rule.rl_code in
+      (fun (rule, count) ->
         if count > threshold_of rule then
           Some
             ( rule.rl_verdict,
               { code = rule.rl_code; count; detail = rule.rl_describe count } )
         else None)
-      default_rules
+      counts
   in
   let verdict =
     List.fold_left
@@ -165,8 +169,7 @@ let evaluate ?(thresholds = []) ?lifecycle ?trace ?metrics () =
     |> List.map snd
   in
   let counters =
-    List.map (fun rule -> (rule.rl_code, observed ?lifecycle ?trace metrics rule.rl_code))
-      default_rules
+    List.map (fun (rule, count) -> (rule.rl_code, count)) counts
     @ List.filter_map
         (fun name ->
           match metrics with

@@ -80,15 +80,28 @@ val of_events : ?metrics:Metrics.t -> Trace.event list -> t
     loaded by tracetool), using each event's sequence number as the
     clock — stage durations come out in trace-sequence ticks. *)
 
+val window : int
+(** Finished requests an {!attach}ed reconstruction keeps: 256. *)
+
 val requests : t -> record list
-(** Every request observed, in submit order. Records are live: an
-    in-flight request's record fills in as its events arrive. *)
+(** The retained requests, in submit order. After {!of_events} that is
+    every request observed. After {!attach} it is the open requests
+    plus the last {!window} finished ones, so a long-lived machine
+    holds a bounded set; the stage histograms and {!submitted} /
+    {!completed} keep the totals. Records are live: an in-flight
+    request's record fills in as its events arrive. *)
 
 val orphans : t -> record list
-(** Requests submitted but (not yet) completed — after a drain, the
-    requests whose completions were lost. *)
+(** Requests submitted but (not yet) completed, in submit order —
+    after a drain, the requests whose completions were lost. Open
+    requests are always retained. *)
+
+val open_requests : t -> int
+(** [List.length (orphans t)], kept as a count. *)
 
 val find : t -> int -> record option
+(** A retained request by id. *)
+
 val submitted : t -> int
 val completed : t -> int
 

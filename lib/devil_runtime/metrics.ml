@@ -26,10 +26,20 @@ let from_env () =
   | None | Some false -> None
   | Some true -> Some (create ())
 
-let incr t ?(by = 1) name =
+(* The cell behind a name, registered at zero on first sight. The
+   name-based calls and the handles below both go through here, so a
+   name lists once however it was first reached. *)
+let counter_cell t name =
   match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace t.counters name (ref by)
+  | Some r -> r
+  | None ->
+      let r = ref 0 in
+      Hashtbl.replace t.counters name r;
+      r
+
+let incr t ?(by = 1) name =
+  let r = counter_cell t name in
+  r := !r + by
 
 let count t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -40,29 +50,71 @@ let bucket_of v =
   let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
   if v <= 0 then 0 else min (bucket_count - 1) (bits v 0)
 
-let observe t name v =
-  let h =
-    match Hashtbl.find_opt t.hists name with
-    | Some h -> h
-    | None ->
-        let h =
-          {
-            h_count = 0;
-            h_sum = 0;
-            h_min = max_int;
-            h_max = min_int;
-            buckets = Array.make bucket_count 0;
-          }
-        in
-        Hashtbl.replace t.hists name h;
-        h
-  in
+let hist_cell t name =
+  match Hashtbl.find_opt t.hists name with
+  | Some h -> h
+  | None ->
+      let h =
+        {
+          h_count = 0;
+          h_sum = 0;
+          h_min = max_int;
+          h_max = min_int;
+          buckets = Array.make bucket_count 0;
+        }
+      in
+      Hashtbl.replace t.hists name h;
+      h
+
+let record h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v;
   let b = bucket_of v in
   h.buckets.(b) <- h.buckets.(b) + 1
+
+let observe t name v = record (hist_cell t name) v
+
+(* {1 Handles}
+
+   A handle names one metric of one registry and resolves the name on
+   its first use, so the hot paths neither hash nor compare strings,
+   and a handle that never fires registers nothing. Cells are never
+   dropped (there is no reset), so a resolved handle stays valid for
+   the registry's life. *)
+
+module Counter = struct
+  type registry = t
+  type t = { reg : registry; name : string; mutable cell : int ref option }
+
+  let make reg name = { reg; name; cell = None }
+
+  let add c by =
+    match c.cell with
+    | Some r -> r := !r + by
+    | None ->
+        let r = counter_cell c.reg c.name in
+        c.cell <- Some r;
+        r := !r + by
+
+  let incr c = add c 1
+end
+
+module Histogram = struct
+  type registry = t
+  type nonrec t = { reg : registry; name : string; mutable cell : hist option }
+
+  let make reg name = { reg; name; cell = None }
+
+  let observe h v =
+    match h.cell with
+    | Some c -> record c v
+    | None ->
+        let c = hist_cell h.reg h.name in
+        h.cell <- Some c;
+        record c v
+end
 
 (* {1 Percentiles}
 
@@ -149,9 +201,12 @@ let ratio t ~hits ~misses =
   let h = count t hits and m = count t misses in
   if h + m = 0 then None else Some (float_of_int h /. float_of_int (h + m))
 
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.hists
+(* In place and unsorted: the telemetry tick's walk. *)
+let iter_counters t f = Hashtbl.iter (fun name r -> f name !r) t.counters
+
+let iter_histograms t f =
+  Hashtbl.iter (fun name h -> f name ~count:h.h_count ~sum:h.h_sum h.buckets)
+    t.hists
 
 (* {1 Folding}
 

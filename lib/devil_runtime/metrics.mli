@@ -56,6 +56,38 @@ val parse_env_value : string -> (bool, string) result
 val incr : t -> ?by:int -> string -> unit
 (** Adds [by] (default 1) to a counter, creating it at zero first. *)
 
+(** {2 Handles}
+
+    The name-based {!incr} and {!observe} hash the name on every call;
+    they are the one-shot form for cold paths. A hot path makes a
+    handle once and updates through it in constant time, with no
+    hashing and no allocation. A handle registers its name the first
+    time it is used, so the listing ({!counters}, {!to_json}, the
+    telemetry series) is the same as if every update had gone by name,
+    and a handle that is never used lists nothing. A handle is bound
+    to the registry it was made from. *)
+
+module Counter : sig
+  type registry := t
+  type t
+
+  val make : registry -> string -> t
+  val incr : t -> unit
+
+  val add : t -> int -> unit
+  (** [add c n] is [incr reg ~by:n name]. *)
+end
+
+module Histogram : sig
+  type registry := t
+  type t
+
+  val make : registry -> string -> t
+
+  val observe : t -> int -> unit
+  (** [observe h v] is [observe reg name v]. *)
+end
+
 val count : t -> string -> int
 (** Current value; 0 for a counter never incremented. *)
 
@@ -119,7 +151,15 @@ val ratio : t -> hits:string -> misses:string -> float option
 (** [hits / (hits + misses)], or [None] when both are zero — e.g.
     [ratio m ~hits:"cache.ide.hits" ~misses:"cache.ide.misses"]. *)
 
-val reset : t -> unit
+val iter_counters : t -> (string -> int -> unit) -> unit
+(** Every counter with its value, in no particular order: the walk
+    {!Telemetry.tick} makes in place of the sorted {!counters}. *)
+
+val iter_histograms :
+  t -> (string -> count:int -> sum:int -> int array -> unit) -> unit
+(** Every histogram with its count, sum and {e live} bucket array
+    ({!bucket_count} wide; read it, do not keep or change it), in no
+    particular order. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a {e fresh} registry holding the pointwise sum of

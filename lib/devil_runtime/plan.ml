@@ -61,9 +61,10 @@ type reg_plan = {
   rp_pre : action_plan;
   rp_post : action_plan;
   rp_set : action_plan;
-  rp_m_reads : string;  (** precomputed metric counter names *)
-  rp_m_writes : string;
+  rp_counters : reg_counters option;  (** with a registry only *)
 }
+
+and reg_counters = { rc_reads : Metrics.Counter.t; rc_writes : Metrics.Counter.t }
 
 type gather_chunk = { gc_reg : (int, string) result; gc_ranges : (int * int) list }
 
@@ -113,9 +114,17 @@ type cenv = {
   ce_device : Ir.device;
   ce_bases : (string * int) list;
   ce_label : string;
+  ce_metrics : Metrics.t option;
   ce_var_idx : (string, int) Hashtbl.t;
   ce_reg_idx : (string, int) Hashtbl.t;
   ce_struct_idx : (string, int) Hashtbl.t;
+}
+
+type instance_counters = {
+  ic_reads : Metrics.Counter.t;  (* io.<label>.reg_reads *)
+  ic_writes : Metrics.Counter.t;
+  ic_hits : Metrics.Counter.t;  (* cache.<label>.hits *)
+  ic_misses : Metrics.Counter.t;
 }
 
 type t = {
@@ -124,15 +133,11 @@ type t = {
   debug : bool;
   label : string;
   trace : Trace.t option;
-  metrics : Metrics.t option;
   profile : Profile.t option;
   regs : reg_plan array;
   vars : var_plan array;
   structs : struct_plan array;
-  m_io_reads : string;
-  m_io_writes : string;
-  m_hits : string;
-  m_misses : string;
+  counters : instance_counters option;  (** with a registry only *)
   (* Mutable per-instance state, slot-indexed. *)
   cache : int array;
   cache_valid : bool array;
@@ -295,8 +300,15 @@ let compile_reg env ~slot (r : Ir.reg) =
     rp_pre = compile_action env r.r_pre;
     rp_post = compile_action env r.r_post;
     rp_set = compile_action env r.r_set;
-    rp_m_reads = "reg." ^ env.ce_label ^ "." ^ r.r_name ^ ".reads";
-    rp_m_writes = "reg." ^ env.ce_label ^ "." ^ r.r_name ^ ".writes";
+    rp_counters =
+      Option.map
+        (fun m ->
+          let name suffix = "reg." ^ env.ce_label ^ "." ^ r.r_name ^ suffix in
+          {
+            rc_reads = Metrics.Counter.make m (name ".reads");
+            rc_writes = Metrics.Counter.make m (name ".writes");
+          })
+        env.ce_metrics;
   }
 
 (* Distinct chunk registers in order, failing like regs_in_chunk_order:
@@ -418,6 +430,7 @@ let compile ?(debug = false) ~label ?trace ?metrics ?profile
       ce_device = device;
       ce_bases = bases;
       ce_label = label;
+      ce_metrics = metrics;
       ce_var_idx = index (List.map (fun (v : Ir.var) -> v.v_name) device.d_vars);
       ce_reg_idx = index (List.map (fun (r : Ir.reg) -> r.r_name) device.d_regs);
       ce_struct_idx =
@@ -438,15 +451,21 @@ let compile ?(debug = false) ~label ?trace ?metrics ?profile
     debug;
     label;
     trace;
-    metrics;
     profile;
     regs;
     vars;
     structs;
-    m_io_reads = "io." ^ label ^ ".reg_reads";
-    m_io_writes = "io." ^ label ^ ".reg_writes";
-    m_hits = "cache." ^ label ^ ".hits";
-    m_misses = "cache." ^ label ^ ".misses";
+    counters =
+      Option.map
+        (fun m ->
+          let c = Metrics.Counter.make m in
+          {
+            ic_reads = c ("io." ^ label ^ ".reg_reads");
+            ic_writes = c ("io." ^ label ^ ".reg_writes");
+            ic_hits = c ("cache." ^ label ^ ".hits");
+            ic_misses = c ("cache." ^ label ^ ".misses");
+          })
+        metrics;
     cache = Array.make (max nregs 1) 0;
     cache_valid = Array.make (max nregs 1) false;
     simages = Array.init (max nstructs 1) (fun _ -> Array.make (max nregs 1) 0);
@@ -462,17 +481,17 @@ let compile ?(debug = false) ~label ?trace ?metrics ?profile
 (* {1 Observability hooks} *)
 
 let note_reg_io t (rp : reg_plan) ~write raw =
-  (match t.metrics with
-  | Some m ->
+  (match (t.counters, rp.rp_counters) with
+  | Some ic, Some rc ->
       if write then begin
-        Metrics.incr m t.m_io_writes;
-        Metrics.incr m rp.rp_m_writes
+        Metrics.Counter.incr ic.ic_writes;
+        Metrics.Counter.incr rc.rc_writes
       end
       else begin
-        Metrics.incr m t.m_io_reads;
-        Metrics.incr m rp.rp_m_reads
+        Metrics.Counter.incr ic.ic_reads;
+        Metrics.Counter.incr rc.rc_reads
       end
-  | None -> ());
+  | _ -> ());
   match t.trace with
   | Some tr ->
       Trace.emit tr
@@ -482,8 +501,8 @@ let note_reg_io t (rp : reg_plan) ~write raw =
   | None -> ()
 
 let note_cache t reg_name ~hit =
-  (match t.metrics with
-  | Some m -> Metrics.incr m (if hit then t.m_hits else t.m_misses)
+  (match t.counters with
+  | Some ic -> Metrics.Counter.incr (if hit then ic.ic_hits else ic.ic_misses)
   | None -> ());
   match t.trace with
   | Some tr ->

@@ -12,6 +12,7 @@ type timer = {
   tm_deadline : int;
   tm_id : int;  (* creation order breaks deadline ties deterministically *)
   tm_fire : unit -> unit;
+  tm_wheel : timer list array;  (* the wheel holding it while armed *)
   mutable tm_cancelled : bool;
 }
 
@@ -46,17 +47,60 @@ type source = {
 
 (* The wheel: a bucket per [now mod wheel_size]; deadlines further out
    than one revolution just stay in their bucket until their turn
-   comes round again — each revisit is one comparison. *)
+   comes round again — each revisit is one comparison. A bucket holds
+   armed timers only: a timer leaves it when it fires or is
+   cancelled. *)
 let wheel_size = 256
 let max_deliveries_per_dispatch = 16
+
+(* The registry's handles, made once per scheduler. *)
+type counters = {
+  m_ticks : Metrics.Counter.t;
+  m_raised : Metrics.Counter.t;
+  m_delivered : Metrics.Counter.t;
+  m_unhandled : Metrics.Counter.t;
+  m_faults : Metrics.Counter.t;
+  m_storms : Metrics.Counter.t;
+  m_submits : Metrics.Counter.t;
+  m_completions : Metrics.Counter.t;
+  m_timeouts : Metrics.Counter.t;
+  m_handler_errors : Metrics.Counter.t;
+  m_depth : Metrics.Histogram.t;
+  m_wait : Metrics.Histogram.t;
+}
+
+let counters m =
+  let c = Metrics.Counter.make m and h = Metrics.Histogram.make m in
+  {
+    m_ticks = c "sched.ticks";
+    m_raised = c "sched.irqs.raised";
+    m_delivered = c "sched.irqs.delivered";
+    m_unhandled = c "sched.irqs.unhandled";
+    m_faults = c "sched.irqs.faults";
+    m_storms = c "sched.irqs.storms";
+    m_submits = c "sched.submits";
+    m_completions = c "sched.completions";
+    m_timeouts = c "sched.timeouts";
+    m_handler_errors = c "sched.handler_errors";
+    m_depth = h "sched.queue.depth";
+    m_wait = h "sched.queue.wait_ticks";
+  }
+
+(* A line's handler with its policy label and span key built once. *)
+type handler = {
+  hd_dev : string;
+  hd_run : unit -> unit;
+  hd_label : string;  (* "irq: <dev>" *)
+  hd_key : string;  (* "irq:<dev>" *)
+}
 
 type t = {
   ctl : controller;
   trace : Trace.t option;
-  metrics : Metrics.t option;
+  metrics : counters option;
   profile : Profile.t option;
   mutable sources : source list;  (* registration order *)
-  handlers : (int, string * (unit -> unit)) Hashtbl.t;
+  handlers : (int, handler) Hashtbl.t;
   queues : (string, queue) Hashtbl.t;
   mutable tickers : (unit -> unit) list;
   wheel : timer list array;  (* newest first within a bucket *)
@@ -70,7 +114,7 @@ let create ?trace ?metrics ?profile ctl =
   {
     ctl;
     trace;
-    metrics;
+    metrics = Option.map counters metrics;
     profile;
     sources = [];
     handlers = Hashtbl.create 8;
@@ -83,10 +127,13 @@ let create ?trace ?metrics ?profile ctl =
     int_high = false;
   }
 
-let incr t name = match t.metrics with None -> () | Some m -> Metrics.incr m name
+let incr t counter =
+  match t.metrics with None -> () | Some m -> Metrics.Counter.incr (counter m)
 
-let observe t name v =
-  match t.metrics with None -> () | Some m -> Metrics.observe m name v
+let observe t hist v =
+  match t.metrics with
+  | None -> ()
+  | Some m -> Metrics.Histogram.observe (hist m) v
 
 let emit t kind = match t.trace with None -> () | Some tr -> Trace.emit tr kind
 let now t = t.clock
@@ -96,7 +143,14 @@ let add_source t ~line ~dev asserted =
     t.sources
     @ [ { src_line = line; src_dev = dev; src_asserted = asserted; src_high = false } ]
 
-let set_handler t ~line ~dev handler = Hashtbl.replace t.handlers line (dev, handler)
+let set_handler t ~line ~dev handler =
+  Hashtbl.replace t.handlers line
+    {
+      hd_dev = dev;
+      hd_run = handler;
+      hd_label = "irq: " ^ dev;
+      hd_key = "irq:" ^ dev;
+    }
 let note_int t high = t.int_high <- high
 let add_ticker t f = t.tickers <- t.tickers @ [ f ]
 
@@ -109,6 +163,7 @@ let after t ~ticks fire =
       tm_deadline = deadline;
       tm_id = t.next_timer_id;
       tm_fire = fire;
+      tm_wheel = t.wheel;
       tm_cancelled = false;
     }
   in
@@ -117,20 +172,42 @@ let after t ~ticks fire =
   t.wheel.(bucket) <- tm :: t.wheel.(bucket);
   tm
 
-let cancel tm = tm.tm_cancelled <- true
+let rec without tm = function
+  | [] -> []
+  | x :: rest -> if x == tm then rest else x :: without tm rest
 
+(* A timer already taken out to fire is in no bucket; the flag still
+   stops it if an earlier callback of the same tick cancels it. *)
+let cancel tm =
+  if not tm.tm_cancelled then begin
+    tm.tm_cancelled <- true;
+    let bucket = tm.tm_deadline mod wheel_size in
+    let timers = tm.tm_wheel.(bucket) in
+    if List.memq tm timers then tm.tm_wheel.(bucket) <- without tm timers
+  end
+
+let rec any_due clock = function
+  | [] -> false
+  | tm :: rest -> tm.tm_deadline <= clock || any_due clock rest
+
+let by_deadline a b =
+  match compare a.tm_deadline b.tm_deadline with
+  | 0 -> compare a.tm_id b.tm_id
+  | c -> c
+
+(* A bucket with nothing due costs one scan and allocates nothing. *)
 let run_due_timers t =
   let bucket = t.clock mod wheel_size in
-  let due, later =
-    List.partition (fun tm -> tm.tm_deadline <= t.clock) t.wheel.(bucket)
-  in
-  t.wheel.(bucket) <- later;
-  List.sort (fun a b ->
-      match compare a.tm_deadline b.tm_deadline with
-      | 0 -> compare a.tm_id b.tm_id
-      | c -> c)
-    due
-  |> List.iter (fun tm -> if not tm.tm_cancelled then tm.tm_fire ())
+  if any_due t.clock t.wheel.(bucket) then begin
+    let due, later =
+      List.partition (fun tm -> tm.tm_deadline <= t.clock) t.wheel.(bucket)
+    in
+    t.wheel.(bucket) <- later;
+    List.sort by_deadline due
+    |> List.iter (fun tm -> if not tm.tm_cancelled then tm.tm_fire ())
+  end
+
+let timers t = Array.fold_left (fun n b -> n + List.length b) 0 t.wheel
 
 (* {1 Queues} *)
 
@@ -171,13 +248,13 @@ let rec finish t q (rq : request) outcome =
   rq.rq_outcome <- Some outcome;
   q.inflight <- None;
   let ok = match outcome with Ok () -> true | Error _ -> false in
-  incr t "sched.completions";
+  incr t (fun m -> m.m_completions);
   (match outcome with
   | Error (Policy.Timeout _) ->
-      incr t "sched.timeouts";
+      incr t (fun m -> m.m_timeouts);
       q.last_timeout_rid <- rq.rq_id
   | _ -> ());
-  observe t "sched.queue.wait_ticks" (t.clock - rq.rq_submitted);
+  observe t (fun m -> m.m_wait) (t.clock - rq.rq_submitted);
   emit t
     (Trace.Queue_completed
        {
@@ -254,9 +331,9 @@ let submit t ~dev ~label ?timeout ~start ?(abort = Fun.id) ?(on_done = ignore)
   in
   let q = queue_of t dev in
   Queue.add rq q.pending;
-  incr t "sched.submits";
+  incr t (fun m -> m.m_submits);
   let d = depth t ~dev in
-  observe t "sched.queue.depth" d;
+  observe t (fun m -> m.m_depth) d;
   emit t (Trace.Queue_submitted { dev; label; depth = d; rid });
   start_next t q;
   rq
@@ -267,22 +344,22 @@ let complete t ~dev outcome =
   match Hashtbl.find_opt t.queues dev with
   | Some ({ inflight = Some rq; _ } as q) -> finish t q rq outcome
   | Some q ->
-      incr t "sched.irqs.unhandled";
+      incr t (fun m -> m.m_unhandled);
       emit t (Trace.Queue_late { dev; rid = q.last_timeout_rid });
       q.last_timeout_rid <- 0
   | None ->
-      incr t "sched.irqs.unhandled";
+      incr t (fun m -> m.m_unhandled);
       emit t (Trace.Queue_late { dev; rid = 0 })
 
 (* {1 The loop} *)
 
-let sample_sources t =
-  List.iter
-    (fun src ->
+let rec sample_sources t = function
+  | [] -> ()
+  | src :: rest ->
       let high = src.src_asserted () in
       if high then begin
         if not src.src_high then begin
-          incr t "sched.irqs.raised";
+          incr t (fun m -> m.m_raised);
           match t.trace with
           | None -> ()
           | Some tr ->
@@ -296,8 +373,8 @@ let sample_sources t =
         end;
         t.ctl.ctl_raise ~line:src.src_line
       end;
-      src.src_high <- high)
-    t.sources
+      src.src_high <- high;
+      sample_sources t rest
 
 (* One acknowledge/dispatch/EOI exchange. The acknowledge and the EOI
    are (typically) bus traffic, so a fault plan can corrupt or abort
@@ -310,28 +387,28 @@ let deliver_one t =
       t.int_high <- false;
       false
   | Some line ->
-      incr t "sched.irqs.delivered";
+      incr t (fun m -> m.m_delivered);
       (match Hashtbl.find_opt t.handlers line with
       | None ->
-          incr t "sched.irqs.unhandled";
+          incr t (fun m -> m.m_unhandled);
           emit t (Trace.Irq_delivered { line; dev = "?"; rid = 0 })
-      | Some (dev, handler) ->
+      | Some { hd_dev = dev; hd_run; hd_label; hd_key } ->
           let rid = inflight_rid t dev in
           (match t.trace with
           | None -> ()
           | Some tr -> Trace.emit tr (Trace.Irq_delivered { line; dev; rid }));
           let run () =
             match t.profile with
-            | None -> Policy.guarded ~label:("irq: " ^ dev) handler
+            | None -> Policy.guarded ~label:hd_label hd_run
             | Some p ->
-                Profile.span p ("irq:" ^ dev) (fun () ->
-                    Policy.guarded ~label:("irq: " ^ dev) handler)
+                Profile.span p hd_key (fun () ->
+                    Policy.guarded ~label:hd_label hd_run)
           in
           Policy.set_current_request rid;
           (try run () with
           | Policy.Driver_error e -> (
               Policy.set_current_request 0;
-              incr t "sched.handler_errors";
+              incr t (fun m -> m.m_handler_errors);
               match Hashtbl.find_opt t.queues dev with
               | Some ({ inflight = Some rq; _ } as q) -> finish t q rq (Error e)
               | _ -> ())
@@ -343,7 +420,7 @@ let deliver_one t =
       true
 
 let dispatch t =
-  sample_sources t;
+  sample_sources t t.sources;
   let delivered = ref 0 in
   (try
      while
@@ -359,17 +436,17 @@ let dispatch t =
        ()
      done;
      if t.int_high && !delivered >= max_deliveries_per_dispatch then
-       incr t "sched.irqs.storms"
+       incr t (fun m -> m.m_storms)
    with
   | Policy.Driver_error _ | Fault.Bus_fault _ ->
       (* The acknowledge or EOI itself faulted: delivery is lost this
          pass; the level-triggered sources re-raise on the next tick,
          or the pending request's timer classifies the loss. *)
-      incr t "sched.irqs.faults");
+      incr t (fun m -> m.m_faults));
   !delivered
 
 let tick t =
-  incr t "sched.ticks";
+  incr t (fun m -> m.m_ticks);
   ignore (dispatch t);
   t.clock <- t.clock + 1;
   run_due_timers t;

@@ -101,6 +101,11 @@ val after : t -> ticks:int -> (unit -> unit) -> timer
     dispatch, in (deadline, creation) order. *)
 
 val cancel : timer -> unit
+(** Disarms the timer and takes it out of the wheel. *)
+
+val timers : t -> int
+(** Timers in the wheel: armed ones only, since a timer leaves the
+    wheel when it fires or is cancelled. *)
 
 val add_ticker : t -> (unit -> unit) -> unit
 (** Registers a per-tick hook — how device models that complete work

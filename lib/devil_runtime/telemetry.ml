@@ -97,64 +97,59 @@ let window_percentile ~count deltas q =
     let max_value = Metrics.bucket_upper !hi in
     Metrics.bucket_percentile ~count ~min_value ~max_value deltas q
 
+let cseries t name =
+  match Hashtbl.find_opt t.counters name with
+  | Some s -> s
+  | None ->
+      let s = { c_ring = Trace.Ring.create ~capacity:t.capacity; c_last = 0 } in
+      Hashtbl.replace t.counters name s;
+      s
+
+let hseries t name =
+  match Hashtbl.find_opt t.hists name with
+  | Some s -> s
+  | None ->
+      let s =
+        {
+          hs_ring = Trace.Ring.create ~capacity:t.capacity;
+          hs_prev = Array.make Metrics.bucket_count 0;
+          hs_prev_count = 0;
+          hs_prev_sum = 0;
+        }
+      in
+      Hashtbl.replace t.hists name s;
+      s
+
+(* The registry is walked in place: no sorted copy, no lifetime
+   snapshot. Each series is found by name, so the walk's order does not
+   matter. [hs_prev] becomes the window's bucket delta for the
+   percentiles, then the live buckets again. *)
 let tick ?health t =
   t.ticks <- t.ticks + 1;
   let at = t.ticks in
-  List.iter
-    (fun (name, total) ->
-      let s =
-        match Hashtbl.find_opt t.counters name with
-        | Some s -> s
-        | None ->
-            let s =
-              { c_ring = Trace.Ring.create ~capacity:t.capacity; c_last = 0 }
-            in
-            Hashtbl.replace t.counters name s;
-            s
-      in
+  Metrics.iter_counters t.metrics (fun name total ->
+      let s = cseries t name in
       Trace.Ring.add s.c_ring { at; total; delta = total - s.c_last };
-      s.c_last <- total)
-    (Metrics.counters t.metrics);
-  List.iter
-    (fun (name, (snap : Metrics.hist_snapshot)) ->
-      let s =
-        match Hashtbl.find_opt t.hists name with
-        | Some s -> s
-        | None ->
-            let s =
-              {
-                hs_ring = Trace.Ring.create ~capacity:t.capacity;
-                hs_prev = Array.make Metrics.bucket_count 0;
-                hs_prev_count = 0;
-                hs_prev_sum = 0;
-              }
-            in
-            Hashtbl.replace t.hists name s;
-            s
-      in
-      let buckets =
-        match Metrics.hist_buckets t.metrics name with
-        | Some b -> b
-        | None -> Array.make Metrics.bucket_count 0
-      in
-      let deltas =
-        Array.init Metrics.bucket_count (fun i -> buckets.(i) - s.hs_prev.(i))
-      in
-      let count = snap.count - s.hs_prev_count in
-      let sum = snap.sum - s.hs_prev_sum in
+      s.c_last <- total);
+  Metrics.iter_histograms t.metrics (fun name ~count ~sum buckets ->
+      let s = hseries t name in
+      let deltas = s.hs_prev in
+      for i = 0 to Metrics.bucket_count - 1 do
+        deltas.(i) <- buckets.(i) - deltas.(i)
+      done;
+      let wcount = count - s.hs_prev_count in
       Trace.Ring.add s.hs_ring
         {
           h_at = at;
-          h_count = count;
-          h_sum = sum;
-          h_p50 = window_percentile ~count deltas 0.50;
-          h_p95 = window_percentile ~count deltas 0.95;
-          h_p99 = window_percentile ~count deltas 0.99;
+          h_count = wcount;
+          h_sum = sum - s.hs_prev_sum;
+          h_p50 = window_percentile ~count:wcount deltas 0.50;
+          h_p95 = window_percentile ~count:wcount deltas 0.95;
+          h_p99 = window_percentile ~count:wcount deltas 0.99;
         };
       Array.blit buckets 0 s.hs_prev 0 Metrics.bucket_count;
-      s.hs_prev_count <- snap.count;
-      s.hs_prev_sum <- snap.sum)
-    (Metrics.histograms t.metrics);
+      s.hs_prev_count <- count;
+      s.hs_prev_sum <- sum);
   match health with
   | None -> ()
   | Some (report : Health.report) ->

@@ -163,8 +163,11 @@ let create ?(debug = false) ?faults ?fault_seed ?trace ?metrics ?profile
      to remember to poll off the ring. *)
   (match (trace, metrics) with
   | Some tr, Some m ->
+      let dropped =
+        Devil_runtime.Metrics.Counter.make m "trace.dropped_events"
+      in
       Devil_runtime.Trace.set_drop_hook tr (fun () ->
-          Devil_runtime.Metrics.incr m "trace.dropped_events")
+          Devil_runtime.Metrics.Counter.incr dropped)
   | _ -> ());
   let lifecycle =
     match trace with

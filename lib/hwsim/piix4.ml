@@ -7,7 +7,7 @@ type t = {
   mutable status_irq : bool;
   mutable status_error : bool;
   mutable latency : int;  (* work units per transfer; 0 = instantaneous *)
-  mutable countdown : int option;  (* remaining work of a deferred transfer *)
+  mutable countdown : int;  (* remaining work of a deferred transfer; 0: none *)
 }
 
 let create ~disk ~memory_size =
@@ -20,7 +20,7 @@ let create ~disk ~memory_size =
     status_irq = false;
     status_error = false;
     latency = 0;
-    countdown = None;
+    countdown = 0;
   }
 
 let set_latency t n = t.latency <- max 0 n
@@ -70,14 +70,12 @@ let run_transfer t =
    driver burns a status read per unit while a queued driver runs the
    scheduler loop and hears about completion through the IRQ line. *)
 let tick t =
-  match t.countdown with
-  | Some n when t.running ->
-      if n <= 1 then begin
-        t.countdown <- None;
-        run_transfer t
-      end
-      else t.countdown <- Some (n - 1)
-  | _ -> ()
+  if t.countdown > 0 && t.running then
+    if t.countdown = 1 then begin
+      t.countdown <- 0;
+      run_transfer t
+    end
+    else t.countdown <- t.countdown - 1
 
 let bm_read t ~width:_ ~offset =
   match offset with
@@ -101,11 +99,11 @@ let bm_write t ~width:_ ~offset ~value =
       if value land 0x01 <> 0 then begin
         t.running <- true;
         if t.latency = 0 then run_transfer t
-        else t.countdown <- Some t.latency
+        else t.countdown <- t.latency
       end
       else begin
         t.running <- false;
-        t.countdown <- None
+        t.countdown <- 0
       end
   | 2 ->
       (* Write-1-to-clear status bits. *)

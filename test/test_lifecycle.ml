@@ -513,6 +513,71 @@ let test_request_hook_allocation_free () =
     true
     (a1 -. a0 < 512.0)
 
+(* {1 A long-lived machine keeps only what its open requests need}
+
+   4,000 ticks of the soak mix (queued IDE DMA reads, NE2000 sends,
+   UART reads, a telemetry tick) on one instrumented machine, with one
+   read left in flight at the end: the wheel holds that read's timer
+   only, the reconstruction keeps the open request plus its window of
+   finished ones, and the orphans are exactly the open requests. The
+   checks are structural; nothing reads a clock. *)
+
+let test_soak_machine_stays_bounded () =
+  let module Machine = Drivers.Machine in
+  let module Ide = Drivers.Ide.Async in
+  let module Net = Drivers.Net in
+  let trace = Trace.create ~capacity:65536 () in
+  let metrics = Metrics.create () in
+  let telemetry = Devil_runtime.Telemetry.create ~capacity:256 metrics in
+  let events = ref 0 in
+  let lifecycle_clock () =
+    incr events;
+    !events
+  in
+  let m =
+    Machine.create ~trace ~metrics ~telemetry ~lifecycle:true ~lifecycle_clock
+      ()
+  in
+  Fun.protect ~finally:Policy.unobserve @@ fun () ->
+  Hwsim.Piix4.set_latency m.busmaster 128;
+  let sched = Machine.sched m in
+  let ide =
+    Ide.create ~sched ~line:Machine.irq_ide
+      ~memory:(Hwsim.Piix4.memory m.busmaster) ~ide:m.ide_dev ~piix4:m.piix4_dev
+  in
+  Net.Devil_driver.init
+    (Net.Devil_driver.create m.ne2000_dev)
+    ~mac:"\x02\x00\x00\x00\x00\x42";
+  let net = Net.Async.create ~sched ~line:Machine.irq_net m.ne2000_dev in
+  let read k = Ide.read_dma ide ~lba:(1000 + (2 * (k mod 32))) ~count:2 () in
+  for tick = 0 to 3_999 do
+    List.iter (Ide.await ide) (List.init 4 (fun k -> read ((tick * 4) + k)));
+    List.iter (Net.Async.await net)
+      (List.init 4 (fun k -> Net.Async.send net (String.make (48 + k) 'f')));
+    ignore (Hwsim.Ne2000.take_transmitted m.nic);
+    for _ = 1 to 8 do
+      ignore (Machine.Instance.get m.uart_dev "parity_mode")
+    done;
+    Machine.Instance.get_struct m.uart_dev "line_status";
+    Machine.telemetry_tick m
+  done;
+  let lc = Option.get m.lifecycle in
+  Alcotest.(check int) "32,000 requests served" 32_000 (Lifecycle.completed lc);
+  let last = read 0 in
+  Alcotest.(check int) "one request open" 1 (Sched.outstanding sched);
+  Alcotest.(check int) "the wheel holds the open request's timer only" 1
+    (Sched.timers sched);
+  let retained = List.length (Lifecycle.requests lc) in
+  if retained > Lifecycle.window + 1 then
+    Alcotest.failf "%d requests retained (window %d + 1 open)" retained
+      Lifecycle.window;
+  Alcotest.(check (list int)) "the orphans are the open request"
+    [ Sched.request_id last ]
+    (List.map (fun r -> r.Lifecycle.rid) (Lifecycle.orphans lc));
+  Ide.await ide last;
+  Alcotest.(check int) "the wheel is empty" 0 (Sched.timers sched);
+  Alcotest.(check int) "no orphans" 0 (List.length (Lifecycle.orphans lc))
+
 let () =
   Alcotest.run "lifecycle"
     [
@@ -551,5 +616,9 @@ let () =
             test_campaign_surfaces_unhealthy_trials;
         ] );
       ( "cost",
-        [ case "request hook is allocation-free" test_request_hook_allocation_free ] );
+        [
+          case "request hook is allocation-free" test_request_hook_allocation_free;
+          case "4,000 soak ticks keep only open requests' state"
+            test_soak_machine_stays_bounded;
+        ] );
     ]

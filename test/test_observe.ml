@@ -53,6 +53,278 @@ let test_trace_eviction_keeps_seq () =
   Alcotest.(check int) "recorded" 5 (Trace.recorded tr);
   Alcotest.(check int) "dropped" 2 (Trace.dropped tr)
 
+(* {1 The trace store against a list model}
+
+   Random sequences over all 23 kinds, at capacities from 1 to past a
+   store chunk, emitted in bursts that cross the wrap point, with
+   [clear] and [merge] in between. The model is the plain list of the
+   last [capacity] events; every read-out of the store and the
+   subscriber stream must agree with it. *)
+
+let text_gen = QCheck.Gen.oneofl [ ""; "ide"; "reg"; "ne2000"; "a\"b"; "x y" ]
+
+let kind_gen =
+  QCheck.Gen.(
+    let s = text_gen and i = oneof [ int; int_bound 1000; return (-1) ] in
+    let strs = list_size (int_bound 3) text_gen in
+    oneof
+      [
+        map3 (fun addr width value -> Trace.Bus_read { addr; width; value }) i i i;
+        map3 (fun addr width value -> Trace.Bus_write { addr; width; value }) i i i;
+        map3
+          (fun addr width count -> Trace.Bus_block_read { addr; width; count })
+          i i i;
+        map3
+          (fun addr width count -> Trace.Bus_block_write { addr; width; count })
+          i i i;
+        map3 (fun dev reg raw -> Trace.Reg_read { dev; reg; raw }) s s i;
+        map3 (fun dev reg raw -> Trace.Reg_write { dev; reg; raw }) s s i;
+        map2 (fun dev var -> Trace.Var_read { dev; var }) s s;
+        map3 (fun dev var regs -> Trace.Var_write { dev; var; regs }) s s strs;
+        map2
+          (fun (dev, strct) (fields, regs) ->
+            Trace.Struct_write { dev; strct; fields; regs })
+          (pair s s) (pair strs strs);
+        map2 (fun dev reg -> Trace.Cache_hit { dev; reg }) s s;
+        map2 (fun dev reg -> Trace.Cache_miss { dev; reg }) s s;
+        map (fun dev -> Trace.Cache_invalidated { dev }) s;
+        map2
+          (fun (dev, owner) (phase, assignments) ->
+            Trace.Action { dev; owner; phase; assignments })
+          (pair s s)
+          (pair (oneofl [ Trace.Pre; Trace.Post; Trace.Set ]) i);
+        map3 (fun dev owner order -> Trace.Serialized { dev; owner; order }) s s strs;
+        map2
+          (fun (label, iters) (ok, rid) -> Trace.Poll { label; iters; ok; rid })
+          (pair s i) (pair bool i);
+        map2
+          (fun (label, attempt) (reason, rid) ->
+            Trace.Retry { label; attempt; reason; rid })
+          (pair s i) (pair s i);
+        map2
+          (fun (plan, addr) (width, detail) ->
+            Trace.Fault_injected { plan; addr; width; detail })
+          (pair s i) (pair i s);
+        map3 (fun line dev rid -> Trace.Irq_raised { line; dev; rid }) i s i;
+        map3 (fun line dev rid -> Trace.Irq_delivered { line; dev; rid }) i s i;
+        map2
+          (fun (dev, label) (depth, rid) ->
+            Trace.Queue_submitted { dev; label; depth; rid })
+          (pair s s) (pair i i);
+        map3 (fun dev label rid -> Trace.Queue_started { dev; label; rid }) s s i;
+        map3
+          (fun (dev, label) (depth, ok) rid ->
+            Trace.Queue_completed { dev; label; depth; ok; rid })
+          (pair s s) (pair i bool) i;
+        map2 (fun dev rid -> Trace.Queue_late { dev; rid }) s i;
+      ])
+
+type store_op =
+  | Emit of Trace.kind
+  | Burst of int * Trace.kind  (* the same kind, n times *)
+  | Clear
+  | Merge of int option * Trace.kind list  (* with a fresh shard *)
+
+let store_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun k -> Emit k) kind_gen);
+        (2, map2 (fun n k -> Burst (n, k)) (int_range 1 2500) kind_gen);
+        (1, return Clear);
+        ( 1,
+          map2
+            (fun c ks -> Merge (c, ks))
+            (opt (int_range 0 40))
+            (list_size (int_bound 12) kind_gen) );
+      ])
+
+let print_store_op = function
+  | Emit k -> Format.asprintf "emit %a" Trace.pp_kind k
+  | Burst (n, k) -> Format.asprintf "burst %d x %a" n Trace.pp_kind k
+  | Clear -> "clear"
+  | Merge (c, ks) ->
+      Printf.sprintf "merge ?capacity:%s with %d event(s)"
+        (match c with Some c -> string_of_int c | None -> "-")
+        (List.length ks)
+
+(* The model: the capacity, the events recorded since creation or
+   [clear], the newest of them (newest first; at least the last
+   [m_cap], trimmed now and then) and the clock. *)
+type model = {
+  m_cap : int;
+  m_recorded : int;
+  m_rev : Trace.event list;
+  m_next : int;
+}
+
+let model_create cap = { m_cap = max 1 cap; m_recorded = 0; m_rev = []; m_next = 0 }
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+let model_emit m kind =
+  let rev = { Trace.seq = m.m_next; kind } :: m.m_rev in
+  {
+    m with
+    m_recorded = m.m_recorded + 1;
+    m_rev = (if m.m_recorded mod m.m_cap = 0 then take m.m_cap rev else rev);
+    m_next = m.m_next + 1;
+  }
+
+let model_events m = List.rev (take m.m_cap m.m_rev)
+
+(* A stable merge by sequence number, the left shard first on ties. *)
+let model_merge ?capacity a b =
+  let rec go xs ys =
+    match (xs, ys) with
+    | [], rest | rest, [] -> rest
+    | (x : Trace.event) :: xs', (y : Trace.event) :: ys' ->
+        if x.seq <= y.seq then x :: go xs' ys else y :: go xs ys'
+  in
+  let all = go (model_events a) (model_events b) in
+  let cap = max 1 (Option.value capacity ~default:(max a.m_cap b.m_cap)) in
+  {
+    m_cap = cap;
+    m_recorded = List.length all;
+    m_rev = take cap (List.rev all);
+    m_next = max a.m_next b.m_next;
+  }
+
+let prop_trace_store_matches_model =
+  QCheck.Test.make ~name:"trace store agrees with a list model"
+    ~count:(qcount 200)
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map print_store_op ops)))
+       QCheck.Gen.(
+         pair
+           (oneof [ int_range 1 8; int_range 9 64; int_range 1000 1100 ])
+           (list_size (int_bound 40) store_op_gen)))
+    (fun (cap, ops) ->
+      let seen = ref [] and expected = ref [] in
+      let watch tr = Trace.subscribe tr (fun e -> seen := e :: !seen) in
+      let tr = Trace.create ~capacity:cap () in
+      watch tr;
+      let emit (tr, m) kind =
+        Trace.emit tr kind;
+        let m = model_emit m kind in
+        expected := List.hd m.m_rev :: !expected;
+        (tr, m)
+      in
+      let step (tr, m) = function
+        | Emit k -> emit (tr, m) k
+        | Burst (n, k) ->
+            let s = ref (tr, m) in
+            for _ = 1 to n do
+              s := emit !s k
+            done;
+            !s
+        | Clear ->
+            Trace.clear tr;
+            (tr, model_create m.m_cap)
+        | Merge (capacity, ks) ->
+            let shard = Trace.create ~capacity:16 () in
+            List.iter (Trace.emit shard) ks;
+            let shard_m = List.fold_left model_emit (model_create 16) ks in
+            let merged = Trace.merge ?capacity tr shard in
+            watch merged;
+            (merged, model_merge ?capacity m shard_m)
+      in
+      let tr, m = List.fold_left step (tr, model_create cap) ops in
+      let pp_list es =
+        String.concat ""
+          (List.map (fun e -> Format.asprintf "%a@." Trace.pp_event e) es)
+      in
+      Trace.events tr = model_events m
+      && Trace.length tr = min m.m_recorded m.m_cap
+      && Trace.recorded tr = m.m_recorded
+      && Trace.dropped tr = max 0 (m.m_recorded - m.m_cap)
+      && Trace.capacity tr = m.m_cap
+      && Format.asprintf "%a" Trace.pp tr = pp_list (model_events m)
+      && !seen = !expected)
+
+(* With the ring already full, bus, register and cache events leave
+   nothing behind for the next minor collection to promote: the store
+   keeps their ints unboxed and their labels by reference. *)
+let test_full_ring_promotes_nothing () =
+  let tr = Trace.create ~capacity:65536 () in
+  let dev = "ide" and reg = "status" in
+  let burst n =
+    for i = 1 to n do
+      Trace.emit tr (Trace.Bus_read { addr = i; width = 8; value = i land 0xff });
+      Trace.emit tr (Trace.Reg_write { dev; reg; raw = i });
+      Trace.emit tr
+        (if i land 1 = 0 then Trace.Cache_hit { dev; reg }
+         else Trace.Cache_miss { dev; reg })
+    done
+  in
+  burst 22_000;
+  Alcotest.(check int) "the ring is full" 65536 (Trace.length tr);
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  burst 3_334;
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  let per_event = promoted /. 10_002. in
+  if per_event >= 1.0 then
+    Alcotest.failf "%.2f promoted words per event (cap 1)" per_event
+
+(* {1 Metric handles against names alone}
+
+   A random mix of counter and histogram updates, each made through a
+   handle or by name, must leave the registry exactly as the same
+   updates made by name only; the handles for the unused names list
+   nothing. *)
+
+let metric_names = [ "a"; "b.c"; "sched.ticks"; "x" ]
+
+let metric_op_gen =
+  QCheck.Gen.(
+    triple bool (oneofl metric_names)
+      (pair bool (oneof [ int_range (-3) 3; int_bound 5_000 ])))
+
+let prop_handles_match_names =
+  QCheck.Test.make ~name:"handles and names build the same registry"
+    ~count:(qcount 200)
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           list (triple bool string (pair bool int)))
+       QCheck.Gen.(list_size (int_bound 40) metric_op_gen))
+    (fun ops ->
+      let by_name = Metrics.create () and mixed = Metrics.create () in
+      (* Handles for every name, and for one that is never used. *)
+      let counters =
+        List.map (fun n -> (n, Metrics.Counter.make mixed n)) ("unused" :: metric_names)
+      and hists =
+        List.map
+          (fun n -> (n, Metrics.Histogram.make mixed ("h." ^ n)))
+          ("unused" :: metric_names)
+      in
+      List.iter
+        (fun (via_handle, name, (is_hist, v)) ->
+          if is_hist then begin
+            Metrics.observe by_name ("h." ^ name) v;
+            if via_handle then Metrics.Histogram.observe (List.assoc name hists) v
+            else Metrics.observe mixed ("h." ^ name) v
+          end
+          else begin
+            Metrics.incr by_name ~by:v name;
+            if via_handle then
+              if v = 1 then Metrics.Counter.incr (List.assoc name counters)
+              else Metrics.Counter.add (List.assoc name counters) v
+            else Metrics.incr mixed ~by:v name
+          end)
+        ops;
+      Metrics.counters mixed = Metrics.counters by_name
+      && Metrics.histograms mixed = Metrics.histograms by_name
+      && Metrics.to_json mixed = Metrics.to_json by_name
+      && Metrics.count mixed "unused" = 0
+      && not (List.mem_assoc "unused" (Metrics.counters mixed)))
+
 (* {1 The observed bus: transparency} *)
 
 let test_disabled_observer_is_identity () =
@@ -406,7 +678,11 @@ let () =
           case "bound and eviction order" test_ring_bound;
           case "capacity clamp" test_ring_clamps_capacity;
           case "trace sequence numbers" test_trace_eviction_keeps_seq;
+          QCheck_alcotest.to_alcotest prop_trace_store_matches_model;
+          case "a full ring promotes nothing per event"
+            test_full_ring_promotes_nothing;
         ] );
+      ("handles", [ QCheck_alcotest.to_alcotest prop_handles_match_names ]);
       ( "bus",
         List.map QCheck_alcotest.to_alcotest
           [ prop_observed_bus_transparent; prop_observed_bus_counts_every_op ]

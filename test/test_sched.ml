@@ -190,6 +190,56 @@ let test_timer_across_wrap_boundary () =
   Sched.tick t;
   Alcotest.(check bool) "fires just past the wrap (clock 257)" true !fired
 
+(* {1 The idle tick allocates nothing}
+
+   A finished request's timeout leaves the wheel with it, a bucket with
+   nothing due is scanned in place, the sources are walked without a
+   closure and the counters are handles: a tick with nothing to do
+   allocates nothing, however many requests the machine has served. *)
+
+let serve_queued_reads (m : Machine.t) n =
+  let sched = Machine.sched m in
+  Hwsim.Piix4.set_latency m.busmaster 4;
+  let d =
+    Ide.Async.create ~sched ~line:Machine.irq_ide
+      ~memory:(Hwsim.Piix4.memory m.busmaster) ~ide:m.ide_dev ~piix4:m.piix4_dev
+  in
+  for i = 1 to n do
+    Ide.Async.await d (Ide.Async.read_dma d ~lba:(i mod 64) ~count:1 ())
+  done;
+  Alcotest.(check int) "every read completed" 0 (Sched.outstanding sched);
+  sched
+
+(* Minor words of two wheel revolutions of idle ticks, net of what
+   reading the counter costs. *)
+let idle_ticks_words sched =
+  let revolutions () =
+    for _ = 1 to 512 do
+      Sched.tick sched
+    done
+  in
+  revolutions ();
+  let b0 = Gc.minor_words () in
+  let b1 = Gc.minor_words () in
+  let w0 = Gc.minor_words () in
+  revolutions ();
+  let w1 = Gc.minor_words () in
+  (w1 -. w0) -. (b1 -. b0)
+
+let test_idle_tick_allocation_free () =
+  Fun.protect ~finally:Policy.unobserve @@ fun () ->
+  let plain = serve_queued_reads (Machine.create ()) 200 in
+  Alcotest.(check (float 0.)) "plain machine: 0 words per idle tick" 0.
+    (idle_ticks_words plain);
+  let m =
+    Machine.create
+      ~trace:(Trace.create ~capacity:4096 ())
+      ~metrics:(Metrics.create ()) ~lifecycle:true ()
+  in
+  let instrumented = serve_queued_reads m 200 in
+  Alcotest.(check (float 0.)) "instrumented machine: 0 words per idle tick" 0.
+    (idle_ticks_words instrumented)
+
 (* {1 Dispatch: toy interrupt delivery and the storm bound} *)
 
 let test_dispatch_delivers_and_completes () =
@@ -716,6 +766,8 @@ let () =
           case "shared bucket, one revolution apart"
             test_timer_shared_bucket_one_revolution_apart;
           case "armed across the 256-boundary" test_timer_across_wrap_boundary;
+          case "an idle tick allocates nothing after 200 reads"
+            test_idle_tick_allocation_free;
         ] );
       ( "dispatch",
         [

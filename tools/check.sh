@@ -21,6 +21,11 @@ dune runtest
 echo "== plan acceptance depth =="
 DEVIL_QCHECK_COUNT=500 dune build @plan --force
 
+# The observability properties at the same depth: the trace store
+# against its list model and metric handles against names alone.
+echo "== observability acceptance depth =="
+DEVIL_QCHECK_COUNT=500 dune build @obs --force
+
 # A fast end-to-end pass over the benchmark pipeline: run every
 # bechamel workload once on both engines (--smoke) — the run evaluates
 # its own gates and exits 1 on a violation — then re-check the
