@@ -1,8 +1,16 @@
 (* {1 Fault-tolerance campaign: drivers under an adversarial bus} *)
 
-let run () =
+let run args =
+  let export_dir =
+    match args with
+    | [] -> None
+    | [ "--export"; dir ] -> Some dir
+    | _ ->
+        Format.eprintf "usage: bench faultcamp [--export DIR]@.";
+        exit 2
+  in
   Common.section "Fault campaign: driver workloads under injected bus faults";
-  let report = Faultcamp.Campaign.run () in
+  let report = Faultcamp.Campaign.run ?export_dir () in
   Format.printf "%a@." Faultcamp.Campaign.pp_report report;
   Format.printf
     "Transient faults (aborted accesses) must never corrupt silently: the \
@@ -21,7 +29,7 @@ let run () =
       in
       Format.printf "  %a@." Faultcamp.Campaign.pp_replay_check rc)
     Faultcamp.Campaign.replayable_workloads;
-  match Sys.getenv_opt Faultcamp.Campaign.export_env with
+  match export_dir with
   | None -> ()
   | Some dir ->
       let recorded, replayed =

@@ -8,6 +8,8 @@
      dune exec bench/main.exe -- table1    # one artifact
      (table1 | table2 | table3 | table4 | census | micro | ablation |
       faultcamp | obs | obs-json | bechamel | benchjson)
+     dune exec bench/main.exe -- faultcamp [--export DIR]
+                                          # failing trials' traces and tapes
      dune exec bench/main.exe -- benchjson [--smoke] [--out FILE]
                                           # compiled vs interpreted ns/op
      dune exec bench/main.exe -- profile [--json] [--iters N] [--out DIR] \
@@ -42,7 +44,7 @@ let () =
       ("census", Paper.census);
       ("micro", Paper.micro);
       ("ablation", Paper.ablation);
-      ("faultcamp", Faults.run);
+      ("faultcamp", fun () -> Faults.run []);
       ("obs", Obs.run);
       ("obs-json", Obs.run_json);
       ("bechamel", Bechamel_suite.run);
@@ -53,6 +55,9 @@ let () =
   | "benchjson" :: (flag :: _ as rest) when String.starts_with ~prefix:"-" flag
     ->
       Benchjson.run rest
+  | "faultcamp" :: (flag :: _ as rest) when String.starts_with ~prefix:"-" flag
+    ->
+      Faults.run rest
   | "profile" :: rest -> Span_profile.run rest
   | "explore" :: rest -> Exploration.run rest
   | "async" :: rest -> Async.run rest

@@ -183,20 +183,6 @@ let is_ok r = r.verdict = Ok
 
 (* {1 JSON} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let b = Buffer.create 256 in
   Buffer.add_string b
@@ -206,13 +192,16 @@ let to_json r =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "{\"code\":\"%s\",\"count\":%d,\"detail\":\"%s\"}"
-           (json_escape reason.code) reason.count (json_escape reason.detail)))
+           (Metrics.json_escape reason.code)
+           reason.count
+           (Metrics.json_escape reason.detail)))
     r.reasons;
   Buffer.add_string b "],\"counters\":{";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape name) v))
+      Buffer.add_string b
+        (Printf.sprintf "\"%s\":%d" (Metrics.json_escape name) v))
     r.counters;
   Buffer.add_string b "}}";
   Buffer.contents b

@@ -750,45 +750,6 @@ let block_reg t name =
       r
   | _ -> fail "block variable %s must map to a single register" name
 
-let read_block t name ~count =
-  let r = block_reg t name in
-  match r.r_read with
-  | None -> fail "register %s is not readable" r.r_name
-  | Some lp ->
-      let body () =
-        with_depth t (fun () ->
-            run_action ~what:(Trace.Pre, r.r_name) t r.r_pre;
-            note_var_read t name;
-            let into = Array.make count 0 in
-            t.bus.Bus.read_block ~width:(point_width t lp)
-              ~addr:(point_addr t lp) ~into;
-            run_action ~what:(Trace.Post, r.r_name) t r.r_post;
-            into)
-      in
-      (match t.profile with
-      | None -> body ()
-      | Some p ->
-          Profile.span p (t.label ^ "/var:" ^ name ^ ":block_read") body)
-
-let write_block t name data =
-  let r = block_reg t name in
-  match r.r_write with
-  | None -> fail "register %s is not writable" r.r_name
-  | Some lp ->
-      let body () =
-        with_depth t (fun () ->
-            run_action ~what:(Trace.Pre, r.r_name) t r.r_pre;
-            note_var_write t name [ r.r_name ];
-            t.bus.Bus.write_block ~width:(point_width t lp)
-              ~addr:(point_addr t lp) ~from:data;
-            run_action ~what:(Trace.Post, r.r_name) t r.r_post;
-            run_action ~what:(Trace.Set, r.r_name) t r.r_set)
-      in
-      (match t.profile with
-      | None -> body ()
-      | Some p ->
-          Profile.span p (t.label ^ "/var:" ^ name ^ ":block_write") body)
-
 let read_wide t name ~scale =
   let r = block_reg t name in
   match r.r_read with
@@ -980,16 +941,6 @@ let set_struct t name fields =
   | Compiled p -> Plan.set_struct p name fields
   | Interpreted i -> Interp.set_struct i name fields
 
-let read_block t name ~count =
-  match t with
-  | Compiled p -> Plan.read_block p name ~count
-  | Interpreted i -> Interp.read_block i name ~count
-
-let write_block t name data =
-  match t with
-  | Compiled p -> Plan.write_block p name data
-  | Interpreted i -> Interp.write_block i name data
-
 let read_wide t name ~scale =
   match t with
   | Compiled p -> Plan.read_wide p name ~scale
@@ -1009,6 +960,9 @@ let write_block_wide t name ~scale data =
   match t with
   | Compiled p -> Plan.write_block_wide p name ~scale data
   | Interpreted i -> Interp.write_block_wide i name ~scale data
+
+let read_block t name ~count = read_block_wide t name ~scale:1 ~count
+let write_block t name data = write_block_wide t name ~scale:1 data
 
 let read_indexed t ~template ~args =
   match t with

@@ -16,16 +16,6 @@ type t = {
 
 let create () = { counters = Hashtbl.create 64; hists = Hashtbl.create 16 }
 
-let parse_env_value = Env.parse_bool
-
-let from_env () =
-  match
-    Env.lookup ~var:"DEVIL_METRICS" ~parse:parse_env_value
-      ~accepted:Env.bool_forms ~fallback:true ~fallback_note:"metrics enabled"
-  with
-  | None | Some false -> None
-  | Some true -> Some (create ())
-
 (* The cell behind a name, registered at zero on first sight. The
    name-based calls and the handles below both go through here, so a
    name lists once however it was first reached. *)

@@ -37,21 +37,11 @@
     [span.<key>.ns.p95]-style summaries.
 
     Like tracing, metrics are strictly opt-in: no layer counts anything
-    unless a registry was passed in (or created from the
-    [DEVIL_METRICS] environment variable via {!from_env}). *)
+    unless a registry was passed in. *)
 
 type t
 
 val create : unit -> t
-
-val from_env : unit -> t option
-(** Reads [DEVIL_METRICS]: unset or ["0"]/["off"] (and friends)
-    disable, ["1"]/["on"] enable. A malformed value prints a one-line
-    warning to stderr with the accepted forms and enables metrics. *)
-
-val parse_env_value : string -> (bool, string) result
-(** The pure parser behind {!from_env}: [Ok enabled] or [Error why]
-    for a malformed value. Exposed for testing. *)
 
 val incr : t -> ?by:int -> string -> unit
 (** Adds [by] (default 1) to a counter, creating it at zero first. *)
@@ -175,5 +165,9 @@ val to_json : t -> string
 (** The whole registry as a JSON object
     [{ "counters": {..}, "histograms": {..} }] — the [obs] bench
     artifact. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal: quotes, backslashes and control
+    characters escaped. {!Health.to_json} shares it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1101,33 +1101,6 @@ let block_plan t name =
   | Ok ri -> (vp, t.regs.(ri))
   | Error m -> fail_str m
 
-let read_block t name ~count =
-  let vp, rp = block_plan t name in
-  match rp.rp_read with
-  | None -> fail "register %s is not readable" rp.rp_reg.Ir.r_name
-  | Some pt ->
-      with_depth_profiled t vp.vp_k_bread (fun () ->
-          run_action ~what:(Trace.Pre, rp.rp_reg.Ir.r_name) t rp.rp_pre;
-          note_var_read t name;
-          let into = Array.make count 0 in
-          let pt = ok_point pt in
-          t.bus.Bus.read_block ~width:pt.io_width ~addr:pt.io_addr ~into;
-          run_action ~what:(Trace.Post, rp.rp_reg.Ir.r_name) t rp.rp_post;
-          into)
-
-let write_block t name data =
-  let vp, rp = block_plan t name in
-  match rp.rp_write with
-  | None -> fail "register %s is not writable" rp.rp_reg.Ir.r_name
-  | Some pt ->
-      with_depth_profiled t vp.vp_k_bwrite (fun () ->
-          run_action ~what:(Trace.Pre, rp.rp_reg.Ir.r_name) t rp.rp_pre;
-          note_var_write t name [ rp.rp_reg.Ir.r_name ];
-          let pt = ok_point pt in
-          t.bus.Bus.write_block ~width:pt.io_width ~addr:pt.io_addr ~from:data;
-          run_action ~what:(Trace.Post, rp.rp_reg.Ir.r_name) t rp.rp_post;
-          run_action ~what:(Trace.Set, rp.rp_reg.Ir.r_name) t rp.rp_set)
-
 let read_wide t name ~scale =
   let vp, rp = block_plan t name in
   match rp.rp_read with

@@ -92,8 +92,6 @@ val get : t -> string -> Value.t
 val set : t -> string -> Value.t -> unit
 val get_struct : t -> string -> unit
 val set_struct : t -> string -> (string * Value.t) list -> unit
-val read_block : t -> string -> count:int -> int array
-val write_block : t -> string -> int array -> unit
 val read_wide : t -> string -> scale:int -> int
 val write_wide : t -> string -> scale:int -> int -> unit
 val read_block_wide : t -> string -> scale:int -> count:int -> int array

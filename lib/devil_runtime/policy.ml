@@ -15,18 +15,10 @@ let error_to_string = function
 let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 let fail e = raise (Driver_error e)
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with Some v when v > 0 -> v | _ -> default)
-  | None -> default
-
-let poll_deadline = ref (env_int "DEVIL_POLL_DEADLINE" 1_000_000)
-let retry_attempts = ref (env_int "DEVIL_RETRY_ATTEMPTS" 3)
+let poll_deadline = ref 1_000_000
 let default_deadline () = !poll_deadline
 let set_default_deadline n = if n > 0 then poll_deadline := n
-let default_attempts () = !retry_attempts
-let set_default_attempts n = if n > 0 then retry_attempts := n
+let default_attempts = 3
 
 (* {1 Observability}
 
@@ -111,7 +103,7 @@ let describe_exn = function
 let with_retries ?attempts ?(retry_on = is_transient)
     ?(on_retry = fun ~attempt:_ _ -> ()) ~label f =
   let attempts =
-    max 1 (match attempts with Some n -> n | None -> !retry_attempts)
+    max 1 (match attempts with Some n -> n | None -> default_attempts)
   in
   let rec go attempt =
     try f ()

@@ -16,10 +16,9 @@
 
     Time is simulated: deadlines and backoffs are measured in {e
     ticks}, where one tick is one condition evaluation (one status
-    poll). The default bounds are uniform across drivers and
-    configurable through the [DEVIL_POLL_DEADLINE] and
-    [DEVIL_RETRY_ATTEMPTS] environment variables or the setters
-    below. *)
+    poll). The default bounds are uniform across drivers: the poll
+    deadline is set with {!set_default_deadline}, the retry budget is
+    the constant {!default_attempts}. *)
 
 type error =
   | Timeout of string  (** A deadline expired while polling. *)
@@ -40,16 +39,14 @@ val fail : error -> 'a
 (** [fail e] raises [Driver_error e]. *)
 
 val default_deadline : unit -> int
-(** Ticks a poll may consume before timing out. Initialised from
-    [DEVIL_POLL_DEADLINE] (default 1_000_000). *)
+(** Ticks a poll may consume before timing out; 1_000_000 until
+    {!set_default_deadline} changes it. *)
 
 val set_default_deadline : int -> unit
+(** Non-positive values are ignored. *)
 
-val default_attempts : unit -> int
-(** Total attempts {!with_retries} makes. Initialised from
-    [DEVIL_RETRY_ATTEMPTS] (default 3). *)
-
-val set_default_attempts : int -> unit
+val default_attempts : int
+(** Total attempts {!with_retries} makes: 3. *)
 
 val is_transient : exn -> bool
 (** True for {!Fault.Bus_fault} and for [Driver_error] carrying

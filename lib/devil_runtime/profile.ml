@@ -210,19 +210,6 @@ let leaf t key ns =
 let live_depth t = t.depth
 let unbalanced_exits t = t.unbalanced
 
-(* {1 Environment opt-in} *)
-
-let parse_env_value = Env.parse_bool
-
-let from_env ?metrics () =
-  match
-    Env.lookup ~var:"DEVIL_PROFILE" ~parse:parse_env_value
-      ~accepted:Env.bool_forms ~fallback:true
-      ~fallback_note:"profiling enabled"
-  with
-  | None | Some false -> None
-  | Some true -> Some (create ?metrics ())
-
 (* {1 Aggregates} *)
 
 type site_stats = {

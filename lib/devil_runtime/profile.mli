@@ -37,13 +37,6 @@ val create : ?metrics:Metrics.t -> unit -> t
     observed into the registry's [span.<key>.ns] histogram, giving the
     JSON export [span.<key>.ns.p95]-style summaries. *)
 
-val from_env : ?metrics:Metrics.t -> unit -> t option
-(** Reads [DEVIL_PROFILE]: unset or ["0"]/["off"] disable, ["1"]/["on"]
-    enable. A malformed value warns on stderr and enables. *)
-
-val parse_env_value : string -> (bool, string) result
-(** The pure parser behind {!from_env} ({!Env.parse_bool}). *)
-
 val set_metrics : t -> Metrics.t option -> unit
 
 val set_clock : t -> (unit -> int) -> unit

@@ -204,35 +204,3 @@ let evictions t =
         t.hists 0
   in
   series + Trace.Ring.dropped t.health_ring
-
-(* {1 Environment opt-in}
-
-   The [DEVIL_TRACE] protocol, for the same reason: the interesting
-   parameter is the ring depth. *)
-
-let parse_env_value s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "0" | "off" | "false" | "no" -> Ok None
-  | "1" | "on" | "true" | "yes" -> Ok (Some default_capacity)
-  | v -> (
-      match int_of_string_opt v with
-      | Some n when n > 1 -> Ok (Some n)
-      | Some n ->
-          Error (Printf.sprintf "capacity %d is not a positive sample count" n)
-      | None -> Error (Printf.sprintf "%S is not an integer or on/off" s))
-
-let env_forms =
-  "0/off to disable, 1/on for the default capacity, or an integer sample \
-   capacity > 1"
-
-let from_env metrics =
-  match
-    Env.lookup ~var:"DEVIL_TELEMETRY" ~parse:parse_env_value
-      ~accepted:env_forms
-      ~fallback:(Some default_capacity)
-      ~fallback_note:
-        (Printf.sprintf "telemetry with the default capacity %d"
-           default_capacity)
-  with
-  | None | Some None -> None
-  | Some (Some capacity) -> Some (create ~capacity metrics)

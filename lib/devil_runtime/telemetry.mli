@@ -64,15 +64,6 @@ val create : ?capacity:int -> ?hz:float -> Metrics.t -> t
     (clamped to at least 1); [hz] declares how many ticks make a
     second, purely for rate display. *)
 
-val from_env : Metrics.t -> t option
-(** Reads [DEVIL_TELEMETRY]: unset, ["0"]/["off"] disable; ["1"]/["on"]
-    enable with {!default_capacity}; an integer > 1 is used as the
-    ring capacity. A malformed value warns on stderr and enables with
-    the default capacity — the {!Trace.from_env} protocol. *)
-
-val parse_env_value : string -> (int option, string) result
-(** The pure parser behind {!from_env}. Exposed for testing. *)
-
 val tick : ?health:Health.report -> t -> unit
 (** Advance the tick clock and sample every metric currently in the
     registry. With [health], also record the verdict for this tick. *)

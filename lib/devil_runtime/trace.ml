@@ -380,31 +380,6 @@ let merge ?capacity a b =
   t.next_seq <- max a.next_seq b.next_seq;
   t
 
-let parse_env_value s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "0" | "off" | "false" | "no" -> Ok None
-  | "1" | "on" | "true" | "yes" -> Ok (Some default_capacity)
-  | v -> (
-      match int_of_string_opt v with
-      | Some n when n > 1 -> Ok (Some n)
-      | Some n ->
-          Error (Printf.sprintf "capacity %d is not a positive event count" n)
-      | None -> Error (Printf.sprintf "%S is not an integer or on/off" s))
-
-let env_forms = "0/off to disable, 1/on for the default capacity, or an \
-                 integer capacity > 1"
-
-let from_env () =
-  match
-    Env.lookup ~var:"DEVIL_TRACE" ~parse:parse_env_value ~accepted:env_forms
-      ~fallback:(Some default_capacity)
-      ~fallback_note:
-        (Printf.sprintf "tracing with the default capacity %d"
-           default_capacity)
-  with
-  | None | Some None -> None
-  | Some (Some capacity) -> Some (create ~capacity ())
-
 let phase_label = function Pre -> "pre" | Post -> "post" | Set -> "set"
 
 (* Request ids are only printed when present (rid 0 is "not on behalf

@@ -14,8 +14,7 @@
     is observable through {!dropped}.
 
     Tracing is strictly opt-in. Nothing in the runtime allocates or
-    records unless a trace handle was passed in explicitly (or created
-    from the [DEVIL_TRACE] environment variable via {!from_env}); the
+    records unless a trace handle was passed in explicitly; the
     disabled path is a single [option] match per hook. *)
 
 (** A generic bounded ring buffer — also used by {!Fault} for its
@@ -149,19 +148,6 @@ val default_capacity : int
 (** 1024. *)
 
 val create : ?capacity:int -> unit -> t
-
-val from_env : unit -> t option
-(** Reads [DEVIL_TRACE]: unset, ["0"]/["off"] (and friends) disable;
-    ["1"]/["on"] enable with {!default_capacity}; an integer > 1 is
-    used as the capacity. A malformed value prints a one-line warning
-    to stderr listing the accepted forms and enables tracing with the
-    default capacity. *)
-
-val parse_env_value : string -> (int option, string) result
-(** The pure parser behind {!from_env}: [Ok None] means disabled,
-    [Ok (Some capacity)] enabled, [Error why] malformed (in which case
-    {!from_env} warns and falls back to {!default_capacity}). Exposed
-    for testing. *)
 
 val emit : t -> kind -> unit
 

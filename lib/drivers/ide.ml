@@ -422,7 +422,7 @@ module Async = struct
           Sched.complete t.sched ~dev (Ok ())
       | Some op ->
           if engine_fault then
-            if op.op_attempts + 1 < Policy.default_attempts () then begin
+            if op.op_attempts + 1 < Policy.default_attempts then begin
               op.op_attempts <- op.op_attempts + 1;
               issue t op
             end

@@ -4,7 +4,6 @@ module Io_space = Hwsim.Io_space
 type t = {
   space : Io_space.t;
   bus : Devil_runtime.Bus.t;
-  injector : Devil_runtime.Fault.t option;
   trace : Devil_runtime.Trace.t option;
   metrics : Devil_runtime.Metrics.t option;
   profile : Devil_runtime.Profile.t option;
@@ -72,34 +71,8 @@ let irq_line = function
   | "mouse" -> Some irq_mouse
   | _ -> None
 
-let create ?(debug = false) ?faults ?fault_seed ?trace ?metrics ?profile
-    ?telemetry ?interpret ?(wrap_bus = Fun.id) ?(lifecycle = false)
-    ?lifecycle_clock () =
-  (* Handles not given explicitly can still be enabled from the
-     environment (DEVIL_TRACE / DEVIL_METRICS / DEVIL_PROFILE). *)
-  let trace =
-    match trace with Some _ -> trace | None -> Devil_runtime.Trace.from_env ()
-  in
-  let metrics =
-    match metrics with
-    | Some _ -> metrics
-    | None -> Devil_runtime.Metrics.from_env ()
-  in
-  (* After metrics, so an env-enabled profiler feeds span.<key>.ns
-     histograms into an env-enabled registry. *)
-  let profile =
-    match profile with
-    | Some _ -> profile
-    | None -> Devil_runtime.Profile.from_env ?metrics ()
-  in
-  (* Telemetry samples the registry, so it only exists when one does
-     (explicit or env-enabled). *)
-  let telemetry =
-    match (telemetry, metrics) with
-    | (Some _ as t), _ -> t
-    | None, Some m -> Devil_runtime.Telemetry.from_env m
-    | None, None -> None
-  in
+let create ?(debug = false) ?trace ?metrics ?profile ?telemetry ?interpret
+    ?(wrap_bus = Fun.id) ?(lifecycle = false) ?lifecycle_clock () =
   let space = Io_space.create () in
   let mouse = Hwsim.Busmouse.create () in
   let disk = Hwsim.Ide_disk.create () in
@@ -138,24 +111,12 @@ let create ?(debug = false) ?faults ?fault_seed ?trace ?metrics ?profile
     (Hwsim.I8042.data_model kbd);
   Io_space.attach space ~base:kbd_ctl_base ~size:1
     (Hwsim.I8042.control_model kbd);
-  (* The injector wraps the raw bus, so Devil instances and handcrafted
-     drivers alike see the same injected faults. *)
-  let raw_bus = Io_space.bus space in
-  let injector =
-    Option.map
-      (fun plans ->
-        Devil_runtime.Fault.wrap ?seed:fault_seed ?sink:trace ?metrics ~plans
-          raw_bus)
-      faults
-  in
-  (* The observer wraps outside the injector, so the bus events in the
-     trace carry the post-fault values the drivers actually saw. *)
+  (* The observer wraps outside [wrap_bus] (a fault injector, a
+     recorder), so the bus events in the trace carry the post-fault
+     values the drivers actually saw. *)
   let bus =
     Devil_runtime.Bus.observed ?trace ?metrics ?profile
-      (wrap_bus
-         (match injector with
-         | None -> raw_bus
-         | Some inj -> Devil_runtime.Fault.bus inj))
+      (wrap_bus (Io_space.bus space))
   in
   if Option.is_some trace || Option.is_some metrics || Option.is_some profile
   then Devil_runtime.Policy.observe ?trace ?metrics ?profile ();
@@ -183,7 +144,6 @@ let create ?(debug = false) ?faults ?fault_seed ?trace ?metrics ?profile
   {
     space;
     bus;
-    injector;
     trace;
     metrics;
     profile;

@@ -7,9 +7,6 @@ module Instance = Devil_runtime.Instance
 type t = {
   space : Hwsim.Io_space.t;
   bus : Devil_runtime.Bus.t;
-  injector : Devil_runtime.Fault.t option;
-      (** Present when the machine was built with [?faults]; exposes
-          the injection trace and counters. *)
   trace : Devil_runtime.Trace.t option;
       (** The unified event trace, when observability is on. *)
   metrics : Devil_runtime.Metrics.t option;
@@ -119,8 +116,6 @@ val sched : t -> Devil_runtime.Sched.t
 
 val create :
   ?debug:bool ->
-  ?faults:Devil_runtime.Fault.plan list ->
-  ?fault_seed:int ->
   ?trace:Devil_runtime.Trace.t ->
   ?metrics:Devil_runtime.Metrics.t ->
   ?profile:Devil_runtime.Profile.t ->
@@ -131,42 +126,38 @@ val create :
   ?lifecycle_clock:(unit -> int) ->
   unit ->
   t
-(** Builds the machine. [debug] enables the §3.2 dynamic checks in
-    every Devil instance. [interpret] selects the interpreting runtime
-    engine for every instance instead of the default compiled access
-    plans (see {!Devil_runtime.Instance.create}). [faults] interposes a deterministic fault
-    injector (seeded by [fault_seed]) between every driver — Devil or
-    handcrafted — and the device models; the resulting injector is
-    exposed as {!field-injector}.
+(** Builds the machine. Every handle comes from the arguments; with
+    none given the machine is exactly the uninstrumented one. [debug]
+    enables the §3.2 dynamic checks in every Devil instance.
+    [interpret] selects the interpreting runtime engine for every
+    instance instead of the default compiled access plans (see
+    {!Devil_runtime.Instance.create}).
 
-    [wrap_bus] interposes one more layer between the (possibly
-    fault-injected) device bus and the observability wrapper — the
-    record/replay hook: pass [Devil_runtime.Bus.recording] to tape a
-    run, or [fun _ -> Devil_runtime.Bus.replaying tape] to re-run the
-    machine against a tape instead of the simulated hardware (the
-    device models then see no traffic at all, so back-door state
-    checks are meaningless under replay).
+    [wrap_bus] interposes a layer between the device bus and the
+    observability wrapper, seen by every driver — Devil or
+    handcrafted. Pass [fun b -> Devil_runtime.Fault.bus
+    (Devil_runtime.Fault.wrap ~plans b)] (or {!Devil_runtime.Fault.scheduled})
+    to inject faults, [Devil_runtime.Bus.recording] to tape a run, or
+    [fun _ -> Devil_runtime.Bus.replaying tape] to re-run the machine
+    against a tape instead of the simulated hardware (the device models
+    then see no traffic at all, so back-door state checks are
+    meaningless under replay).
 
     [trace]/[metrics] switch on the observability layer: the bus is
-    wrapped with {!Devil_runtime.Bus.observed} (outside the fault
-    injector, so trace events carry post-fault values), every instance
-    is instrumented under a short driver label ([mouse], [ide], …),
-    the injector mirrors into the same stream, and the
-    {!Devil_runtime.Policy} observer is installed — callers owning
+    wrapped with {!Devil_runtime.Bus.observed} (outside [wrap_bus], so
+    trace events carry post-fault values), every instance is
+    instrumented under a short driver label ([mouse], [ide], …), and
+    the {!Devil_runtime.Policy} observer is installed — callers owning
     short-lived handles should {!Devil_runtime.Policy.unobserve} when
     done. [profile] additionally times every layer as hierarchical
     {!Devil_runtime.Profile} spans: stub accesses and actions in both
     engines, polls and retries in the policy layer, and each bus
-    transfer as a leaf (via [Bus.observed ?profile]). Handles not
-    supplied are taken from the [DEVIL_TRACE], [DEVIL_METRICS] and
-    [DEVIL_PROFILE] environment variables; with none of them, the
-    machine is exactly the uninstrumented one.
+    transfer as a leaf (via [Bus.observed ?profile]).
 
-    [telemetry] attaches a {!Devil_runtime.Telemetry} sampler over the
-    registry; when omitted but a registry exists, [DEVIL_TELEMETRY]
-    can enable one from the environment. The machine never ticks it on
-    its own — workloads call {!telemetry_tick} at their own cadence,
-    keeping the series deterministic.
+    [telemetry] attaches a {!Devil_runtime.Telemetry} sampler. The
+    machine never ticks it on its own — workloads call
+    {!telemetry_tick} at their own cadence, keeping the series
+    deterministic.
 
     [lifecycle] (with a trace present) attaches a
     {!Devil_runtime.Lifecycle} reconstructor to the trace, so queued

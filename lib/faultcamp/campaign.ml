@@ -366,14 +366,12 @@ let run_trial ?(covs = []) ?profile ~driver ~range:(first, last) ~workload
   (* Coverage observers hook the live stream (O(1) per event), so the
      small retention ring above does not bound what they see. *)
   List.iter (fun cov -> Coverage.attach cov trace) covs;
+  let wrap_bus b = Fault.bus (Fault.wrap ~seed ~sink:trace ~metrics ~plans b) in
   let m =
-    Machine.create ~faults:plans ~fault_seed:seed ~metrics ~trace ?profile
-      ~lifecycle:true ()
+    Machine.create ~metrics ~trace ?profile ~wrap_bus ~lifecycle:true ()
   in
   let verdict = run_workload m workload in
-  let injections =
-    match m.injector with Some i -> Fault.injection_count i | None -> 0
-  in
+  let injections = Metrics.count metrics "fault.injections" in
   (* The watchdog's view of the same trial: did the run merely fail
      loudly, or did the async path stall, storm or lose interrupts?
      Ring evictions are expected here — the 128-entry retention ring
@@ -473,18 +471,22 @@ let first_kind_mismatch ka kb =
 
 let record_trial ?fault ~driver ~seed () =
   let _, (first, last), workload = find_workload driver in
-  let faults = Option.map (fun f -> plans_for ~fault:f ~first ~last) fault in
   let trace = Trace.create ~capacity:262_144 () in
   let metrics = Metrics.create () in
   let tape = ref None in
   let wrap_bus b =
+    let b =
+      match fault with
+      | None -> b
+      | Some fault ->
+          let plans = plans_for ~fault ~first ~last in
+          Fault.bus (Fault.wrap ~seed ~sink:trace ~metrics ~plans b)
+    in
     let t, b' = Bus.recording b in
     tape := Some t;
     b'
   in
-  let m =
-    Machine.create ?faults ~fault_seed:seed ~trace ~metrics ~wrap_bus ()
-  in
+  let m = Machine.create ~trace ~metrics ~wrap_bus () in
   let verdict = run_workload m workload in
   (Option.get !tape, trace, verdict)
 
@@ -524,13 +526,10 @@ let record_replay ?fault ~driver ~seed () =
 
 (* {1 Export}
 
-   With [DEVIL_FAULTCAMP_EXPORT] set to a directory, [run] re-records
-   every failing (detected or silent) trial and writes its artifacts
-   there: the event trace and the bus tape as versioned JSONL (the
-   tracetool / [Bus.replaying] inputs) plus the Chrome-viewable trace
-   JSON. *)
-
-let export_env = "DEVIL_FAULTCAMP_EXPORT"
+   Given an export directory, [run] re-records every failing (detected
+   or silent) trial and writes its artifacts there: the event trace and
+   the bus tape as versioned JSONL (the tracetool / [Bus.replaying]
+   inputs) plus the Chrome-viewable trace JSON. *)
 
 let export_trial ~dir ?fault ~driver ~seed () =
   with_campaign_policy (fun () ->
@@ -570,7 +569,7 @@ let export_replay_smoke ~dir ~driver ~seed =
       Trace_export.write_file replayed (Trace_export.to_jsonl replay_trace);
       (recorded, replayed))
 
-let run ?(seeds = default_seeds) ?profile () =
+let run ?(seeds = default_seeds) ?profile ?export_dir () =
   with_campaign_policy (fun () ->
       let covs =
         List.map (fun (dev, device) -> Coverage.create ~dev device)
@@ -589,8 +588,8 @@ let run ?(seeds = default_seeds) ?profile () =
               fault_classes)
           workloads
       in
-      (match Sys.getenv_opt export_env with
-      | None | Some "" -> ()
+      (match export_dir with
+      | None -> ()
       | Some dir ->
           List.iter
             (fun t ->

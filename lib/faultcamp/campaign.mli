@@ -98,7 +98,11 @@ val with_campaign_policy : (unit -> 'a) -> 'a
     removing the global {!Devil_runtime.Policy} observer on exit. *)
 
 val run :
-  ?seeds:int list -> ?profile:Devil_runtime.Profile.t -> unit -> report
+  ?seeds:int list ->
+  ?profile:Devil_runtime.Profile.t ->
+  ?export_dir:string ->
+  unit ->
+  report
 (** Runs the full matrix: every workload under every fault class, once
     per seed. Poll deadlines are temporarily shortened (and restored on
     exit) so timeout trials complete quickly. With [profile], every
@@ -108,9 +112,9 @@ val run :
     observer; the last trial's handles win until
     {!Devil_runtime.Policy.unobserve}.
 
-    With the {!export_env} environment variable set to a directory,
-    every failing (detected or silent) trial is re-recorded and its
-    artifacts written there — see {!export_trial}. *)
+    With [export_dir], every failing (detected or silent) trial is
+    re-recorded and its artifacts written there — see
+    {!export_trial}. *)
 
 val count : report -> driver:string -> fault:string -> outcome -> int
 
@@ -164,9 +168,6 @@ val record_replay :
     given) and immediately replays its tape. *)
 
 val pp_replay_check : Format.formatter -> replay_check -> unit
-
-val export_env : string
-(** ["DEVIL_FAULTCAMP_EXPORT"]. *)
 
 val export_trial :
   dir:string -> ?fault:string -> driver:string -> seed:int -> unit ->

@@ -23,6 +23,12 @@ val seed_bus : seed:int -> Devil_runtime.Bus.t -> unit
     two engines (or a clean and a faulted run) start from identical
     device state. *)
 
+val explain_trace_divergence :
+  Devil_runtime.Trace.t -> Devil_runtime.Trace.t -> string
+(** The first event at which the compiled engine's trace (first
+    argument) and the interpreter's (second) differ, for a failure
+    message. *)
+
 type divergence = { dv_detail : string; dv_op : int option }
 
 val run_diff :

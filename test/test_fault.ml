@@ -448,8 +448,7 @@ let test_with_retries_exhausts () =
     | exception Policy.Driver_error (Policy.Degraded _) -> true
   in
   Alcotest.(check bool) "unbounded faults end in Degraded" true degraded;
-  Alcotest.(check int) "one injection per attempt"
-    (Policy.default_attempts ())
+  Alcotest.(check int) "one injection per attempt" Policy.default_attempts
     (Fault.injection_count inj)
 
 (* {1 Nested recovery boundaries}
@@ -567,7 +566,13 @@ let test_ide_read_recovers_transient_burst () =
         (Fault.Transient { probability = 1.0 });
     ]
   in
-  let m = Machine.create ~faults:plans ~fault_seed:7 () in
+  let inj = ref None in
+  let wrap_bus b =
+    let i = Fault.wrap ~seed:7 ~plans b in
+    inj := Some i;
+    Fault.bus i
+  in
+  let m = Machine.create ~wrap_bus () in
   let expected = Bytes.init 512 (fun i -> Char.chr (i land 0xff)) in
   Hwsim.Ide_disk.write_sector m.disk ~lba:5 expected;
   let d = Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
@@ -577,8 +582,8 @@ let test_ide_read_recovers_transient_burst () =
   in
   Alcotest.(check string) "sector intact after recovery"
     (Bytes.to_string expected) (Bytes.to_string got);
-  let inj = Option.get m.injector in
-  Alcotest.(check int) "the burst actually fired" 2 (Fault.injection_count inj)
+  Alcotest.(check int) "the burst actually fired" 2
+    (Fault.injection_count (Option.get !inj))
 
 (* {1 Campaign smoke} *)
 

@@ -470,6 +470,25 @@ let test_machine_metrics_match_io_space () =
   Alcotest.(check int) "io_ops equals the metrics total" (Machine.io_ops m)
     (c "bus.reads" + c "bus.writes" + c "bus.read_items" + c "bus.write_items")
 
+(* A machine is configured by its arguments alone: the DEVIL_* names
+   that once switched on handles for every machine in the process are
+   not read. *)
+let test_machine_ignores_environment () =
+  let vars =
+    [ "DEVIL_TRACE"; "DEVIL_METRICS"; "DEVIL_PROFILE"; "DEVIL_TELEMETRY" ]
+  in
+  List.iter (fun v -> Unix.putenv v "1") vars;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun v -> Unix.putenv v "0") vars;
+      Policy.unobserve ())
+    (fun () ->
+      let m = Machine.create () in
+      Alcotest.(check bool) "no trace" true (Option.is_none m.trace);
+      Alcotest.(check bool) "no metrics" true (Option.is_none m.metrics);
+      Alcotest.(check bool) "no profile" true (Option.is_none m.profile);
+      Alcotest.(check bool) "no telemetry" true (Option.is_none m.telemetry))
+
 (* {1 Instance instrumentation: cache hits and misses} *)
 
 let compile_ok src =
@@ -693,7 +712,12 @@ let () =
             case "JSON rendering" test_json_mentions_counters;
           ] );
       ( "machine",
-        [ case "metrics agree with Io_space stats" test_machine_metrics_match_io_space ] );
+        [
+          case "metrics agree with Io_space stats"
+            test_machine_metrics_match_io_space;
+          case "no handle from the environment"
+            test_machine_ignores_environment;
+        ] );
       ("instance", [ case "cache hits and misses" test_cache_hit_miss ]);
       ( "bugfixes",
         [

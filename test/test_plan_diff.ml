@@ -27,51 +27,13 @@ module Bus = Devil_runtime.Bus
 module Trace = Devil_runtime.Trace
 module Monitor = Devil_runtime.Monitor
 module Specs = Devil_specs.Specs
+module Opgen = Specharness.Opgen
+module Diffbat = Specharness.Diffbat
 
 let qcount d =
   match Sys.getenv_opt "DEVIL_QCHECK_COUNT" with
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> d)
   | None -> d
-
-(* {1 The operation vocabulary} *)
-
-type op =
-  | Get of string
-  | Set of string * Value.t
-  | Get_struct of string
-  | Set_struct of string * (string * Value.t) list
-  | Read_block of string * int
-  | Write_block of string * int array
-  | Read_wide of string * int
-  | Write_wide of string * int * int
-  | Read_indexed of string * int list
-  | Write_indexed of string * int list * int
-  | Invalidate
-
-let pp_value v = Value.to_string v
-
-let pp_op = function
-  | Get n -> "get " ^ n
-  | Set (n, v) -> Printf.sprintf "set %s := %s" n (pp_value v)
-  | Get_struct n -> "get_struct " ^ n
-  | Set_struct (n, fs) ->
-      Printf.sprintf "set_struct %s {%s}" n
-        (String.concat "; "
-           (List.map (fun (f, v) -> f ^ " = " ^ pp_value v) fs))
-  | Read_block (n, c) -> Printf.sprintf "read_block %s count:%d" n c
-  | Write_block (n, d) ->
-      Printf.sprintf "write_block %s [%s]" n
-        (String.concat ";" (Array.to_list (Array.map string_of_int d)))
-  | Read_wide (n, s) -> Printf.sprintf "read_wide %s scale:%d" n s
-  | Write_wide (n, s, v) -> Printf.sprintf "write_wide %s scale:%d %d" n s v
-  | Read_indexed (t, a) ->
-      Printf.sprintf "read_indexed %s(%s)" t
-        (String.concat "," (List.map string_of_int a))
-  | Write_indexed (t, a, v) ->
-      Printf.sprintf "write_indexed %s(%s) := %d" t
-        (String.concat "," (List.map string_of_int a))
-        v
-  | Invalidate -> "invalidate_cache"
 
 (* {1 Per-device generation universe} *)
 
@@ -107,7 +69,7 @@ let gen_value (ty : Dtype.t) : Value.t QCheck.Gen.t =
   in
   frequency [ (9, good); (1, bogus) ]
 
-let gen_op (device : Ir.device) : op QCheck.Gen.t =
+let gen_op (device : Ir.device) : Opgen.op QCheck.Gen.t =
   let open QCheck.Gen in
   let pub_vars = Ir.public_vars device in
   let pub_structs = Ir.public_structs device in
@@ -119,8 +81,11 @@ let gen_op (device : Ir.device) : op QCheck.Gen.t =
     List.concat_map
       (fun (v : Ir.var) ->
         [
-          (3, map (fun () -> Get v.v_name) unit);
-          (3, map (fun value -> Set (v.v_name, value)) (gen_value v.v_type));
+          (3, map (fun () -> Opgen.Get v.v_name) unit);
+          ( 3,
+            map
+              (fun value -> Opgen.Set (v.v_name, value))
+              (gen_value v.v_type) );
         ])
       pub_vars
   in
@@ -147,8 +112,8 @@ let gen_op (device : Ir.device) : op QCheck.Gen.t =
             (pair (flatten_l (List.map field_gen fields)) (frequency [ (19, return false); (1, return true) ]))
         in
         [
-          (2, map (fun () -> Get_struct s.s_name) unit);
-          (2, map (fun fs -> Set_struct (s.s_name, fs)) gen_fields);
+          (2, map (fun () -> Opgen.Get_struct s.s_name) unit);
+          (2, map (fun fs -> Opgen.Set_struct (s.s_name, fs)) gen_fields);
         ])
       pub_structs
   in
@@ -156,15 +121,17 @@ let gen_op (device : Ir.device) : op QCheck.Gen.t =
     List.concat_map
       (fun (v : Ir.var) ->
         [
-          (1, map (fun c -> Read_block (v.v_name, c)) (int_range 0 6));
+          (1, map (fun c -> Opgen.Read_block (v.v_name, c)) (int_range 0 6));
           ( 1,
             map
-              (fun l -> Write_block (v.v_name, Array.of_list l))
+              (fun l -> Opgen.Write_block (v.v_name, Array.of_list l))
               (list_size (int_range 0 6) (int_range 0 0xffff)) );
-          (1, map (fun s -> Read_wide (v.v_name, s)) (oneofl [ 1; 2; 4 ]));
+          ( 1,
+            map (fun s -> Opgen.Read_wide (v.v_name, s)) (oneofl [ 1; 2; 4 ])
+          );
           ( 1,
             map
-              (fun (s, value) -> Write_wide (v.v_name, s, value))
+              (fun (s, value) -> Opgen.Write_wide (v.v_name, s, value))
               (pair (oneofl [ 1; 2; 4 ]) (int_range 0 0xffff)) );
         ])
       block_vars
@@ -184,120 +151,42 @@ let gen_op (device : Ir.device) : op QCheck.Gen.t =
                tp.t_params)
         in
         [
-          (1, map (fun args -> Read_indexed (tp.t_name, args)) gen_args);
+          ( 1,
+            map (fun args -> Opgen.Read_indexed (tp.t_name, args)) gen_args );
           ( 1,
             map
-              (fun (args, v) -> Write_indexed (tp.t_name, args, v))
+              (fun (args, v) -> Opgen.Write_indexed (tp.t_name, args, v))
               (pair gen_args (int_range 0 0xffff)) );
         ])
       templates
   in
   let all =
     var_ops @ struct_ops @ block_ops @ indexed_ops
-    @ [ (1, return Invalidate) ]
+    @ [ (1, return Opgen.Invalidate) ]
   in
   frequency all
 
 (* {1 Running one scenario on both engines} *)
 
-type outcome =
-  | O_unit
-  | O_value of Value.t
-  | O_int of int
-  | O_array of int array
-  | O_error of string
-
-let pp_outcome = function
-  | O_unit -> "()"
-  | O_value v -> pp_value v
-  | O_int n -> string_of_int n
-  | O_array a ->
-      "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int a)) ^ "]"
-  | O_error m -> "error: " ^ m
-
-let run_op inst op : outcome =
-  try
-    match op with
-    | Get n -> O_value (Instance.get inst n)
-    | Set (n, v) ->
-        Instance.set inst n v;
-        O_unit
-    | Get_struct n ->
-        Instance.get_struct inst n;
-        O_unit
-    | Set_struct (n, fs) ->
-        Instance.set_struct inst n fs;
-        O_unit
-    | Read_block (n, count) -> O_array (Instance.read_block inst n ~count)
-    | Write_block (n, data) ->
-        Instance.write_block inst n data;
-        O_unit
-    | Read_wide (n, scale) -> O_int (Instance.read_wide inst n ~scale)
-    | Write_wide (n, scale, v) ->
-        Instance.write_wide inst n ~scale v;
-        O_unit
-    | Read_indexed (template, args) ->
-        O_int (Instance.read_indexed inst ~template ~args)
-    | Write_indexed (template, args, v) ->
-        Instance.write_indexed inst ~template ~args v;
-        O_unit
-    | Invalidate ->
-        Instance.invalidate_cache inst;
-        O_unit
-  with
-  | Instance.Device_error m -> O_error ("device: " ^ m)
-  | Bus.Bus_fault m -> O_error ("bus: " ^ m)
-  | Not_found -> O_error "Not_found"
-  | Invalid_argument m -> O_error ("invalid: " ^ m)
-
 (* Two instances of the same device over two identically pre-seeded
    memory buses, each observed by its own trace. *)
 let build_engine ~interpret ~debug ~seed (device : Ir.device) bases =
   let raw = Bus.memory ~size:4096 () in
-  let rng = Random.State.make [| seed; 0x9e3779b9 |] in
-  for addr = 0 to 2047 do
-    raw.Bus.write ~width:32 ~addr ~value:(Random.State.int rng 0x10000)
-  done;
+  Diffbat.seed_bus ~seed raw;
   let trace = Trace.create ~capacity:200_000 () in
   let bus = Bus.observed ~trace raw in
   let inst = Instance.create ~debug ~label:"diff" ~trace ~interpret device ~bus ~bases in
   (inst, trace)
 
-let bases_for (device : Ir.device) =
-  let next = ref 16 in
-  List.map
-    (fun (p : Ir.port) ->
-      let maxoff = List.fold_left max 0 p.p_offsets in
-      let b = !next in
-      next := !next + maxoff + 16;
-      (p.p_name, b))
-    device.Ir.d_ports
-
-let explain_trace_divergence ta tb =
-  let ea = Trace.events ta and eb = Trace.events tb in
-  let rec first_diff i = function
-    | [], [] -> "traces equal?"
-    | a :: _, [] ->
-        Format.asprintf "event %d only in compiled: %a" i Trace.pp_event a
-    | [], b :: _ ->
-        Format.asprintf "event %d only in interpreter: %a" i Trace.pp_event b
-    | a :: ra, b :: rb ->
-        if a = b then first_diff (i + 1) (ra, rb)
-        else
-          Format.asprintf "event %d differs:@.  compiled:    %a@.  interpreter: %a"
-            i Trace.pp_event a Trace.pp_event b
-  in
-  first_diff 0 (ea, eb)
-
 let diff_property name (device : Ir.device) =
-  let bases = bases_for device in
+  let bases = Diffbat.bases_for device in
   let gen =
     QCheck.Gen.(
       triple (int_bound 0xffff) bool (list_size (int_range 1 30) (gen_op device)))
   in
   let print (seed, debug, ops) =
     Printf.sprintf "seed:%d debug:%b\n%s" seed debug
-      (String.concat "\n" (List.map pp_op ops))
+      (String.concat "\n" (List.map Opgen.pp_op ops))
   in
   let shrink (seed, debug, ops) =
     QCheck.Iter.map
@@ -313,17 +202,17 @@ let diff_property name (device : Ir.device) =
       let interp, ti = build_engine ~interpret:true ~debug ~seed device bases in
       List.iteri
         (fun i op ->
-          let oc = run_op compiled op in
-          let oi = run_op interp op in
+          let oc = Opgen.run_op compiled op in
+          let oi = Opgen.run_op interp op in
           if oc <> oi then
             QCheck.Test.fail_reportf
-              "op %d (%s): compiled %s, interpreter %s" i (pp_op op)
-              (pp_outcome oc) (pp_outcome oi))
+              "op %d (%s): compiled %s, interpreter %s" i (Opgen.pp_op op)
+              (Opgen.pp_outcome oc) (Opgen.pp_outcome oi))
         ops;
       let ec = Trace.events tc and ei = Trace.events ti in
       if ec <> ei then
         QCheck.Test.fail_reportf "trace divergence: %s"
-          (explain_trace_divergence tc ti);
+          (Diffbat.explain_trace_divergence tc ti);
       (* Third oracle: the online protocol monitor re-derives the
          interface disciplines from the IR alone; a clean run must
          produce zero violations. *)

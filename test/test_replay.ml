@@ -12,8 +12,7 @@
    must replay from its tape to the identical driver-visible outcome —
    the PR's acceptance scenario), a seeded serialization-violation
    regression for the protocol monitor, the trace/tape JSONL
-   round-trips with version rejection, and the DEVIL_TRACE /
-   DEVIL_METRICS env-value parsers.
+   round-trips with version rejection.
 
    DEVIL_QCHECK_COUNT scales the property iteration count. *)
 
@@ -428,37 +427,6 @@ let prop_float_roundtrip =
       let j = Trace_export.List [ Trace_export.Float f; Trace_export.Int 3 ] in
       Trace_export.json_of_string (Trace_export.json_to_string j) = Ok j)
 
-(* {1 DEVIL_TRACE / DEVIL_METRICS env parsing} *)
-
-let test_trace_env_parse () =
-  let ok v = Trace.parse_env_value v in
-  Alcotest.(check bool) "off disables" true (ok "off" = Ok None);
-  Alcotest.(check bool) "0 disables" true (ok "0" = Ok None);
-  Alcotest.(check bool) "empty disables" true (ok "" = Ok None);
-  Alcotest.(check bool)
-    "on enables with the default capacity" true
-    (ok "on" = Ok (Some Trace.default_capacity));
-  Alcotest.(check bool)
-    "1 enables with the default capacity" true
-    (ok "1" = Ok (Some Trace.default_capacity));
-  Alcotest.(check bool) "integer is a capacity" true (ok "4096" = Ok (Some 4096));
-  Alcotest.(check bool) "case/space-insensitive" true
-    (ok "  ON " = Ok (Some Trace.default_capacity));
-  (match ok "banana" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed value must be an Error");
-  match ok "-3" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative capacity must be an Error"
-
-let test_metrics_env_parse () =
-  let module M = Devil_runtime.Metrics in
-  Alcotest.(check bool) "off disables" true (M.parse_env_value "no" = Ok false);
-  Alcotest.(check bool) "on enables" true (M.parse_env_value "TRUE" = Ok true);
-  match M.parse_env_value "maybe" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed value must be an Error"
-
 let () =
   let case name f = Alcotest.test_case name `Quick f in
   Alcotest.run "replay"
@@ -482,10 +450,5 @@ let () =
           case "tape JSONL round-trip" test_tape_jsonl_roundtrip;
           case "chrome export smoke" test_chrome_export_smoke;
           QCheck_alcotest.to_alcotest prop_float_roundtrip;
-        ] );
-      ( "env",
-        [
-          case "DEVIL_TRACE parser" test_trace_env_parse;
-          case "DEVIL_METRICS parser" test_metrics_env_parse;
         ] );
     ]

@@ -494,7 +494,10 @@ let plans_of = function
 let latency_of = function Lost_completion -> 1_000_000 | _ -> 4
 
 let scenario_machine scen =
-  let m = Machine.create ?faults:(plans_of scen) () in
+  let wrap_bus =
+    Option.map (fun plans b -> Fault.bus (Fault.wrap ~plans b)) (plans_of scen)
+  in
+  let m = Machine.create ?wrap_bus () in
   let expected =
     Bytes.init (2 * 512) (fun i -> Char.chr (((i * 31) + 7) land 0xff))
   in
@@ -543,7 +546,7 @@ let run_async scen =
 
 let expected_tag = function
   | Clean -> "ok"
-  | Transient_burst b -> if b >= Policy.default_attempts () then "degraded" else "ok"
+  | Transient_burst b -> if b >= Policy.default_attempts then "degraded" else "ok"
   | Dropped_go | Lost_completion -> "timeout"
 
 let taxonomy_equivalence =
@@ -639,13 +642,11 @@ let test_machine_inta_fault_recovers () =
         (Fault.Transient { probability = 1.0 });
     ]
   in
-  let m = Machine.create ~faults:plans ~metrics () in
+  let wrap_bus b = Fault.bus (Fault.wrap ~metrics ~plans b) in
+  let m = Machine.create ~metrics ~wrap_bus () in
   let sched = Machine.sched m in
-  (match m.injector with
-  | Some inj ->
-      Alcotest.(check int) "building the loop costs no acknowledge reads" 0
-        (Fault.injection_count inj)
-  | None -> Alcotest.fail "machine built without its injector");
+  Alcotest.(check int) "building the loop costs no acknowledge reads" 0
+    (Metrics.count metrics "fault.injections");
   let expected = Bytes.init 512 (fun i -> Char.chr ((i * 3) land 0xff)) in
   Hwsim.Ide_disk.write_sector m.disk ~lba:9 expected;
   Hwsim.Piix4.set_latency m.busmaster 2;
@@ -657,9 +658,8 @@ let test_machine_inta_fault_recovers () =
   let rq = Ide.Async.read_dma d ~lba:9 ~count:1 ~on_data:(fun b -> got := b) () in
   Ide.Async.await d rq;
   Alcotest.(check bytes) "recovered read is intact" expected !got;
-  (match m.injector with
-  | Some inj -> Alcotest.(check int) "the INTA read faulted once" 1 (Fault.injection_count inj)
-  | None -> ());
+  Alcotest.(check int) "the INTA read faulted once" 1
+    (Metrics.count metrics "fault.injections");
   Alcotest.(check int) "loss counted" 1 (Metrics.count metrics "sched.irqs.faults");
   Alcotest.(check int) "then redelivered" 1
     (Metrics.count metrics "sched.irqs.delivered")

@@ -122,20 +122,6 @@ let test_windowed_vs_lifetime_percentiles () =
     (w2.Telemetry.h_p50 <= w2.Telemetry.h_p95
     && w2.Telemetry.h_p95 <= w2.Telemetry.h_p99)
 
-let test_parse_env_value () =
-  let ok = Alcotest.(check (result (option int) string)) in
-  ok "off disables" (Ok None) (Telemetry.parse_env_value "0");
-  ok "off word" (Ok None) (Telemetry.parse_env_value "off");
-  ok "on enables default"
-    (Ok (Some Telemetry.default_capacity))
-    (Telemetry.parse_env_value "1");
-  ok "explicit capacity" (Ok (Some 256)) (Telemetry.parse_env_value "256");
-  Alcotest.(check bool)
-    "malformed is an error" true
-    (match Telemetry.parse_env_value "bogus" with
-    | Error _ -> true
-    | Ok _ -> false)
-
 (* {1 Determinism: replayed ticks give byte-identical series} *)
 
 let feed_fixture (m : Metrics.t) (tel : Telemetry.t) =
@@ -586,7 +572,6 @@ let () =
           case "series ring bound and eviction count" test_series_ring_bound;
           case "windowed percentiles differ from lifetime"
             test_windowed_vs_lifetime_percentiles;
-          case "DEVIL_TELEMETRY value parser" test_parse_env_value;
         ] );
       ( "determinism",
         [

@@ -9,6 +9,15 @@ set -e
 
 cd "$(dirname "$0")/.."
 
+# Library code takes its configuration from its arguments only: an
+# environment read under lib/ would reach every machine in the process
+# behind its caller's back.
+echo "== no environment reads in lib/ =="
+if grep -rn getenv lib/; then
+  echo "FAIL: lib/ reads the environment; take the value as an argument"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 
@@ -44,8 +53,8 @@ dune exec tools/benchcheck/benchcheck.exe -- BENCH_*.json
 echo "== coverage + replay gates =="
 EXPORT_DIR=_build/faultcamp_export
 rm -rf "$EXPORT_DIR" && mkdir -p "$EXPORT_DIR"
-DEVIL_FAULTCAMP_EXPORT="$EXPORT_DIR" \
-  dune exec bench/main.exe -- faultcamp > _build/faultcamp_smoke.out
+dune exec bench/main.exe -- faultcamp --export "$EXPORT_DIR" \
+  > _build/faultcamp_smoke.out
 for dev in ide gfx; do
   line=$(grep "^coverage $dev " _build/faultcamp_smoke.out)
   pct=$(printf '%s\n' "$line" | sed -n 's/.*registers [0-9]*\/[0-9]* (\([0-9]*\)\(\.[0-9]*\)\?%).*/\1/p')
