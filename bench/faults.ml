@@ -4,7 +4,11 @@ let run args =
   let export_dir =
     match args with
     | [] -> None
-    | [ "--export"; dir ] -> Some dir
+    | [ "--export"; dir ] when Sys.file_exists dir && Sys.is_directory dir ->
+        Some dir
+    | [ "--export"; dir ] ->
+        Format.eprintf "bench faultcamp: no directory %s@." dir;
+        exit 2
     | _ ->
         Format.eprintf "usage: bench faultcamp [--export DIR]@.";
         exit 2

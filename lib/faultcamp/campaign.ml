@@ -570,6 +570,11 @@ let export_replay_smoke ~dir ~driver ~seed =
       (recorded, replayed))
 
 let run ?(seeds = default_seeds) ?profile ?export_dir () =
+  Option.iter
+    (fun dir ->
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        invalid_arg ("Campaign.run: no export directory " ^ dir))
+    export_dir;
   with_campaign_policy (fun () ->
       let covs =
         List.map (fun (dev, device) -> Coverage.create ~dev device)

@@ -114,7 +114,8 @@ val run :
 
     With [export_dir], every failing (detected or silent) trial is
     re-recorded and its artifacts written there — see
-    {!export_trial}. *)
+    {!export_trial}. Raises [Invalid_argument] before any trial runs
+    when [export_dir] is not an existing directory. *)
 
 val count : report -> driver:string -> fault:string -> outcome -> int
 

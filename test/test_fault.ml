@@ -451,6 +451,40 @@ let test_with_retries_exhausts () =
   Alcotest.(check int) "one injection per attempt" Policy.default_attempts
     (Fault.injection_count inj)
 
+(* The default bounds are fixed by the program: the poll deadline
+   starts at 1_000_000 and only [set_default_deadline] moves it; the
+   retry budget is three attempts. *)
+let test_default_bounds () =
+  Alcotest.(check int) "initial poll deadline" 1_000_000
+    (Policy.default_deadline ());
+  let saved = Policy.default_deadline () in
+  Fun.protect ~finally:(fun () -> Policy.set_default_deadline saved)
+  @@ fun () ->
+  Policy.set_default_deadline 5;
+  Policy.set_default_deadline 0;
+  Policy.set_default_deadline (-7);
+  Alcotest.(check int) "non-positive deadlines ignored" 5
+    (Policy.default_deadline ());
+  let polls = ref 0 in
+  (match
+     Policy.poll_until ~label:"never" (fun () ->
+         incr polls;
+         false)
+   with
+  | () -> Alcotest.fail "a poll that never succeeds returned"
+  | exception Policy.Driver_error (Policy.Timeout l) ->
+      Alcotest.(check string) "timeout names the poll" "never" l);
+  Alcotest.(check int) "the poll stops at the default deadline" 5 !polls;
+  let runs = ref 0 in
+  (match
+     Policy.with_retries ~label:"flaky" (fun () ->
+         incr runs;
+         Policy.fail (Policy.Bus_fault "flaky"))
+   with
+  | () -> Alcotest.fail "an operation that always faults returned"
+  | exception Policy.Driver_error (Policy.Degraded _) -> ());
+  Alcotest.(check int) "three attempts by default" 3 !runs
+
 (* {1 Nested recovery boundaries}
 
    Drivers compose [guarded] and [with_retries] — a protected entry
@@ -609,6 +643,49 @@ let test_campaign_deterministic () =
   let b = Campaign.run ~seeds:[ 2 ] () in
   Alcotest.(check bool) "same seed, same report" true (a = b)
 
+(* Every failing trial leaves its trace, tape and Chrome trace in the
+   export directory, and nothing else is written there. *)
+let test_campaign_exports_failing_trials () =
+  let dir = Filename.temp_dir "faultcamp" "" in
+  let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (files ());
+      Sys.rmdir dir)
+  @@ fun () ->
+  let report = Campaign.run ~seeds:[ 1 ] ~export_dir:dir () in
+  let expected =
+    List.concat_map
+      (fun (t : Campaign.trial) ->
+        match t.outcome with
+        | Campaign.Detected | Campaign.Silent ->
+            let base = Printf.sprintf "%s-%s-seed%d" t.driver t.fault t.seed in
+            List.map (( ^ ) base) [ ".chrome.json"; ".tape.jsonl"; ".trace.jsonl" ]
+        | Campaign.Clean | Campaign.Recovered -> [])
+      report.Campaign.trials
+  in
+  Alcotest.(check bool) "some trial fails" true (expected <> []);
+  Alcotest.(check (list string)) "three files per failing trial"
+    (List.sort compare expected) (files ());
+  List.iter
+    (fun f ->
+      let ic = open_in_bin (Filename.concat dir f) in
+      let len = in_channel_length ic in
+      close_in ic;
+      Alcotest.(check bool) (f ^ " is not empty") true (len > 0))
+    expected
+
+(* A missing export directory is refused before the matrix runs, so a
+   mistyped path costs no trials and loses no report. *)
+let test_campaign_missing_export_dir () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "faultcamp-no-such-dir" in
+  let profile = Devil_runtime.Profile.create () in
+  (match Campaign.run ~seeds:[ 1 ] ~profile ~export_dir:dir () with
+  | _ -> Alcotest.fail "a missing export directory was accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "no trial ran" 0
+    (List.length (Devil_runtime.Profile.sites profile))
+
 let () =
   Alcotest.run "fault"
     [
@@ -642,6 +719,7 @@ let () =
         [
           case "retries absorb a burst" test_with_retries_recovers;
           case "retries exhaust to Degraded" test_with_retries_exhausts;
+          case "default bounds" test_default_bounds;
         ] );
       ( "nested",
         [
@@ -656,5 +734,8 @@ let () =
         [
           case "transients never silent" test_campaign_transient_never_silent;
           case "deterministic" test_campaign_deterministic;
+          case "exports failing trials" test_campaign_exports_failing_trials;
+          case "missing export directory refused"
+            test_campaign_missing_export_dir;
         ] );
     ]

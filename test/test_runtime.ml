@@ -308,6 +308,59 @@ let run_block_needs_whole_register ~interpret () =
   | _ -> Alcotest.fail "block transfer on part of a register allowed");
   check_log "no transfer" [] (log ())
 
+(* The block stubs are the wide stubs at scale 1 in both engines: one
+   bus block transfer at the port width, after the register's pre
+   action, the same traffic whichever entry point the driver calls. *)
+let width_recording_bus () =
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let bus =
+    {
+      Bus.read =
+        (fun ~width ~addr ->
+          note "r%d[%d]" width addr;
+          0);
+      write = (fun ~width ~addr ~value -> note "w%d[%d]=%d" width addr value);
+      read_block =
+        (fun ~width ~addr ~into ->
+          note "rb%d[%d]x%d" width addr (Array.length into));
+      write_block =
+        (fun ~width ~addr ~from ->
+          note "wb%d[%d]x%d" width addr (Array.length from));
+    }
+  in
+  (bus, fun () -> List.rev !log)
+
+let run_block_is_wide_at_scale_one ~interpret () =
+  let device =
+    compile
+      "device d (base : bit[8] port @ {0..3}) {
+         register idx = write base @ 1 : bit[8];
+         private variable i = idx : int(8);
+         register r = base @ 0, pre {i = 7} : bit[8];
+         variable v = r, trigger, volatile, block : int(8);
+         register p = base @ 2 : bit[8]; variable vp = p : int(8);
+         register q = base @ 3 : bit[8]; variable vq = q : int(8);}"
+  in
+  let traffic f =
+    let bus, log = width_recording_bus () in
+    f (Instance.create ~interpret device ~bus ~bases:[ ("base", 0) ]);
+    log ()
+  in
+  let check = Alcotest.(check (list string)) in
+  let read_block i = ignore (Instance.read_block i "v" ~count:2) in
+  check "read_block: pre action, one 8-bit block" [ "w8[1]=7"; "rb8[0]x2" ]
+    (traffic read_block);
+  check "read_block_wide at scale 1 is the same" (traffic read_block)
+    (traffic (fun i -> ignore (Instance.read_block_wide i "v" ~scale:1 ~count:2)));
+  let write_block i = Instance.write_block i "v" [| 1; 2; 3 |] in
+  check "write_block: pre action, one 8-bit block" [ "w8[1]=7"; "wb8[0]x3" ]
+    (traffic write_block);
+  check "write_block_wide at scale 1 is the same" (traffic write_block)
+    (traffic (fun i -> Instance.write_block_wide i "v" ~scale:1 [| 1; 2; 3 |]));
+  check "scale 2 doubles the width" [ "w8[1]=7"; "rb16[0]x2" ]
+    (traffic (fun i -> ignore (Instance.read_block_wide i "v" ~scale:2 ~count:2)))
+
 let test_indexed_access () =
   let inst, log, _ =
     make
@@ -447,6 +500,10 @@ let () =
             (run_block_needs_whole_register ~interpret:false);
           case "block needs a whole register (interpreted)"
             (run_block_needs_whole_register ~interpret:true);
+          case "block is the wide stub at scale 1 (compiled)"
+            (run_block_is_wide_at_scale_one ~interpret:false);
+          case "block is the wide stub at scale 1 (interpreted)"
+            (run_block_is_wide_at_scale_one ~interpret:true);
           case "indexed registers" test_indexed_access;
         ] );
     ]
