@@ -87,7 +87,6 @@ let fill_disk (m : Machine.t) =
 let row_ide_sync () =
   let metrics = Devil_runtime.Metrics.create () in
   let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
   fill_disk m;
   Hwsim.Piix4.set_latency m.busmaster dma_latency;
   let d = Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
@@ -129,7 +128,6 @@ let row_ide_sync () =
 let row_ide_queued () =
   let metrics = Devil_runtime.Metrics.create () in
   let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
   fill_disk m;
   Hwsim.Piix4.set_latency m.busmaster dma_latency;
   let sched = Machine.sched m in
@@ -196,7 +194,6 @@ let net_frame b k =
 let row_net_poll () =
   let metrics = Devil_runtime.Metrics.create () in
   let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
   let net = Drivers.Net.Devil_driver.create m.ne2000_dev in
   Drivers.Net.Devil_driver.init net ~mac:"\x02\x00\x00\x00\x00\x21";
   let before = Perfmodel.Cost.sample_of_metrics metrics in
@@ -249,7 +246,6 @@ let row_net_poll () =
 let row_net_burst () =
   let metrics = Devil_runtime.Metrics.create () in
   let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
   let net = Drivers.Net.Devil_driver.create m.ne2000_dev in
   Drivers.Net.Devil_driver.init net ~mac:"\x02\x00\x00\x00\x00\x22";
   let sched = Machine.sched m in

@@ -107,23 +107,22 @@ let modeled_us_per_op workload =
      so each workload carries a single modeled time. *)
   let metrics = Devil_runtime.Metrics.create () in
   let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      let run = workload m in
-      run ();
-      (* warm the idempotent caches: measure the steady state *)
-      let before = Perfmodel.Cost.sample_of_metrics metrics in
-      run ();
-      let after = Perfmodel.Cost.sample_of_metrics metrics in
-      let delta =
-        {
-          Perfmodel.Cost.singles =
-            after.Perfmodel.Cost.singles - before.Perfmodel.Cost.singles;
-          block_items =
-            after.Perfmodel.Cost.block_items - before.Perfmodel.Cost.block_items;
-          irqs = 0;
-        }
-      in
-      Perfmodel.Cost.pio_time delta *. 1e6)
+  let run = workload m in
+  run ();
+  (* warm the idempotent caches: measure the steady state *)
+  let before = Perfmodel.Cost.sample_of_metrics metrics in
+  run ();
+  let after = Perfmodel.Cost.sample_of_metrics metrics in
+  let delta =
+    {
+      Perfmodel.Cost.singles =
+        after.Perfmodel.Cost.singles - before.Perfmodel.Cost.singles;
+      block_items =
+        after.Perfmodel.Cost.block_items - before.Perfmodel.Cost.block_items;
+      irqs = 0;
+    }
+  in
+  Perfmodel.Cost.pio_time delta *. 1e6
 
 let speedup_workloads = [ "reg_get"; "reg_set"; "reg_get_h"; "reg_set_h" ]
 let engines = [ ("compiled", false); ("interpreted", true) ]

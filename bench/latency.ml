@@ -67,7 +67,6 @@ let result ~name ~dev (m : Machine.t) metrics =
 
 let wl_ide () =
   let m, metrics, trace = machine () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
   Async.fill_disk m;
   Hwsim.Piix4.set_latency m.busmaster Async.dma_latency;
   let sched = Machine.sched m in
@@ -103,7 +102,6 @@ let net_frame i =
 
 let wl_net () =
   let m, metrics, trace = machine () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
   let sync = Drivers.Net.Devil_driver.create m.ne2000_dev in
   let sched = Machine.sched m in
   let a = Drivers.Net.Async.create ~sched ~line:Machine.irq_net m.ne2000_dev in

@@ -42,8 +42,7 @@ let run () =
       (obs_coverage_devices ())
   in
   let m = Machine.create ~trace ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      obs_workload m);
+  obs_workload m;
   Format.printf "%s@." (Devil_runtime.Metrics.to_json metrics);
   Format.printf "@.spec coverage of the workload:@.";
   List.iter
@@ -76,7 +75,6 @@ let run () =
 let run_json () =
   let metrics = Devil_runtime.Metrics.create () in
   let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      obs_workload m);
+  obs_workload m;
   print_string (Devil_runtime.Metrics.to_json metrics);
   print_newline ()

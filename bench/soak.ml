@@ -89,7 +89,6 @@ let run args =
     Machine.create ~trace ~metrics ~telemetry ~lifecycle:true
       ~lifecycle_clock:event_clock ()
   in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
   Async.fill_disk m;
   Hwsim.Piix4.set_latency m.busmaster Async.dma_latency;
   let sched = Machine.sched m in

@@ -25,16 +25,15 @@ let usage () =
 let workload ~iters name wl =
   let profile = Devil_runtime.Profile.create () in
   let m = Machine.create ~profile () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      let run = wl m in
-      (* warm the idempotent caches: attribute the steady state only *)
-      run ();
-      Devil_runtime.Profile.reset profile;
-      Devil_runtime.Profile.span profile ("driver:" ^ name) (fun () ->
-          for _ = 1 to iters do
-            run ()
-          done);
-      profile)
+  let run = wl m in
+  (* warm the idempotent caches: attribute the steady state only *)
+  run ();
+  Devil_runtime.Profile.reset profile;
+  Devil_runtime.Profile.span profile ("driver:" ^ name) (fun () ->
+      for _ = 1 to iters do
+        run ()
+      done);
+  profile
 
 let export ~dir name p =
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());

@@ -206,10 +206,10 @@ let bus_counters m =
     block_len = Metrics.Histogram.make m "bus.block_len";
   }
 
-let observed ?trace ?metrics ?profile bus =
-  match (trace, metrics, profile) with
-  | None, None, None -> bus
-  | _ ->
+let observed ?ctx bus =
+  match ctx with
+  | None | Some { Ctx.trace = None; metrics = None; profile = None; _ } -> bus
+  | Some { Ctx.trace; metrics; profile; _ } ->
       let metrics = Option.map bus_counters metrics in
       (* The bus transfer is the leaf of the span hierarchy: the
          wrapper times the underlying call precisely and records it as

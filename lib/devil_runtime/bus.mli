@@ -80,9 +80,9 @@ val tape_of_transfers : transfer list -> tape
 
 val pp_transfer : Format.formatter -> transfer -> unit
 
-val observed : ?trace:Trace.t -> ?metrics:Metrics.t -> ?profile:Profile.t -> t -> t
-(** [observed ?trace ?metrics ?profile bus] wraps a bus so that every
-    transfer is recorded into the trace, counted in the registry (see
+val observed : ?ctx:Ctx.t -> t -> t
+(** [observed ~ctx bus] wraps a bus so that every transfer is recorded
+    into the context's trace, counted in its registry (see
     {!Metrics} for the counter vocabulary: single transfers, block
     transactions, block elements and bytes are all counted separately)
     and, with a profiler, timed as a leaf span (["bus:read"],

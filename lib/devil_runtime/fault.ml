@@ -29,15 +29,6 @@ let plan ?(ops = [ Read; Write ]) ?budget ~label ~first ~last kind =
   if last < first then invalid_arg "Fault.plan: empty address range";
   { label; first; last; ops; kind; budget }
 
-type event = {
-  seq : int;
-  plan_label : string;
-  op : op;
-  addr : int;
-  width : int;
-  detail : string;
-}
-
 type pstate = { p : plan; mutable left : int option; mutable fired : int }
 
 (* {1 Scheduled injections}
@@ -67,7 +58,6 @@ type t = {
   rng0 : int;  (* initial PRNG state, so reset rewinds *)
   mutable rng : int;
   mutable seq : int;
-  trace : event Trace.Ring.t;  (* bounded: oldest injections evicted *)
   sink : Trace.t option;  (* the unified observability stream *)
   metrics : Metrics.t option;
 }
@@ -87,9 +77,7 @@ let armed ps ~op ~addr =
   && addr >= ps.p.first
   && addr <= ps.p.last
 
-let emit_fired t ~label ~op ~addr ~width ~detail =
-  Trace.Ring.add t.trace
-    { seq = t.seq; plan_label = label; op; addr; width; detail };
+let emit_fired t ~label ~addr ~width ~detail =
   (match t.sink with
   | Some tr ->
       Trace.emit tr (Trace.Fault_injected { plan = label; addr; width; detail })
@@ -100,10 +88,10 @@ let emit_fired t ~label ~op ~addr ~width ~detail =
       Metrics.incr m ("fault." ^ label ^ ".injections")
   | None -> ()
 
-let fire t ps ~op ~addr ~width ~detail =
+let fire t ps ~addr ~width ~detail =
   (match ps.left with Some n -> ps.left <- Some (n - 1) | None -> ());
   ps.fired <- ps.fired + 1;
-  emit_fired t ~label:ps.p.label ~op ~addr ~width ~detail
+  emit_fired t ~label:ps.p.label ~addr ~width ~detail
 
 (* Transient plans are evaluated before the device is touched, so a
    raised fault leaves the device state exactly as the driver last saw
@@ -114,7 +102,7 @@ let check_transient t ~op ~addr ~width =
       match ps.p.kind with
       | Transient { probability } when armed ps ~op ~addr ->
           if draw t probability then begin
-            fire t ps ~op ~addr ~width ~detail:"transient bus fault";
+            fire t ps ~addr ~width ~detail:"transient bus fault";
             raise
               (Bus_fault
                  (Printf.sprintf "%s: transient fault on %s [%#x]"
@@ -135,7 +123,7 @@ let mutate_value t ~op ~addr ~width v =
         | Stuck_bits { and_mask; or_mask } ->
             let v' = v land and_mask lor or_mask in
             if v' <> v then begin
-              fire t ps ~op ~addr ~width
+              fire t ps ~addr ~width
                 ~detail:(Printf.sprintf "stuck bits %#x -> %#x" v v');
               v'
             end
@@ -143,7 +131,7 @@ let mutate_value t ~op ~addr ~width v =
         | Flip_bits { mask; probability } ->
             if mask <> 0 && draw t probability then begin
               let v' = v lxor mask in
-              fire t ps ~op ~addr ~width
+              fire t ps ~addr ~width
                 ~detail:(Printf.sprintf "flipped %#x: %#x -> %#x" mask v v');
               v'
             end
@@ -157,7 +145,7 @@ let dropped t ~addr ~width =
       match ps.p.kind with
       | Drop_write { probability } when armed ps ~op:Write ~addr ->
           if draw t probability then begin
-            fire t ps ~op:Write ~addr ~width ~detail:"write dropped";
+            fire t ps ~addr ~width ~detail:"write dropped";
             true
           end
           else false
@@ -170,7 +158,7 @@ let duplicated t ~addr ~width =
       match ps.p.kind with
       | Duplicate_write { probability } when armed ps ~op:Write ~addr ->
           if draw t probability then begin
-            fire t ps ~op:Write ~addr ~width ~detail:"write duplicated";
+            fire t ps ~addr ~width ~detail:"write duplicated";
             true
           end
           else false
@@ -195,9 +183,9 @@ let sched_step t ~op ~addr ~count =
       else None)
     t.sched
 
-let sched_fire t ss ~op ~addr ~width ~detail =
+let sched_fire t ss ~addr ~width ~detail =
   ss.hit <- true;
-  emit_fired t ~label:ss.sx.sx_label ~op ~addr ~width ~detail
+  emit_fired t ~label:ss.sx.sx_label ~addr ~width ~detail
 
 (* Scheduled transients keep the seeded semantics: the whole access —
    a block transfer included — aborts before the device is touched,
@@ -207,7 +195,7 @@ let sched_transients t acts ~op ~addr ~width =
     (fun (_, ss) ->
       match ss.sx.sx_kind with
       | Transient _ ->
-          sched_fire t ss ~op ~addr ~width ~detail:"transient bus fault";
+          sched_fire t ss ~addr ~width ~detail:"transient bus fault";
           raise
             (Bus_fault
                (Printf.sprintf "%s: transient fault on %s [%#x]" ss.sx.sx_label
@@ -220,7 +208,7 @@ let sched_transients t acts ~op ~addr ~width =
    decision is unconditional: a stuck/flip injection rewrites the
    value even when the rewrite happens to be a no-op, so the schedule
    feasibility accounting ([hit]) stays deterministic. *)
-let sched_mutate t acts ~i ~op ~addr ~width v =
+let sched_mutate t acts ~i ~addr ~width v =
   List.fold_left
     (fun v (j, ss) ->
       if j <> i then v
@@ -228,12 +216,12 @@ let sched_mutate t acts ~i ~op ~addr ~width v =
         match ss.sx.sx_kind with
         | Stuck_bits { and_mask; or_mask } ->
             let v' = v land and_mask lor or_mask in
-            sched_fire t ss ~op ~addr ~width
+            sched_fire t ss ~addr ~width
               ~detail:(Printf.sprintf "stuck bits %#x -> %#x" v v');
             v'
         | Flip_bits { mask; _ } ->
             let v' = v lxor mask in
-            sched_fire t ss ~op ~addr ~width
+            sched_fire t ss ~addr ~width
               ~detail:(Printf.sprintf "flipped %#x: %#x -> %#x" mask v v');
             v'
         | Drop_write _ | Duplicate_write _ | Transient _ -> v)
@@ -246,7 +234,7 @@ let sched_dropped t acts ~i ~addr ~width =
       &&
       match ss.sx.sx_kind with
       | Drop_write _ ->
-          sched_fire t ss ~op:Write ~addr ~width ~detail:"write dropped";
+          sched_fire t ss ~addr ~width ~detail:"write dropped";
           true
       | _ -> false)
     acts
@@ -258,7 +246,7 @@ let sched_duplicated t acts ~i ~addr ~width =
       &&
       match ss.sx.sx_kind with
       | Duplicate_write _ ->
-          sched_fire t ss ~op:Write ~addr ~width ~detail:"write duplicated";
+          sched_fire t ss ~addr ~width ~detail:"write duplicated";
           true
       | _ -> false)
     acts
@@ -270,7 +258,7 @@ let read t ~width ~addr =
   sched_transients t acts ~op:Read ~addr ~width;
   let v = t.underlying.Bus.read ~width ~addr in
   let v = mutate_value t ~op:Read ~addr ~width v in
-  sched_mutate t acts ~i:0 ~op:Read ~addr ~width v
+  sched_mutate t acts ~i:0 ~addr ~width v
 
 let write t ~width ~addr ~value =
   t.seq <- t.seq + 1;
@@ -280,7 +268,7 @@ let write t ~width ~addr ~value =
   if not (dropped t ~addr ~width || sched_dropped t acts ~i:0 ~addr ~width)
   then begin
     let value = mutate_value t ~op:Write ~addr ~width value in
-    let value = sched_mutate t acts ~i:0 ~op:Write ~addr ~width value in
+    let value = sched_mutate t acts ~i:0 ~addr ~width value in
     t.underlying.Bus.write ~width ~addr ~value;
     if duplicated t ~addr ~width || sched_duplicated t acts ~i:0 ~addr ~width
     then t.underlying.Bus.write ~width ~addr ~value
@@ -300,7 +288,7 @@ let read_block t ~width ~addr ~into =
   Array.iteri
     (fun i v ->
       let v = mutate_value t ~op:Read ~addr ~width v in
-      into.(i) <- sched_mutate t acts ~i ~op:Read ~addr ~width v)
+      into.(i) <- sched_mutate t acts ~i ~addr ~width v)
     into
 
 let write_block t ~width ~addr ~from =
@@ -314,7 +302,7 @@ let write_block t ~width ~addr ~from =
       if not (dropped t ~addr ~width || sched_dropped t acts ~i ~addr ~width)
       then begin
         let v = mutate_value t ~op:Write ~addr ~width v in
-        let v = sched_mutate t acts ~i ~op:Write ~addr ~width v in
+        let v = sched_mutate t acts ~i ~addr ~width v in
         out := v :: !out;
         if duplicated t ~addr ~width || sched_duplicated t acts ~i ~addr ~width
         then out := v :: !out
@@ -324,8 +312,7 @@ let write_block t ~width ~addr ~from =
   if Array.length adjusted > 0 || Array.length from = 0 then
     t.underlying.Bus.write_block ~width ~addr ~from:adjusted
 
-let wrap ?(seed = 0) ?(trace_capacity = Trace.default_capacity) ?sink ?metrics
-    ~plans underlying =
+let wrap ?(seed = 0) ?sink ?metrics ~plans underlying =
   (* Mix the seed so that seeds 0 and 1 do not share a prefix. *)
   let rng0 = (((seed + 1) * 0x5DEECE66D) + 3037000493) land 0xFFFF_FFFF_FFFF in
   {
@@ -336,7 +323,6 @@ let wrap ?(seed = 0) ?(trace_capacity = Trace.default_capacity) ?sink ?metrics
     rng0;
     rng = rng0;
     seq = 0;
-    trace = Trace.Ring.create ~capacity:trace_capacity;
     sink;
     metrics;
   }
@@ -355,8 +341,7 @@ let injection ?label ~op ~at ~first ~last kind =
   { sx_label = label; sx_op = op; sx_at = at; sx_first = first; sx_last = last;
     sx_kind = kind }
 
-let scheduled ?(trace_capacity = Trace.default_capacity) ?sink ?metrics
-    ~injections underlying =
+let scheduled ?sink ?metrics ~injections underlying =
   {
     underlying;
     plans = [];
@@ -364,7 +349,6 @@ let scheduled ?(trace_capacity = Trace.default_capacity) ?sink ?metrics
     rng0 = 0;
     rng = 0;
     seq = 0;
-    trace = Trace.Ring.create ~capacity:trace_capacity;
     sink;
     metrics;
   }
@@ -402,11 +386,7 @@ let seen_for t label =
     (fun n ss -> if ss.sx.sx_label = label then max n ss.seen else n)
     0 t.sched
 
-let events t = Trace.Ring.to_list t.trace
-let dropped_events t = Trace.Ring.dropped t.trace
-
 let reset t =
-  Trace.Ring.clear t.trace;
   t.seq <- 0;
   t.rng <- t.rng0;
   List.iter
@@ -440,7 +420,6 @@ let restore t sn =
     List.length sn.sn_plans <> List.length t.plans
     || List.length sn.sn_sched <> List.length t.sched
   then invalid_arg "Fault.restore: snapshot from a different injector shape";
-  Trace.Ring.clear t.trace;
   t.rng <- sn.sn_rng;
   t.seq <- sn.sn_seq;
   List.iter2
@@ -453,8 +432,3 @@ let restore t sn =
       ss.seen <- seen;
       ss.hit <- hit)
     t.sched sn.sn_sched
-
-let pp_event fmt (e : event) =
-  Format.fprintf fmt "#%d %s: %s%d [%#x] %s" e.seq e.plan_label
-    (match e.op with Read -> "R" | Write -> "W")
-    e.width e.addr e.detail

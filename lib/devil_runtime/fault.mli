@@ -16,12 +16,12 @@
     - {e transient bus faults} surfaced as a {!Bus_fault} exception
       (master abort / target abort).
 
-    Every fired fault is counted per plan and appended to an
-    inspectable injection trace — a bounded ring buffer
-    ({!Trace.Ring}), so arbitrarily long campaigns retain the most
-    recent injections at constant space; tests and the fault campaign
-    can still distinguish "nothing fired" from "fired and the driver
-    coped" through the per-plan counters, which are never evicted. *)
+    Every fired fault is counted per plan, so tests and the fault
+    campaign can distinguish "nothing fired" from "fired and the
+    driver coped", and reported to the [sink] trace as a
+    {!Trace.Fault_injected} event and to the [metrics] registry as
+    [fault.*] counters — the machine's own stream, where each injection
+    sits among the transfers around it. *)
 
 exception Bus_fault of string
 (** A transient bus-level failure ({!Bus.Bus_fault} re-exported: the
@@ -73,20 +73,10 @@ val plan :
   kind -> plan
 (** Plan constructor; [ops] defaults to both directions. *)
 
-type event = {
-  seq : int;  (** Global operation sequence number when the fault fired. *)
-  plan_label : string;
-  op : op;
-  addr : int;
-  width : int;
-  detail : string;  (** Human-readable description of the mutation. *)
-}
-
 type t
 
 val wrap :
   ?seed:int ->
-  ?trace_capacity:int ->
   ?sink:Trace.t ->
   ?metrics:Metrics.t ->
   plans:plan list ->
@@ -94,10 +84,9 @@ val wrap :
   t
 (** [wrap ~seed ~plans bus] builds an injector over [bus]. With an
     empty plan list the wrapped bus is observationally identical to
-    [bus]. The default seed is 0. The injection trace retains the last
-    [trace_capacity] events (default {!Trace.default_capacity}). When
-    [sink] is given every injection is also mirrored into that unified
-    trace as a {!Trace.Fault_injected} event; when [metrics] is given
+    [bus]. The default seed is 0. When [sink] is given every injection
+    is recorded in that trace as a {!Trace.Fault_injected} event; when
+    [metrics] is given
     the [fault.injections] and [fault.<plan>.injections] counters are
     maintained. *)
 
@@ -130,7 +119,6 @@ val injection :
     negative ordinal. *)
 
 val scheduled :
-  ?trace_capacity:int ->
   ?sink:Trace.t ->
   ?metrics:Metrics.t ->
   injections:injection list ->
@@ -169,33 +157,20 @@ val injection_count : t -> int
 val injections_for : t -> string -> int
 (** Faults fired by the plans or injections with the given label. *)
 
-val events : t -> event list
-(** The retained injection trace, oldest first. At most the trace
-    capacity given to {!wrap}; older events are evicted, never the
-    counters. *)
-
-val dropped_events : t -> int
-(** Injection events evicted by the trace bound. *)
-
 val reset : t -> unit
-(** Rewinds the injector to its initial state: counters and the trace
-    are cleared, plan budgets restored to their initial allowance,
-    scheduled decisions re-armed, and the PRNG rewound to the seed — so
-    one injector can be reused across thousands of explored schedules
-    and a reset run reproduces the original exactly. *)
+(** Rewinds the injector to its initial state: counters are cleared,
+    plan budgets restored to their initial allowance, scheduled
+    decisions re-armed, and the PRNG rewound to the seed — so one
+    injector can be reused across thousands of explored schedules and a
+    reset run reproduces the original exactly. *)
 
 type snapshot
 (** A point-in-time capture of the injector's mutable state: PRNG
     position, operation count, per-plan budgets and counters, and
-    per-injection progress. The injection trace ring is {e not}
-    captured. *)
+    per-injection progress. *)
 
 val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
 (** Rewinds the injector to a {!snapshot} taken from the same injector
-    (same plans, same injections — [Invalid_argument] otherwise). The
-    injection trace ring is cleared, since events after the snapshot
-    cannot be un-evicted. *)
-
-val pp_event : Format.formatter -> event -> unit
+    (same plans, same injections — [Invalid_argument] otherwise). *)

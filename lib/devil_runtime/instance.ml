@@ -22,7 +22,8 @@ type t = {
   bases : (string * int) list;
   debug : bool;
   label : string;  (* names the instance in traces and metrics *)
-  trace : Trace.t option;
+  ctx : Ctx.t option;
+  trace : Trace.t option;  (* the context's handles *)
   metrics : Metrics.t option;
   profile : Profile.t option;
   reg_cache : (string, int) Hashtbl.t;
@@ -33,7 +34,7 @@ type t = {
 
 let device t = t.device
 
-let create ?(debug = false) ?label ?trace ?metrics ?profile device ~bus ~bases =
+let create ?(debug = false) ?label ?ctx device ~bus ~bases =
   List.iter
     (fun (p : Ir.port) ->
       if not (List.mem_assoc p.p_name bases) then
@@ -45,9 +46,10 @@ let create ?(debug = false) ?label ?trace ?metrics ?profile device ~bus ~bases =
     bases;
     debug;
     label = (match label with Some l -> l | None -> device.Ir.d_name);
-    trace;
-    metrics;
-    profile;
+    ctx;
+    trace = Option.bind ctx (fun (c : Ctx.t) -> c.trace);
+    metrics = Option.bind ctx (fun (c : Ctx.t) -> c.metrics);
+    profile = Option.bind ctx (fun (c : Ctx.t) -> c.profile);
     reg_cache = Hashtbl.create 17;
     struct_cache = Hashtbl.create 7;
     mem = Hashtbl.create 7;
@@ -907,19 +909,19 @@ end
 
 type t = Compiled of Plan.t | Interpreted of Interp.t
 
-let create ?(debug = false) ?label ?trace ?metrics ?profile
-    ?(interpret = false) device ~bus ~bases =
+let create ?(debug = false) ?label ?ctx ?(interpret = false) device ~bus
+    ~bases =
   if interpret then
-    Interpreted
-      (Interp.create ~debug ?label ?trace ?metrics ?profile device ~bus ~bases)
+    Interpreted (Interp.create ~debug ?label ?ctx device ~bus ~bases)
   else
     let label = match label with Some l -> l | None -> device.Ir.d_name in
-    Compiled
-      (Plan.compile ~debug ~label ?trace ?metrics ?profile device ~bus ~bases)
+    Compiled (Plan.compile ~debug ~label ?ctx device ~bus ~bases)
 
 let device = function
   | Compiled p -> Plan.device p
   | Interpreted i -> Interp.device i
+
+let ctx = function Compiled p -> Plan.ctx p | Interpreted i -> i.ctx
 
 let get t name =
   match t with

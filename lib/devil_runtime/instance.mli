@@ -34,9 +34,7 @@ exception Device_error of string
 val create :
   ?debug:bool ->
   ?label:string ->
-  ?trace:Trace.t ->
-  ?metrics:Metrics.t ->
-  ?profile:Profile.t ->
+  ?ctx:Ctx.t ->
   ?interpret:bool ->
   Ir.device ->
   bus:Bus.t ->
@@ -58,19 +56,25 @@ val create :
     [label] names the instance in observability output (default: the
     device's name); it prefixes the [io.<label>.*], [reg.<label>.*]
     and [cache.<label>.*] counters and tags every stub-level trace
-    event. When [trace]/[metrics] are given the instance records
-    register-level I/O, idempotent-cache hits and misses, pre/post/set
-    action runs and serialization orderings; when omitted (the
+    event. [ctx] is the machine context the instance reports to: with
+    its trace and metrics the instance records register-level I/O,
+    idempotent-cache hits and misses, pre/post/set action runs and
+    serialization orderings; without them (or without a context, the
     default) no instrumentation runs and nothing is allocated.
 
-    With [profile] every access runs inside a hierarchical {!Profile}
-    span keyed by its site (["<label>/var:<name>:read"],
+    With the context's profiler every access runs inside a hierarchical
+    {!Profile} span keyed by its site (["<label>/var:<name>:read"],
     ["<label>/struct:<name>:write"],
     ["<label>/action:<owner>:<phase>"], ... — see {!Plan.compile}),
     in both engines, so nested accesses made by actions are attributed
     to their own site under their parent's. *)
 
 val device : t -> Ir.device
+
+val ctx : t -> Ctx.t option
+(** The context given to {!create} — what a Devil driver passes to the
+    {!Policy} combinators, so its polls and retries report to the
+    instance's machine. *)
 
 val get : t -> string -> Value.t
 (** Reads a public device variable. *)

@@ -132,7 +132,8 @@ type t = {
   bus : Bus.t;
   debug : bool;
   label : string;
-  trace : Trace.t option;
+  ctx : Ctx.t option;
+  trace : Trace.t option;  (* the context's, read on every access *)
   profile : Profile.t option;
   regs : reg_plan array;
   vars : var_plan array;
@@ -151,6 +152,7 @@ type t = {
 }
 
 let device t = t.env.ce_device
+let ctx t = t.ctx
 
 (* {1 Compilation} *)
 
@@ -413,8 +415,12 @@ let compile_struct env regs (s : Ir.strct) =
     st_k_write = env.ce_label ^ "/struct:" ^ s.s_name ^ ":write";
   }
 
-let compile ?(debug = false) ~label ?trace ?metrics ?profile
-    (device : Ir.device) ~bus ~bases =
+let compile ?(debug = false) ~label ?ctx (device : Ir.device) ~bus ~bases =
+  let trace, metrics, profile =
+    match ctx with
+    | Some (c : Ctx.t) -> (c.trace, c.metrics, c.profile)
+    | None -> (None, None, None)
+  in
   List.iter
     (fun (p : Ir.port) ->
       if not (List.mem_assoc p.p_name bases) then
@@ -450,6 +456,7 @@ let compile ?(debug = false) ~label ?trace ?metrics ?profile
     bus;
     debug;
     label;
+    ctx;
     trace;
     profile;
     regs;

@@ -43,9 +43,7 @@ type t
 val compile :
   ?debug:bool ->
   label:string ->
-  ?trace:Trace.t ->
-  ?metrics:Metrics.t ->
-  ?profile:Profile.t ->
+  ?ctx:Ctx.t ->
   Ir.device ->
   bus:Bus.t ->
   bases:(string * int) list ->
@@ -57,7 +55,9 @@ val compile :
     operands) are preserved as failing thunks raised at the same access
     point with the same message.
 
-    With [?profile], every access runs inside a span named after its
+    With [ctx], the plan reports to the context's handles: register
+    I/O and cache counters and trace events under [label], and with a
+    profiler every access runs inside a span named after its
     site — ["<label>/var:<name>:read"], [":write"], [":block_read"],
     [":block_write"], ["<label>/struct:<name>:read"], [":write"],
     ["<label>/template:<tmpl>:read"], [":write"] — and every non-empty
@@ -67,6 +67,9 @@ val compile :
     nothing. *)
 
 val device : t -> Ir.device
+
+val ctx : t -> Ctx.t option
+(** The context the plan was compiled with. *)
 
 (** {1 Pre-resolved variable handles}
 

@@ -14,80 +14,20 @@ let error_to_string = function
 
 let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 let fail e = raise (Driver_error e)
-
-let poll_deadline = ref 1_000_000
-let default_deadline () = !poll_deadline
-let set_default_deadline n = if n > 0 then poll_deadline := n
 let default_attempts = 3
+let unobserve () = ()
 
 (* {1 Observability}
 
-   The combinators are plain functions with no per-driver state, so
-   the observability hook is a module-level observer installed by
-   whoever owns the trace/metrics handles (Machine.create, a test, a
-   campaign trial). With no observer installed the hooks are two ref
-   reads and two option matches — no allocation. *)
+   The combinators are plain functions with no state of their own:
+   whatever they report goes to the context the caller passes, which a
+   Devil driver takes from its instance. Without one the hooks are
+   option matches and nothing is allocated. *)
 
-let trace_hook : Trace.t option ref = ref None
-let metrics_hook : Metrics.t option ref = ref None
-let profile_hook : Profile.t option ref = ref None
-
-let observe ?trace ?metrics ?profile () =
-  trace_hook := trace;
-  metrics_hook := metrics;
-  profile_hook := profile
-
-let unobserve () =
-  trace_hook := None;
-  metrics_hook := None;
-  profile_hook := None
-
-(* {1 Request attribution}
-
-   The scheduler parks the id of the queued request it is currently
-   serving here (around the request's start thunk, its interrupt
-   handler and its timeout abort), so the Poll/Retry trace events the
-   combinators emit on that request's behalf carry its id and the
-   lifecycle layer can attribute them. 0 means "no queued request" —
-   synchronous drivers never see a non-zero id. A bare int ref: the
-   disabled path costs one immediate store, no allocation. *)
-
-let request_hook = ref 0
-let set_current_request rid = request_hook := if rid > 0 then rid else 0
-let current_request () = !request_hook
-
-(* {1 Exploration decision points}
-
-   Every poll completion and every retry is a branch point the
-   exploration engine can force down its failure edge: a poll can time
-   out even though the device would have answered, a retry can be
-   denied even though the budget remains. The decider sees each branch
-   point with a per-kind ordinal (0-based, counted from the last
-   [set_decider]/[reset_decision_points]) and answers [true] to force
-   the adverse outcome. Forced outcomes stay inside the classified
-   error vocabulary: a forced poll behaves as an ordinary timeout, a
-   denied retry fails [Degraded] — so exploration never teaches
-   drivers a new failure shape, it only schedules the existing ones. *)
-
-type decision =
-  | Poll_decision of { label : string; ordinal : int }
-  | Retry_decision of { label : string; attempt : int; ordinal : int }
-
-let decider_hook : (decision -> bool) option ref = ref None
-let poll_ix = ref 0
-let retry_ix = ref 0
-
-let reset_decision_points () =
-  poll_ix := 0;
-  retry_ix := 0
-
-let set_decider f =
-  decider_hook := Some f;
-  reset_decision_points ()
-
-let clear_decider () = decider_hook := None
-let poll_points () = !poll_ix
-let retry_points () = !retry_ix
+let trace_of = function Some (c : Ctx.t) -> c.trace | None -> None
+let metrics_of = function Some (c : Ctx.t) -> c.metrics | None -> None
+let profile_of = function Some (c : Ctx.t) -> c.profile | None -> None
+let rid_of = function Some (c : Ctx.t) -> c.rid | None -> 0
 
 let is_transient = function
   | Fault.Bus_fault _ -> true
@@ -100,7 +40,7 @@ let describe_exn = function
   | Instance.Device_error m -> "device error: " ^ m
   | e -> Printexc.to_string e
 
-let with_retries ?attempts ?(retry_on = is_transient)
+let with_retries ?ctx ?attempts ?(retry_on = is_transient)
     ?(on_retry = fun ~attempt:_ _ -> ()) ~label f =
   let attempts =
     max 1 (match attempts with Some n -> n | None -> default_attempts)
@@ -109,7 +49,7 @@ let with_retries ?attempts ?(retry_on = is_transient)
     try f ()
     with e when retry_on e ->
       if attempt >= attempts then begin
-        (match !metrics_hook with
+        (match metrics_of ctx with
         | Some m -> Metrics.incr m "retry.exhausted"
         | None -> ());
         fail
@@ -119,15 +59,12 @@ let with_retries ?attempts ?(retry_on = is_transient)
       end
       else begin
         let denied =
-          match !decider_hook with
+          match ctx with
           | None -> false
-          | Some d ->
-              let ordinal = !retry_ix in
-              incr retry_ix;
-              d (Retry_decision { label; attempt; ordinal })
+          | Some c -> Ctx.decide_retry c ~label ~attempt
         in
         if denied then begin
-          (match !metrics_hook with
+          (match metrics_of ctx with
           | Some m ->
               Metrics.incr m "retry.denied";
               Metrics.incr m "retry.exhausted"
@@ -138,22 +75,21 @@ let with_retries ?attempts ?(retry_on = is_transient)
                   label attempt (describe_exn e)))
         end
         else begin
-          (match !metrics_hook with
+          (match metrics_of ctx with
           | Some m -> Metrics.incr m "retry.attempts"
           | None -> ());
-          (match !trace_hook with
+          (match trace_of ctx with
           | Some tr ->
+              let reason = describe_exn e in
               Trace.emit tr
-                (Trace.Retry
-                   { label; attempt; reason = describe_exn e;
-                     rid = !request_hook })
+                (Trace.Retry { label; attempt; reason; rid = rid_of ctx })
           | None -> ());
           on_retry ~attempt e;
           go (attempt + 1)
         end
       end
   in
-  match !profile_hook with
+  match profile_of ctx with
   | None -> go 1
   | Some p -> Profile.span p ("retry:" ^ label) (fun () -> go 1)
 
@@ -166,18 +102,16 @@ let exponential_backoff ?(base = 1) ?(cap = 1024) i =
 (* The shared poll core: iteration [i] costs [1 + backoff i] ticks, so
    the condition runs at most [deadline] times and the loop provably
    terminates within the budget. Every completed poll reports its
-   condition-evaluation count to the observer. *)
-let poll_core ?deadline ?(backoff = no_backoff) ~label cond =
+   condition-evaluation count to the context. *)
+let poll_core ?ctx ?deadline ?(backoff = no_backoff) ~label cond =
   let deadline =
-    match deadline with Some d -> d | None -> !poll_deadline
+    match (deadline, ctx) with
+    | Some d, _ -> d
+    | None, Some (c : Ctx.t) -> c.poll_deadline
+    | None, None -> Ctx.default_poll_deadline
   in
   let forced =
-    match !decider_hook with
-    | None -> false
-    | Some d ->
-        let ordinal = !poll_ix in
-        incr poll_ix;
-        d (Poll_decision { label; ordinal })
+    match ctx with None -> false | Some c -> Ctx.decide_poll c ~label
   in
   let rec go i spent =
     if spent >= deadline then (false, i)
@@ -187,11 +121,11 @@ let poll_core ?deadline ?(backoff = no_backoff) ~label cond =
   let ok, iters =
     if forced then (false, 0)
     else
-      match !profile_hook with
+      match profile_of ctx with
       | None -> go 0 0
       | Some p -> Profile.span p ("poll:" ^ label) (fun () -> go 0 0)
   in
-  (match !metrics_hook with
+  (match metrics_of ctx with
   | Some m ->
       Metrics.incr m "poll.runs";
       Metrics.incr m ~by:iters "poll.ticks";
@@ -199,22 +133,22 @@ let poll_core ?deadline ?(backoff = no_backoff) ~label cond =
       if forced then Metrics.incr m "poll.forced";
       Metrics.observe m "poll.iters" iters
   | None -> ());
-  (match !trace_hook with
-  | Some tr ->
-      Trace.emit tr (Trace.Poll { label; iters; ok; rid = !request_hook })
+  (match trace_of ctx with
+  | Some tr -> Trace.emit tr (Trace.Poll { label; iters; ok; rid = rid_of ctx })
   | None -> ());
   ok
 
-let try_poll ?deadline ?backoff ?(label = "try_poll") cond =
-  poll_core ?deadline ?backoff ~label cond
+let try_poll ?ctx ?deadline ?backoff ?(label = "try_poll") cond =
+  poll_core ?ctx ?deadline ?backoff ~label cond
 
-let poll_until ?deadline ?backoff ~label cond =
-  if not (poll_core ?deadline ?backoff ~label cond) then fail (Timeout label)
+let poll_until ?ctx ?deadline ?backoff ~label cond =
+  if not (poll_core ?ctx ?deadline ?backoff ~label cond) then
+    fail (Timeout label)
 
-let try_poll_for ?deadline ?backoff ?(label = "try_poll_for") f =
+let try_poll_for ?ctx ?deadline ?backoff ?(label = "try_poll_for") f =
   let result = ref None in
   ignore
-    (poll_core ?deadline ?backoff ~label (fun () ->
+    (poll_core ?ctx ?deadline ?backoff ~label (fun () ->
          match f () with
          | Some v ->
              result := Some v;
@@ -222,8 +156,8 @@ let try_poll_for ?deadline ?backoff ?(label = "try_poll_for") f =
          | None -> false));
   !result
 
-let poll_for ?deadline ?backoff ~label f =
-  match try_poll_for ?deadline ?backoff ~label f with
+let poll_for ?ctx ?deadline ?backoff ~label f =
+  match try_poll_for ?ctx ?deadline ?backoff ~label f with
   | Some v -> v
   | None -> fail (Timeout label)
 

@@ -96,6 +96,7 @@ type handler = {
 
 type t = {
   ctl : controller;
+  ctx : Ctx.t option;
   trace : Trace.t option;
   metrics : counters option;
   profile : Profile.t option;
@@ -110,12 +111,14 @@ type t = {
   mutable int_high : bool;
 }
 
-let create ?trace ?metrics ?profile ctl =
+let create ?ctx ctl =
+  let handle f = Option.bind ctx f in
   {
     ctl;
-    trace;
-    metrics = Option.map counters metrics;
-    profile;
+    ctx;
+    trace = handle (fun (c : Ctx.t) -> c.trace);
+    metrics = Option.map counters (handle (fun (c : Ctx.t) -> c.metrics));
+    profile = handle (fun (c : Ctx.t) -> c.profile);
     sources = [];
     handlers = Hashtbl.create 8;
     queues = Hashtbl.create 8;
@@ -137,6 +140,14 @@ let observe t hist v =
 
 let emit t kind = match t.trace with None -> () | Some tr -> Trace.emit tr kind
 let now t = t.clock
+
+(* Runs [f x] on behalf of request [rid], so the Poll/Retry events the
+   driver emits meanwhile carry its id; the machine's request cell
+   reads 0 again afterwards, however [f] ends. *)
+let serving t rid f x =
+  match t.ctx with
+  | None -> f x
+  | Some c -> Ctx.serving c rid f x
 
 let add_source t ~line ~dev asserted =
   t.sources <-
@@ -239,6 +250,8 @@ let outstanding t =
       acc + Queue.length q.pending + if q.inflight = None then 0 else 1)
     t.queues 0
 
+let start rq = Policy.guarded ~label:rq.rq_label rq.rq_start
+
 (* Finishing a request and starting the next are one loop step: the
    queue never sits idle between a completion and the next command's
    setup, which is the overlap a queued driver buys. *)
@@ -264,12 +277,7 @@ let rec finish t q (rq : request) outcome =
          ok;
          rid = rq.rq_id;
        });
-  Policy.set_current_request rq.rq_id;
-  (try rq.rq_on_done outcome
-   with e ->
-     Policy.set_current_request 0;
-     raise e);
-  Policy.set_current_request 0;
+  serving t rq.rq_id rq.rq_on_done outcome;
   start_next t q
 
 and start_next t q =
@@ -283,35 +291,22 @@ and start_next t q =
             (after t ~ticks:rq.rq_timeout (fun () ->
                  match q.inflight with
                  | Some r when r == rq && r.rq_outcome = None ->
-                     Policy.set_current_request rq.rq_id;
-                     (try rq.rq_abort () with _ -> ());
-                     Policy.set_current_request 0;
+                     (try serving t rq.rq_id rq.rq_abort () with _ -> ());
                      finish t q rq (Error (Policy.Timeout rq.rq_label))
                  | _ -> ()));
         emit t
           (Trace.Queue_started
              { dev = rq.rq_dev; label = rq.rq_label; rid = rq.rq_id });
-        Policy.set_current_request rq.rq_id;
-        let started =
-          try
-            Policy.guarded ~label:rq.rq_label rq.rq_start;
-            Policy.set_current_request 0;
-            true
-          with
-          | Policy.Driver_error e ->
-              Policy.set_current_request 0;
-              finish t q rq (Error e);
-              false
-          | e ->
-              Policy.set_current_request 0;
-              raise e
-        in
-        ignore started
+        try serving t rq.rq_id start rq
+        with Policy.Driver_error e -> finish t q rq (Error e)
 
 let submit t ~dev ~label ?timeout ~start ?(abort = Fun.id) ?(on_done = ignore)
     () =
   let timeout =
-    match timeout with Some n -> max 1 n | None -> Policy.default_deadline ()
+    match (timeout, t.ctx) with
+    | Some n, _ -> max 1 n
+    | None, Some c -> c.poll_deadline
+    | None, None -> Ctx.default_poll_deadline
   in
   let rid = t.next_rid in
   t.next_rid <- t.next_rid + 1;
@@ -404,18 +399,12 @@ let deliver_one t =
                 Profile.span p hd_key (fun () ->
                     Policy.guarded ~label:hd_label hd_run)
           in
-          Policy.set_current_request rid;
-          (try run () with
-          | Policy.Driver_error e -> (
-              Policy.set_current_request 0;
-              incr t (fun m -> m.m_handler_errors);
-              match Hashtbl.find_opt t.queues dev with
-              | Some ({ inflight = Some rq; _ } as q) -> finish t q rq (Error e)
-              | _ -> ())
-          | e ->
-              Policy.set_current_request 0;
-              raise e);
-          Policy.set_current_request 0);
+          try serving t rid run ()
+          with Policy.Driver_error e -> (
+            incr t (fun m -> m.m_handler_errors);
+            match Hashtbl.find_opt t.queues dev with
+            | Some ({ inflight = Some rq; _ } as q) -> finish t q rq (Error e)
+            | _ -> ()));
       t.ctl.ctl_eoi ~line;
       true
 

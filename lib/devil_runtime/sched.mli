@@ -40,9 +40,12 @@
     increasing per scheduler, starting at 1, never reused — threaded
     through each trace event the request causes (submit, start, the
     irq that answers it, completion, and the {!Policy} poll/retry
-    events its thunks run, via {!Policy.set_current_request}). The id
-    is what lets {!Lifecycle} reconstruct a request's causal arc from
-    the flat event stream. *)
+    events its thunks run: around a request's start thunk, its
+    interrupt handler, its timeout abort and its [on_done], the
+    scheduler parks the id in its context's request cell
+    ({!Ctx.serving}), which the combinators read. The id is what lets
+    {!Lifecycle} reconstruct a request's causal arc from the flat
+    event stream. *)
 
 type controller = {
   ctl_raise : line:int -> unit;
@@ -59,12 +62,11 @@ type controller = {
 
 type t
 
-val create :
-  ?trace:Trace.t ->
-  ?metrics:Metrics.t ->
-  ?profile:Profile.t ->
-  controller ->
-  t
+val create : ?ctx:Ctx.t -> controller -> t
+(** A scheduler reporting to [ctx]'s trace, metrics and profiler and
+    parking request ids in its request cell — give it the context of
+    the instances whose drivers it runs. Without one it observes
+    nothing. *)
 
 (** {1 Interrupt wiring} *)
 
@@ -139,8 +141,8 @@ val submit :
   request
 (** Enqueues a request on [dev]'s FIFO. The head of the queue is {e in
     flight}: its [start] thunk has been run (issuing the command to
-    the hardware) and a timer of [timeout] ticks (default
-    {!Policy.default_deadline} — the same budget a poll gets) has been
+    the hardware) and a timer of [timeout] ticks (default: the
+    context's poll deadline — the same budget a poll gets) has been
     armed. When the driver's interrupt handler calls {!complete}, the
     head finishes and the next request starts within the same loop
     iteration — command [k+1]'s setup overlaps the completion

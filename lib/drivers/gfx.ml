@@ -13,9 +13,13 @@ let param_entries = 2  (* position, size *)
 let copy_param_entries = 3  (* position, size, offset *)
 
 module Devil_driver = struct
-  type t = { inst : Instance.t; mutable depth : int }
+  type t = {
+    inst : Instance.t;
+    ctx : Devil_runtime.Ctx.t option;  (* the instance's machine *)
+    mutable depth : int;
+  }
 
-  let create inst = { inst; depth = 8 }
+  let create inst = { inst; ctx = Instance.ctx inst; depth = 8 }
 
   (* Every public operation runs inside a guarded retry boundary: a
      transient bus fault anywhere in the sequence — a FIFO-space poll
@@ -24,8 +28,8 @@ module Devil_driver = struct
      aborts before the device is touched, so re-sending is safe), and
      whatever survives retrying surfaces as a classified
      [Policy.Driver_error], never a raw [Bus_fault]. *)
-  let protected label f =
-    Policy.guarded ~label (fun () -> Policy.with_retries ~label f)
+  let protected t label f =
+    Policy.guarded ~label (fun () -> Policy.with_retries ?ctx:t.ctx ~label f)
 
   let free_entries t =
     match Instance.get t.inst "free_entries" with
@@ -33,17 +37,18 @@ module Devil_driver = struct
     | _ -> 0
 
   let wait_fifo t n =
-    Policy.poll_until ~label:"gfx: FIFO space" (fun () -> free_entries t >= n)
+    Policy.poll_until ?ctx:t.ctx ~label:"gfx: FIFO space" (fun () ->
+        free_entries t >= n)
 
   let set_depth t depth =
-    protected "gfx: set_depth" (fun () ->
+    protected t "gfx: set_depth" (fun () ->
         wait_fifo t 1;
         Instance.set t.inst "pixel_depth" (Value.Int depth));
     t.depth <- depth
 
   let sync t =
-    protected "gfx: sync" (fun () ->
-        Policy.poll_until ~label:"gfx: engine idle" (fun () ->
+    protected t "gfx: sync" (fun () ->
+        Policy.poll_until ?ctx:t.ctx ~label:"gfx: engine idle" (fun () ->
             match Instance.get t.inst "engine_busy" with
             | Value.Bool true -> false
             | _ -> true))
@@ -78,7 +83,7 @@ module Devil_driver = struct
     end
 
   let fill_rect t r ~color =
-    protected "gfx: fill_rect" (fun () ->
+    protected t "gfx: fill_rect" (fun () ->
         wait_fifo t state_entries;
         send_state t ~color;
         wait_fifo t (rect_entries t);
@@ -87,7 +92,7 @@ module Devil_driver = struct
         Instance.set t.inst "render_op" (Value.Enum "OP_FILL"))
 
   let copy_rect t r ~dx ~dy =
-    protected "gfx: copy_rect" (fun () ->
+    protected t "gfx: copy_rect" (fun () ->
         wait_fifo t state_entries;
         send_state t ~color:0;
         wait_fifo t (rect_entries t + 1);

@@ -37,9 +37,13 @@ let words_of_dwords dwords =
       if i mod 2 = 0 then d land 0xffff else (d lsr 16) land 0xffff)
 
 module Devil_driver = struct
-  type t = { ide : Instance.t; piix4 : Instance.t }
+  type t = {
+    ide : Instance.t;
+    piix4 : Instance.t;
+    ctx : Devil_runtime.Ctx.t option;  (* the instances' machine *)
+  }
 
-  let create ~ide ~piix4 = { ide; piix4 }
+  let create ~ide ~piix4 = { ide; piix4; ctx = Instance.ctx ide }
 
   let get_bool t name =
     match Instance.get t.ide name with
@@ -55,7 +59,7 @@ module Devil_driver = struct
     (get_bool t "bsy", get_bool t "drq")
 
   let wait_not_busy t =
-    Policy.poll_until ~label:"ide: BSY clear" (fun () ->
+    Policy.poll_until ?ctx:t.ctx ~label:"ide: BSY clear" (fun () ->
         let bsy, _ = poll_status t in
         not bsy)
 
@@ -64,7 +68,7 @@ module Devil_driver = struct
        structure, the error variable and the alternate status are
        distinct interface entities, each costing one I/O operation
        (paper §4.3: "2 additional operations for each interrupt"). *)
-    Policy.poll_until ~label:"ide: DRQ" (fun () ->
+    Policy.poll_until ?ctx:t.ctx ~label:"ide: DRQ" (fun () ->
         let bsy, drq = poll_status t in
         (not bsy) && drq);
     (match Instance.get t.ide "error_flags" with
@@ -161,7 +165,7 @@ module Devil_driver = struct
      data burst — is recovered by starting over with bounded
      attempts. *)
   let read_sectors t ~lba ~count ~mult ~path ~width =
-    Policy.with_retries ~label:"ide: read_sectors" (fun () ->
+    Policy.with_retries ?ctx:t.ctx ~label:"ide: read_sectors" (fun () ->
         setup_command t ~lba ~count ~cmd:"READ_SECTORS";
         let out = Buffer.create (count * sector_bytes) in
         let remaining = ref count in
@@ -179,7 +183,7 @@ module Devil_driver = struct
   let write_sectors t ~lba ~count ~mult ~path ~width data =
     if Bytes.length data <> count * sector_bytes then
       invalid_arg "ide write: data size mismatch";
-    Policy.with_retries ~label:"ide: write_sectors" (fun () ->
+    Policy.with_retries ?ctx:t.ctx ~label:"ide: write_sectors" (fun () ->
         setup_command t ~lba ~count ~cmd:"WRITE_SECTORS";
         let remaining = ref count and s = ref 0 in
         while !remaining > 0 do
@@ -192,7 +196,7 @@ module Devil_driver = struct
         done)
 
   let bm_wait_irq t =
-    Policy.poll_until ~label:"ide dma: IRQ" (fun () ->
+    Policy.poll_until ?ctx:t.ctx ~label:"ide dma: IRQ" (fun () ->
         match Instance.get t.piix4 "bm_irq" with
         | Value.Enum "RAISED" -> true
         | _ -> false)
@@ -208,7 +212,7 @@ module Devil_driver = struct
     Instance.set t.piix4 "bm_engine" (Value.Enum "BM_STOP")
 
   let read_dma t ~memory ~lba ~count =
-    Policy.with_retries ~label:"ide: read_dma" (fun () ->
+    Policy.with_retries ?ctx:t.ctx ~label:"ide: read_dma" (fun () ->
         dma_common t ~lba ~count ~to_memory:true ~cmd:"READ_DMA");
     Bytes.sub memory 0 (count * sector_bytes)
 
@@ -216,7 +220,7 @@ module Devil_driver = struct
     if Bytes.length data <> count * sector_bytes then
       invalid_arg "ide dma write: data size mismatch";
     Bytes.blit data 0 memory 0 (Bytes.length data);
-    Policy.with_retries ~label:"ide: write_dma" (fun () ->
+    Policy.with_retries ?ctx:t.ctx ~label:"ide: write_dma" (fun () ->
         dma_common t ~lba ~count ~to_memory:false ~cmd:"WRITE_DMA")
 end
 
@@ -454,7 +458,9 @@ module Async = struct
   let submit t ~label op =
     Queue.add op t.ops;
     Sched.submit t.sched ~dev ~label
-      ~start:(fun () -> Policy.with_retries ~label (fun () -> issue t op))
+      ~start:(fun () ->
+        Policy.with_retries ?ctx:t.drv.Devil_driver.ctx ~label (fun () ->
+            issue t op))
       ~abort:(fun () -> stop_engine t)
       ~on_done:(fun _ -> ignore (Queue.take_opt t.ops))
       ()

@@ -4,7 +4,7 @@ module Value = Devil_ir.Value
 
 (* Protocol answers arrive quickly or not at all; a missing answer is
    part of the protocol (the caller reports [false]), so the bound is
-   local and much shorter than the global poll deadline. *)
+   local and much shorter than the machine's poll deadline. *)
 let answer_deadline = 1000
 
 module Devil_driver = struct
@@ -22,8 +22,8 @@ module Devil_driver = struct
     match Instance.get t "kbd_data" with Value.Int v -> v | _ -> 0
 
   let wait_data t =
-    Policy.try_poll_for ~deadline:answer_deadline (fun () ->
-        if output_full t then Some (read_data t) else None)
+    Policy.try_poll_for ?ctx:(Instance.ctx t) ~deadline:answer_deadline
+      (fun () -> if output_full t then Some (read_data t) else None)
 
   let init t =
     Instance.set t "controller_command" (Value.Enum "SELF_TEST");

@@ -4,9 +4,7 @@ module Io_space = Hwsim.Io_space
 type t = {
   space : Io_space.t;
   bus : Devil_runtime.Bus.t;
-  trace : Devil_runtime.Trace.t option;
-  metrics : Devil_runtime.Metrics.t option;
-  profile : Devil_runtime.Profile.t option;
+  ctx : Devil_runtime.Ctx.t;
   mouse : Hwsim.Busmouse.t;
   disk : Hwsim.Ide_disk.t;
   busmaster : Hwsim.Piix4.t;
@@ -72,7 +70,11 @@ let irq_line = function
   | _ -> None
 
 let create ?(debug = false) ?trace ?metrics ?profile ?telemetry ?interpret
-    ?(wrap_bus = Fun.id) ?(lifecycle = false) ?lifecycle_clock () =
+    ?(wrap_bus = Fun.id) ?(lifecycle = false) ?lifecycle_clock ?poll_deadline
+    ?decider () =
+  let ctx =
+    Devil_runtime.Ctx.create ?trace ?metrics ?profile ?poll_deadline ?decider ()
+  in
   let space = Io_space.create () in
   let mouse = Hwsim.Busmouse.create () in
   let disk = Hwsim.Ide_disk.create () in
@@ -114,12 +116,7 @@ let create ?(debug = false) ?trace ?metrics ?profile ?telemetry ?interpret
   (* The observer wraps outside [wrap_bus] (a fault injector, a
      recorder), so the bus events in the trace carry the post-fault
      values the drivers actually saw. *)
-  let bus =
-    Devil_runtime.Bus.observed ?trace ?metrics ?profile
-      (wrap_bus (Io_space.bus space))
-  in
-  if Option.is_some trace || Option.is_some metrics || Option.is_some profile
-  then Devil_runtime.Policy.observe ?trace ?metrics ?profile ();
+  let bus = Devil_runtime.Bus.observed ~ctx (wrap_bus (Io_space.bus space)) in
   (* Ring evictions become a live counter instead of a value you have
      to remember to poll off the ring. *)
   (match (trace, metrics) with
@@ -138,15 +135,12 @@ let create ?(debug = false) ?trace ?metrics ?profile ?telemetry ?interpret
     | _ -> None
   in
   let mk label device bases =
-    Instance.create ~debug ~label ?trace ?metrics ?profile ?interpret device
-      ~bus ~bases
+    Instance.create ~debug ~label ~ctx ?interpret device ~bus ~bases
   in
   {
     space;
     bus;
-    trace;
-    metrics;
-    profile;
+    ctx;
     mouse;
     disk;
     busmaster;
@@ -213,10 +207,7 @@ let sched t =
       let ctl_eoi ~line =
         t.bus.write ~width:1 ~addr:pic_base ~value:(0x60 lor (line land 0x7))
       in
-      let s =
-        Sched.create ?trace:t.trace ?metrics:t.metrics ?profile:t.profile
-          { Sched.ctl_raise; ctl_ack; ctl_eoi }
-      in
+      let s = Sched.create ~ctx:t.ctx { Sched.ctl_raise; ctl_ack; ctl_eoi } in
       (* Program the controller the way a kernel would: ICW1..ICW4
          (edge-triggered, single, 8086 mode, vectors at 0x20), then
          unmask every line. *)
@@ -241,7 +232,7 @@ let sched t =
 
 let health ?thresholds t =
   Devil_runtime.Health.evaluate ?thresholds ?lifecycle:t.lifecycle
-    ?trace:t.trace ?metrics:t.metrics ()
+    ?trace:t.ctx.trace ?metrics:t.ctx.metrics ()
 
 (* The one-call sampling point workloads drop into their outer loop:
    a no-op (and allocation-free) unless the machine carries a

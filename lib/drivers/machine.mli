@@ -7,12 +7,11 @@ module Instance = Devil_runtime.Instance
 type t = {
   space : Hwsim.Io_space.t;
   bus : Devil_runtime.Bus.t;
-  trace : Devil_runtime.Trace.t option;
-      (** The unified event trace, when observability is on. *)
-  metrics : Devil_runtime.Metrics.t option;
-      (** The counter/histogram registry, when observability is on. *)
-  profile : Devil_runtime.Profile.t option;
-      (** The hierarchical span profiler, when profiling is on. *)
+  ctx : Devil_runtime.Ctx.t;
+      (** The machine's context: its trace, metrics and profile
+          handles, request cell, decider and poll deadline. Every
+          instance, the bus observer and the event loop report to it,
+          and to no other machine's. *)
   (* device models *)
   mouse : Hwsim.Busmouse.t;
   disk : Hwsim.Ide_disk.t;
@@ -124,6 +123,8 @@ val create :
   ?wrap_bus:(Devil_runtime.Bus.t -> Devil_runtime.Bus.t) ->
   ?lifecycle:bool ->
   ?lifecycle_clock:(unit -> int) ->
+  ?poll_deadline:int ->
+  ?decider:(Devil_runtime.Ctx.decision -> bool) ->
   unit ->
   t
 (** Builds the machine. Every handle comes from the arguments; with
@@ -143,16 +144,25 @@ val create :
     then see no traffic at all, so back-door state checks are
     meaningless under replay).
 
-    [trace]/[metrics] switch on the observability layer: the bus is
-    wrapped with {!Devil_runtime.Bus.observed} (outside [wrap_bus], so
-    trace events carry post-fault values), every instance is
-    instrumented under a short driver label ([mouse], [ide], …), and
-    the {!Devil_runtime.Policy} observer is installed — callers owning
-    short-lived handles should {!Devil_runtime.Policy.unobserve} when
-    done. [profile] additionally times every layer as hierarchical
-    {!Devil_runtime.Profile} spans: stub accesses and actions in both
-    engines, polls and retries in the policy layer, and each bus
-    transfer as a leaf (via [Bus.observed ?profile]).
+    The handles, [poll_deadline] and [decider] make the machine's
+    context ({!field-ctx}); nothing is installed anywhere else, so
+    machines built side by side — on one domain or several — never see
+    each other's events. [trace]/[metrics] switch on the observability
+    layer: the bus is wrapped with {!Devil_runtime.Bus.observed}
+    (outside [wrap_bus], so trace events carry post-fault values),
+    every instance is instrumented under a short driver label
+    ([mouse], [ide], …), and the Devil drivers' polls and retries
+    report through their instances' context. [profile] additionally
+    times every layer as hierarchical {!Devil_runtime.Profile} spans:
+    stub accesses and actions in both engines, polls and retries in
+    the policy layer, and each bus transfer as a leaf.
+
+    [poll_deadline] (default {!Devil_runtime.Ctx.default_poll_deadline})
+    bounds every poll and queued request that names no deadline of its
+    own; [Invalid_argument] if it is not positive. [decider] is the
+    exploration hook: it sees each poll and retry decision point of
+    this machine's drivers and may force the adverse outcome (see
+    {!Devil_runtime.Ctx.decision}).
 
     [telemetry] attaches a {!Devil_runtime.Telemetry} sampler. The
     machine never ticks it on its own — workloads call

@@ -102,11 +102,11 @@ module Devil_driver = struct
      sequence is idempotent and retried as one unit when the bus
      faults transiently. *)
   let init t ~mac =
-    Policy.with_retries ~label:"net: init" (fun () ->
+    Policy.with_retries ?ctx:(Instance.ctx t) ~label:"net: init" (fun () ->
         init_common t ~mac ~loopback:false)
 
   let init_loopback t ~mac =
-    Policy.with_retries ~label:"net: init" (fun () ->
+    Policy.with_retries ?ctx:(Instance.ctx t) ~label:"net: init" (fun () ->
         init_common t ~mac ~loopback:true)
 
   let station_address t =
@@ -116,14 +116,14 @@ module Devil_driver = struct
     (* A transient fault aborts the access before it reaches the NIC,
        so no partial frame has been committed when we start over; the
        TRANSMIT trigger is the last write of the sequence. *)
-    Policy.with_retries ~label:"net: send" (fun () ->
+    Policy.with_retries ?ctx:(Instance.ctx t) ~label:"net: send" (fun () ->
         remote_write t ~addr:(tx_page * 256) frame;
         Instance.set t "tx_page_start" (Value.Int tx_page);
         Instance.set t "tx_byte_count" (Value.Int (String.length frame));
         Instance.set t "txp" (Value.Enum "TRANSMIT"))
 
   let receive t =
-    Policy.with_retries ~label:"net: receive" @@ fun () ->
+    Policy.with_retries ?ctx:(Instance.ctx t) ~label:"net: receive" @@ fun () ->
     let curr = get_int t "current_page" in
     let bnry = get_int t "boundary" in
     if curr = bnry then None

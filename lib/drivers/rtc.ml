@@ -18,7 +18,8 @@ module Devil_driver = struct
 
   let wait_update_window t =
     ignore
-      (Policy.try_poll ~deadline:update_deadline (fun () ->
+      (Policy.try_poll ?ctx:(Instance.ctx t) ~deadline:update_deadline
+         (fun () ->
            match Instance.get t "update_in_progress" with
            | Value.Bool true -> false
            | _ -> true))

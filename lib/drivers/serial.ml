@@ -12,7 +12,7 @@ module Devil_driver = struct
   (* Pure configuration, so the whole sequence is idempotent and can
      be retried as one unit when the bus faults transiently. *)
   let init t ~baud =
-    Policy.with_retries ~label:"serial: init" @@ fun () ->
+    Policy.with_retries ?ctx:(Instance.ctx t) ~label:"serial: init" @@ fun () ->
     (* The divisor variable's serialization writes DLL then DLM; its
        pre-actions raise DLAB around the access transparently. *)
     Instance.set t "divisor" (Value.Int (clock / baud));
@@ -61,8 +61,8 @@ module Devil_driver = struct
     let buf = Buffer.create max in
     (try
        for _ = 1 to max do
-         Policy.poll_until ?deadline ~label:"serial: RX data" (fun () ->
-             data_ready t);
+         Policy.poll_until ?ctx:(Instance.ctx t) ?deadline
+           ~label:"serial: RX data" (fun () -> data_ready t);
          match Instance.get t "rx_data" with
          | Value.Int c -> Buffer.add_char buf (Char.chr (c land 0xff))
          | _ -> ()
@@ -79,7 +79,8 @@ module Devil_driver = struct
   let self_test t =
     (* Each attempt starts from clean FIFOs, so a retry after a
        transient fault does not read a stale partial pattern. *)
-    Policy.with_retries ~label:"serial: self-test" (fun () ->
+    Policy.with_retries ?ctx:(Instance.ctx t) ~label:"serial: self-test"
+      (fun () ->
         reset_fifos t;
         set_loopback t true;
         let pattern = "\x55\xaa\x5a\xa5devil" in

@@ -19,7 +19,7 @@ module Devil_driver : sig
 
   val recv_blocking : ?deadline:int -> t -> max:int -> string
   (** Waits for each byte under a {!Devil_runtime.Policy} poll deadline
-      (in ticks; default {!Devil_runtime.Policy.default_deadline});
+      (in ticks; default: the machine's poll deadline);
       returns what arrived when the deadline expires. *)
 
   val data_ready : t -> bool

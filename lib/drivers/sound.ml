@@ -33,7 +33,7 @@ module Devil_driver = struct
   (* A transient fault aborts the burst before any sample reaches the
      FIFO, so the whole block write can be retried as a unit. *)
   let play t samples =
-    Policy.with_retries ~label:"sound: play" (fun () ->
+    Policy.with_retries ?ctx:(Instance.ctx t) ~label:"sound: play" (fun () ->
         Instance.write_block t "pcm_data" (Array.of_list samples))
 
   (* Recording consumes the capture FIFO, so a blind retry would skip

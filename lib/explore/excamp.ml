@@ -5,13 +5,14 @@
    at discovered bus sites, forced poll timeouts, denied retries),
    discovers each workload's injection sites from an unfaulted run,
    executes one workload run per schedule on a fresh Machine with a
-   schedule-driven Fault injector and a Policy decider, judges every
+   schedule-driven Fault injector and a decider of its own, judges every
    run with the Monitor oracle plus the recovery invariants, and turns
    violations into minimized, replayable counterexample tapes. *)
 
 module Explore = Devil_runtime.Explore
 module Fault = Devil_runtime.Fault
 module Policy = Devil_runtime.Policy
+module Ctx = Devil_runtime.Ctx
 module Trace = Devil_runtime.Trace
 module Metrics = Devil_runtime.Metrics
 module Bus = Devil_runtime.Bus
@@ -178,7 +179,9 @@ let discover_sites w ~max_sites =
           bus.Bus.write_block ~width ~addr ~from);
     }
   in
-  let m = Machine.create ~wrap_bus:counting () in
+  let m =
+    Machine.create ~wrap_bus:counting ~poll_deadline:Campaign.poll_deadline ()
+  in
   let verdict = Campaign.run_workload m w.w_run in
   let first, last = w.w_range in
   let sites =
@@ -256,7 +259,7 @@ let state_fingerprint ~verdict ~trace ~monitor_violations =
    raw io-space -> scheduled Fault injector -> recording (when asked)
    -> Bus.observed (trace/metrics), so the trace and tape both carry
    the post-fault values the driver saw. Policy decisions are forced
-   by ordinal through the module-level decider. *)
+   by ordinal through the machine's decider. *)
 let run_schedule ?(record = false) ?monitor w choices
     (sched : choice Explore.schedule) =
   let injections =
@@ -317,27 +320,24 @@ let run_schedule ?(record = false) ?monitor w choices
     end
     else b
   in
-  Policy.set_decider (fun d ->
-      match d with
-      | Policy.Poll_decision { ordinal; _ } ->
-          if List.mem ordinal armed_polls then begin
-            incr forced_polls;
-            true
-          end
-          else false
-      | Policy.Retry_decision { ordinal; _ } ->
-          if List.mem ordinal armed_retries then begin
-            incr denied_retries;
-            true
-          end
-          else false);
-  let finish () =
-    let polls = Policy.poll_points () and retries = Policy.retry_points () in
-    Policy.clear_decider ();
-    Policy.unobserve ();
-    (polls, retries)
+  let decider = function
+    | Ctx.Poll_decision { ordinal; _ } ->
+        if List.mem ordinal armed_polls then begin
+          incr forced_polls;
+          true
+        end
+        else false
+    | Ctx.Retry_decision { ordinal; _ } ->
+        if List.mem ordinal armed_retries then begin
+          incr denied_retries;
+          true
+        end
+        else false
   in
-  let machine = Machine.create ~trace ~metrics ~wrap_bus ~lifecycle:true () in
+  let machine =
+    Machine.create ~trace ~metrics ~wrap_bus ~lifecycle:true
+      ~poll_deadline:Campaign.poll_deadline ~decider ()
+  in
   let result =
     try `Verdict (w.w_run machine)
     with
@@ -352,7 +352,8 @@ let run_schedule ?(record = false) ?monitor w choices
            injected fault no policy classified is itself a violation. *)
         `Escape msg
   in
-  let polls, retries = finish () in
+  let polls = machine.ctx.poll_points
+  and retries = machine.ctx.retry_points in
   (match monitor with Some mon -> Monitor.finalize mon | None -> ());
   let inj = Option.get !injector in
   let inj_fired = Fault.scheduled_hits inj in
@@ -455,48 +456,45 @@ type result = {
 }
 
 let explore_workload ?(bound = default_bound) ?(max_violations = 4) ?on_run w =
-  Campaign.with_campaign_policy (fun () ->
-      let base_verdict, sites = discover_sites w ~max_sites:bound.b_sites in
-      let choices = choices_of_sites ~bound sites in
-      let monitor = Monitor.create ~devices:w.w_devices in
-      let run sched =
-        outcome_of_exec (run_schedule ~monitor w choices sched)
-      in
-      let report =
-        if choices = [] then
-          (* nothing to explore: run the base schedule alone *)
-          Explore.explore ~depth:1 ~budget:0 ~choices:[ Poll_timeout ] ~run
-            ?on_run ()
-        else
-          Explore.explore ~depth:bound.b_depth ~budget:bound.b_budget ~choices
-            ~run ~max_violations ?on_run ()
-      in
-      let counterexamples =
-        List.map
-          (fun (v : choice Explore.violation) ->
-            let shrunk, attempts = Explore.shrink ~run v.vx_schedule in
-            let final = run_schedule ~record:true ~monitor w choices shrunk in
-            {
-              cx_workload = w.w_name;
-              cx_detail = final.e_detail;
-              cx_found = v.vx_schedule;
-              cx_schedule = shrunk;
-              cx_shrink_runs = attempts;
-              cx_tape = Option.get final.e_tape;
-              cx_events = final.e_events;
-              cx_health = final.e_health;
-            })
-          report.Explore.rp_violations
-      in
-      {
-        r_workload = w.w_name;
-        r_bound = bound;
-        r_sites = sites;
-        r_choices = choices;
-        r_base_verdict = base_verdict;
-        r_report = report;
-        r_counterexamples = counterexamples;
-      })
+  let base_verdict, sites = discover_sites w ~max_sites:bound.b_sites in
+  let choices = choices_of_sites ~bound sites in
+  let monitor = Monitor.create ~devices:w.w_devices in
+  let run sched = outcome_of_exec (run_schedule ~monitor w choices sched) in
+  let report =
+    if choices = [] then
+      (* nothing to explore: run the base schedule alone *)
+      Explore.explore ~depth:1 ~budget:0 ~choices:[ Poll_timeout ] ~run
+        ?on_run ()
+    else
+      Explore.explore ~depth:bound.b_depth ~budget:bound.b_budget ~choices
+        ~run ~max_violations ?on_run ()
+  in
+  let counterexamples =
+    List.map
+      (fun (v : choice Explore.violation) ->
+        let shrunk, attempts = Explore.shrink ~run v.vx_schedule in
+        let final = run_schedule ~record:true ~monitor w choices shrunk in
+        {
+          cx_workload = w.w_name;
+          cx_detail = final.e_detail;
+          cx_found = v.vx_schedule;
+          cx_schedule = shrunk;
+          cx_shrink_runs = attempts;
+          cx_tape = Option.get final.e_tape;
+          cx_events = final.e_events;
+          cx_health = final.e_health;
+        })
+      report.Explore.rp_violations
+  in
+  {
+    r_workload = w.w_name;
+    r_bound = bound;
+    r_sites = sites;
+    r_choices = choices;
+    r_base_verdict = base_verdict;
+    r_report = report;
+    r_counterexamples = counterexamples;
+  }
 
 (* {1 Counterexample replay}
 
@@ -514,64 +512,63 @@ type replay = {
 }
 
 let replay_counterexample w (cx : counterexample) =
-  Campaign.with_campaign_policy (fun () ->
-      let armed kind =
-        List.filter_map
-          (fun (d : choice Explore.decision) ->
-            if d.choice = kind then Some d.slot else None)
-          cx.cx_schedule
-      in
-      let armed_polls = armed Poll_timeout
-      and armed_retries = armed Retry_deny in
-      Policy.set_decider (fun d ->
-          match d with
-          | Policy.Poll_decision { ordinal; _ } -> List.mem ordinal armed_polls
-          | Policy.Retry_decision { ordinal; _ } ->
-              List.mem ordinal armed_retries);
-      let tape2 = ref None in
-      let wrap_bus _raw =
-        let t, b = Bus.recording (Bus.replaying cx.cx_tape) in
-        tape2 := Some t;
-        b
-      in
-      let divergence = ref None in
-      let verdict =
-        try
-          match w.w_run (Machine.create ~wrap_bus ()) with
-          | Campaign.Verified -> "verified"
-          | Campaign.Corrupt d -> "corrupt: " ^ d
-          | Campaign.Reported d -> "detected: " ^ d
-        with
-        | Policy.Driver_error e -> "detected: " ^ Policy.error_to_string e
-        | Fault.Bus_fault msg -> "escape: " ^ msg
-        | Bus.Replay_divergence msg ->
-            divergence := Some msg;
-            "replay divergence"
-        | Instance.Device_error msg -> "detected: device error: " ^ msg
-        | Failure msg -> "detected: " ^ msg
-      in
-      Policy.clear_decider ();
-      let identical =
-        match !tape2 with
-        | None -> false
-        | Some t2 ->
-            Trace_export.tape_to_jsonl t2
-            = Trace_export.tape_to_jsonl cx.cx_tape
-      in
-      {
-        rr_verdict = verdict;
-        rr_tape_identical = identical && !divergence = None;
-        rr_divergence = !divergence;
-      })
+  let armed kind =
+    List.filter_map
+      (fun (d : choice Explore.decision) ->
+        if d.choice = kind then Some d.slot else None)
+      cx.cx_schedule
+  in
+  let armed_polls = armed Poll_timeout
+  and armed_retries = armed Retry_deny in
+  let decider = function
+    | Ctx.Poll_decision { ordinal; _ } -> List.mem ordinal armed_polls
+    | Ctx.Retry_decision { ordinal; _ } -> List.mem ordinal armed_retries
+  in
+  let tape2 = ref None in
+  let wrap_bus _raw =
+    let t, b = Bus.recording (Bus.replaying cx.cx_tape) in
+    tape2 := Some t;
+    b
+  in
+  let divergence = ref None in
+  let verdict =
+    try
+      match
+        w.w_run
+          (Machine.create ~wrap_bus ~poll_deadline:Campaign.poll_deadline
+             ~decider ())
+      with
+      | Campaign.Verified -> "verified"
+      | Campaign.Corrupt d -> "corrupt: " ^ d
+      | Campaign.Reported d -> "detected: " ^ d
+    with
+    | Policy.Driver_error e -> "detected: " ^ Policy.error_to_string e
+    | Fault.Bus_fault msg -> "escape: " ^ msg
+    | Bus.Replay_divergence msg ->
+        divergence := Some msg;
+        "replay divergence"
+    | Instance.Device_error msg -> "detected: device error: " ^ msg
+    | Failure msg -> "detected: " ^ msg
+  in
+  let identical =
+    match !tape2 with
+    | None -> false
+    | Some t2 ->
+        Trace_export.tape_to_jsonl t2 = Trace_export.tape_to_jsonl cx.cx_tape
+  in
+  {
+    rr_verdict = verdict;
+    rr_tape_identical = identical && !divergence = None;
+    rr_divergence = !divergence;
+  }
 
 (* Re-run a schedule live (simulator + scheduled injector) from a tape
    fixture's point of view: given a workload and a schedule, produce
    the tape it records. Used by tests to regenerate fixtures. *)
 let record_schedule ?(bound = default_bound) w sched =
-  Campaign.with_campaign_policy (fun () ->
-      let _, sites = discover_sites w ~max_sites:bound.b_sites in
-      let choices = choices_of_sites ~bound sites in
-      run_schedule ~record:true w choices sched)
+  let _, sites = discover_sites w ~max_sites:bound.b_sites in
+  let choices = choices_of_sites ~bound sites in
+  run_schedule ~record:true w choices sched
 
 (* {1 Reporting} *)
 

@@ -106,8 +106,10 @@ val run_schedule :
     horizon probes (every site in the alphabet is counted even when
     not scheduled). With [record] the bus is taped between the
     injector and the observability wrapper. The caller's [monitor] is
-    cleared, attached to the run's trace and finalized. Installs and
-    removes the global {!Devil_runtime.Policy} decider. *)
+    cleared, attached to the run's trace and finalized. The run's
+    machine carries the schedule's decider and the campaign's poll
+    deadline ({!Faultcamp.Campaign.poll_deadline}); nothing outlives
+    it. *)
 
 val outcome_of_exec : exec -> choice Explore.outcome
 

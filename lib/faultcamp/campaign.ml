@@ -358,6 +358,10 @@ let run_workload m workload =
   | Devil_runtime.Instance.Device_error msg -> Reported ("device error: " ^ msg)
   | Failure msg -> Reported msg
 
+(* Timeout trials would otherwise spin the full default deadline; 20k
+   status polls keep the whole matrix under a second. *)
+let poll_deadline = 20_000
+
 let run_trial ?(covs = []) ?profile ~driver ~range:(first, last) ~workload
     ~fault ~seed () =
   let plans = plans_for ~fault ~first ~last in
@@ -368,7 +372,8 @@ let run_trial ?(covs = []) ?profile ~driver ~range:(first, last) ~workload
   List.iter (fun cov -> Coverage.attach cov trace) covs;
   let wrap_bus b = Fault.bus (Fault.wrap ~seed ~sink:trace ~metrics ~plans b) in
   let m =
-    Machine.create ~metrics ~trace ?profile ~wrap_bus ~lifecycle:true ()
+    Machine.create ~metrics ~trace ?profile ~wrap_bus ~lifecycle:true
+      ~poll_deadline ()
   in
   let verdict = run_workload m workload in
   let injections = Metrics.count metrics "fault.injections" in
@@ -393,19 +398,7 @@ let run_trial ?(covs = []) ?profile ~driver ~range:(first, last) ~workload
 
 let default_seeds = [ 1; 2; 3 ]
 
-(* Runs [f] with the short poll deadline every campaign entry point
-   uses, restoring it (and the global policy observer each trial
-   installs) on the way out. *)
-let with_campaign_policy f =
-  (* Timeout trials would otherwise spin the full default deadline;
-     20k status polls keep the whole matrix under a second. *)
-  let saved = Policy.default_deadline () in
-  Policy.set_default_deadline 20_000;
-  Fun.protect
-    ~finally:(fun () ->
-      Policy.set_default_deadline saved;
-      Policy.unobserve ())
-    f
+let with_campaign_policy f = f ()
 
 (* {1 Record / replay}
 
@@ -486,7 +479,7 @@ let record_trial ?fault ~driver ~seed () =
     tape := Some t;
     b'
   in
-  let m = Machine.create ~trace ~metrics ~wrap_bus () in
+  let m = Machine.create ~trace ~metrics ~wrap_bus ~poll_deadline () in
   let verdict = run_workload m workload in
   (Option.get !tape, trace, verdict)
 
@@ -497,32 +490,30 @@ let replay_trial ~driver ~tape () =
   let m =
     Machine.create ~trace ~metrics
       ~wrap_bus:(fun _ -> Bus.replaying tape)
-      ()
+      ~poll_deadline ()
   in
   let verdict = run_workload m workload in
   (trace, verdict)
 
 let record_replay ?fault ~driver ~seed () =
-  with_campaign_policy (fun () ->
-      let tape, live_trace, live = record_trial ?fault ~driver ~seed () in
-      Policy.unobserve ();
-      let replay_trace, replayed = replay_trial ~driver ~tape () in
-      let live_v = driver_visible live
-      and replayed_v = driver_visible replayed in
-      let ka = comparable_kinds live_trace
-      and kb = comparable_kinds replay_trace in
-      let mismatch = first_kind_mismatch ka kb in
-      {
-        rc_driver = driver;
-        rc_fault = fault;
-        rc_seed = seed;
-        rc_tape_length = Bus.tape_length tape;
-        rc_live = live_v;
-        rc_replayed = replayed_v;
-        rc_outcome_match = live_v = replayed_v;
-        rc_trace_match = mismatch = None;
-        rc_mismatch = mismatch;
-      })
+  let tape, live_trace, live = record_trial ?fault ~driver ~seed () in
+  let replay_trace, replayed = replay_trial ~driver ~tape () in
+  let live_v = driver_visible live
+  and replayed_v = driver_visible replayed in
+  let ka = comparable_kinds live_trace
+  and kb = comparable_kinds replay_trace in
+  let mismatch = first_kind_mismatch ka kb in
+  {
+    rc_driver = driver;
+    rc_fault = fault;
+    rc_seed = seed;
+    rc_tape_length = Bus.tape_length tape;
+    rc_live = live_v;
+    rc_replayed = replayed_v;
+    rc_outcome_match = live_v = replayed_v;
+    rc_trace_match = mismatch = None;
+    rc_mismatch = mismatch;
+  }
 
 (* {1 Export}
 
@@ -532,42 +523,39 @@ let record_replay ?fault ~driver ~seed () =
    inputs) plus the Chrome-viewable trace JSON. *)
 
 let export_trial ~dir ?fault ~driver ~seed () =
-  with_campaign_policy (fun () ->
-      let tape, trace, _ = record_trial ?fault ~driver ~seed () in
-      let base =
-        Filename.concat dir
-          (Printf.sprintf "%s-%s-seed%d" driver
-             (Option.value fault ~default:"clean")
-             seed)
-      in
-      let files =
-        [
-          (base ^ ".trace.jsonl", Trace_export.to_jsonl trace);
-          (base ^ ".tape.jsonl", Trace_export.tape_to_jsonl tape);
-          (base ^ ".chrome.json", Trace_export.to_chrome (Trace.events trace));
-        ]
-      in
-      List.iter (fun (path, data) -> Trace_export.write_file path data) files;
-      List.map fst files)
+  let tape, trace, _ = record_trial ?fault ~driver ~seed () in
+  let base =
+    Filename.concat dir
+      (Printf.sprintf "%s-%s-seed%d" driver
+         (Option.value fault ~default:"clean")
+         seed)
+  in
+  let files =
+    [
+      (base ^ ".trace.jsonl", Trace_export.to_jsonl trace);
+      (base ^ ".tape.jsonl", Trace_export.tape_to_jsonl tape);
+      (base ^ ".chrome.json", Trace_export.to_chrome (Trace.events trace));
+    ]
+  in
+  List.iter (fun (path, data) -> Trace_export.write_file path data) files;
+  List.map fst files
 
 (* For the check.sh replay gate: record a fault-free trial, replay its
    tape, and persist both event streams. With no injector in the
    picture the two JSONL files must be byte-identical — an empty
    [tracetool diff]. *)
 let export_replay_smoke ~dir ~driver ~seed =
-  with_campaign_policy (fun () ->
-      let tape, live_trace, _ = record_trial ~driver ~seed () in
-      Policy.unobserve ();
-      let replay_trace, _ = replay_trial ~driver ~tape () in
-      let recorded =
-        Filename.concat dir (Printf.sprintf "%s-smoke.recorded.jsonl" driver)
-      in
-      let replayed =
-        Filename.concat dir (Printf.sprintf "%s-smoke.replayed.jsonl" driver)
-      in
-      Trace_export.write_file recorded (Trace_export.to_jsonl live_trace);
-      Trace_export.write_file replayed (Trace_export.to_jsonl replay_trace);
-      (recorded, replayed))
+  let tape, live_trace, _ = record_trial ~driver ~seed () in
+  let replay_trace, _ = replay_trial ~driver ~tape () in
+  let recorded =
+    Filename.concat dir (Printf.sprintf "%s-smoke.recorded.jsonl" driver)
+  in
+  let replayed =
+    Filename.concat dir (Printf.sprintf "%s-smoke.replayed.jsonl" driver)
+  in
+  Trace_export.write_file recorded (Trace_export.to_jsonl live_trace);
+  Trace_export.write_file replayed (Trace_export.to_jsonl replay_trace);
+  (recorded, replayed)
 
 let run ?(seeds = default_seeds) ?profile ?export_dir () =
   Option.iter
@@ -575,37 +563,36 @@ let run ?(seeds = default_seeds) ?profile ?export_dir () =
       if not (Sys.file_exists dir && Sys.is_directory dir) then
         invalid_arg ("Campaign.run: no export directory " ^ dir))
     export_dir;
-  with_campaign_policy (fun () ->
-      let covs =
-        List.map (fun (dev, device) -> Coverage.create ~dev device)
-          (coverage_devices ())
-      in
-      let trials =
+  let covs =
+    List.map (fun (dev, device) -> Coverage.create ~dev device)
+      (coverage_devices ())
+  in
+  let trials =
+    List.concat_map
+      (fun (driver, range, workload) ->
         List.concat_map
-          (fun (driver, range, workload) ->
-            List.concat_map
-              (fun fault ->
-                List.map
-                  (fun seed ->
-                    run_trial ~covs ?profile ~driver ~range ~workload ~fault
-                      ~seed ())
-                  seeds)
-              fault_classes)
-          workloads
-      in
-      (match export_dir with
-      | None -> ()
-      | Some dir ->
-          List.iter
-            (fun t ->
-              match t.outcome with
-              | Detected | Silent ->
-                  ignore
-                    (export_trial ~dir ~fault:t.fault ~driver:t.driver
-                       ~seed:t.seed ())
-              | Clean | Recovered -> ())
-            trials);
-      { trials; coverage = List.map Coverage.report covs })
+          (fun fault ->
+            List.map
+              (fun seed ->
+                run_trial ~covs ?profile ~driver ~range ~workload ~fault ~seed
+                  ())
+              seeds)
+          fault_classes)
+      workloads
+  in
+  (match export_dir with
+  | None -> ()
+  | Some dir ->
+      List.iter
+        (fun t ->
+          match t.outcome with
+          | Detected | Silent ->
+              ignore
+                (export_trial ~dir ~fault:t.fault ~driver:t.driver ~seed:t.seed
+                   ())
+          | Clean | Recovered -> ())
+        trials);
+  { trials; coverage = List.map Coverage.report covs }
 
 (* {1 Reporting} *)
 

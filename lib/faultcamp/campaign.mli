@@ -92,10 +92,16 @@ val run_workload : Drivers.Machine.t -> (Drivers.Machine.t -> verdict) -> verdic
     [Bus_fault], [Replay_divergence], [Device_error], [Failure]) into
     [Reported] — an escaped structured failure counts as detected. *)
 
+val poll_deadline : int
+(** The poll deadline of every machine the campaign builds, 20k ticks,
+    so forced-timeout runs stay fast. The exploration campaign builds
+    its machines with it too. *)
+
 val with_campaign_policy : (unit -> 'a) -> 'a
-(** Runs [f] under the campaign's shortened poll deadline (20k ticks,
-    so forced-timeout runs stay fast), restoring the deadline and
-    removing the global {!Devil_runtime.Policy} observer on exit. *)
+(** [with_campaign_policy f] is [f ()]. Each campaign machine carries
+    its own deadline and observer, so there is nothing to install
+    around a run; the name stays for callers written when there
+    was. *)
 
 val run :
   ?seeds:int list ->
@@ -104,13 +110,10 @@ val run :
   unit ->
   report
 (** Runs the full matrix: every workload under every fault class, once
-    per seed. Poll deadlines are temporarily shortened (and restored on
-    exit) so timeout trials complete quickly. With [profile], every
+    per seed, each trial on a fresh machine with its own trace and
+    metrics and the short {!poll_deadline}. With [profile], every
     trial's machine feeds the same span profiler, so a whole campaign
-    can be attributed (e.g. how much time recovery polls consume). Note
-    the per-trial machines each re-install the {!Devil_runtime.Policy}
-    observer; the last trial's handles win until
-    {!Devil_runtime.Policy.unobserve}.
+    can be attributed (e.g. how much time recovery polls consume).
 
     With [export_dir], every failing (detected or silent) trial is
     re-recorded and its artifacts written there — see

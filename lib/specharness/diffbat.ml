@@ -35,8 +35,9 @@ let build_engine ~interpret ~seed (device : Ir.device) bases =
   let raw = Bus.memory ~size:4096 () in
   seed_bus ~seed raw;
   let trace = Trace.create ~capacity:200_000 () in
-  let bus = Bus.observed ~trace raw in
-  let inst = Instance.create ~label ~trace ~interpret device ~bus ~bases in
+  let ctx = Devil_runtime.Ctx.create ~trace () in
+  let bus = Bus.observed ~ctx raw in
+  let inst = Instance.create ~label ~ctx ~interpret device ~bus ~bases in
   (inst, trace)
 
 type divergence = {

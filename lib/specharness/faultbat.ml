@@ -123,10 +123,11 @@ let campaign ?coverage ?(depth = 3) ?(budget = 1) ?(sites_per_dir = 2)
     let raw = Bus.memory ~size:4096 () in
     Diffbat.seed_bus ~seed raw;
     let trace = Trace.create ~capacity:200_000 () in
+    let ctx = Devil_runtime.Ctx.create ~trace () in
     let inj = Fault.scheduled ~injections raw in
-    let bus = Bus.observed ~trace (Fault.bus inj) in
+    let bus = Bus.observed ~ctx (Fault.bus inj) in
     let inst =
-      Instance.create ~label:Diffbat.label ~trace ~interpret:false device ~bus
+      Instance.create ~label:Diffbat.label ~ctx ~interpret:false device ~bus
         ~bases
     in
     (inst, inj, trace)

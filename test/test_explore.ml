@@ -172,45 +172,45 @@ let test_shrink_passing_unchanged () =
 (* {1 Policy decision points} *)
 
 let test_decider_forces_poll () =
-  Fun.protect ~finally:Policy.clear_decider @@ fun () ->
-  Policy.set_decider (function
-    | Policy.Poll_decision { ordinal; _ } -> ordinal = 0
-    | _ -> false);
+  let ctx =
+    Devil_runtime.Ctx.create
+      ~decider:(function
+        | Devil_runtime.Ctx.Poll_decision { ordinal; _ } -> ordinal = 0
+        | _ -> false)
+      ()
+  in
   Alcotest.(check bool) "ordinal 0 forced to time out" false
-    (Policy.try_poll ~label:"p" (fun () -> true));
+    (Policy.try_poll ~ctx ~label:"p" (fun () -> true));
   Alcotest.(check bool) "ordinal 1 runs normally" true
-    (Policy.try_poll ~label:"p" (fun () -> true));
-  Alcotest.(check int) "two poll points consumed" 2 (Policy.poll_points ())
+    (Policy.try_poll ~ctx ~label:"p" (fun () -> true));
+  Alcotest.(check int) "two poll points consumed" 2 ctx.poll_points
 
 let test_decider_denies_retry () =
-  Fun.protect ~finally:Policy.clear_decider @@ fun () ->
-  Policy.set_decider (function
-    | Policy.Retry_decision { ordinal; _ } -> ordinal = 0
-    | _ -> false);
+  let ctx =
+    Devil_runtime.Ctx.create
+      ~decider:(function
+        | Devil_runtime.Ctx.Retry_decision { ordinal; _ } -> ordinal = 0
+        | _ -> false)
+      ()
+  in
   let calls = ref 0 in
+  let flaky () =
+    incr calls;
+    if !calls = 1 then raise (Fault.Bus_fault "transient once");
+    !calls
+  in
   let denied =
-    match
-      Policy.with_retries ~label:"r" (fun () ->
-          incr calls;
-          if !calls = 1 then raise (Fault.Bus_fault "transient once");
-          !calls)
-    with
+    match Policy.with_retries ~ctx ~label:"r" flaky with
     | _ -> false
     | exception Policy.Driver_error (Policy.Degraded _) -> true
   in
   Alcotest.(check bool) "the denied retry fails Degraded" true denied;
   Alcotest.(check int) "no re-execution after the denial" 1 !calls;
-  Alcotest.(check int) "one retry point consumed" 1 (Policy.retry_points ());
+  Alcotest.(check int) "one retry point consumed" 1 ctx.retry_points;
   (* Without a decider the same operation recovers. *)
-  Policy.clear_decider ();
   calls := 0;
-  let v =
-    Policy.with_retries ~label:"r" (fun () ->
-        incr calls;
-        if !calls = 1 then raise (Fault.Bus_fault "transient once");
-        !calls)
-  in
-  Alcotest.(check int) "normal retry recovers" 2 v
+  Alcotest.(check int) "normal retry recovers" 2
+    (Policy.with_retries ~label:"r" flaky)
 
 (* {1 Campaign layer} *)
 

@@ -79,7 +79,9 @@ let test_drop_write () =
 
 let test_duplicate_write () =
   let metrics = Devil_runtime.Metrics.create () in
-  let counted = Bus.observed ~metrics (Bus.memory ()) in
+  let counted =
+    Bus.observed ~ctx:(Devil_runtime.Ctx.create ~metrics ()) (Bus.memory ())
+  in
   let count () = Devil_runtime.Metrics.count metrics "bus.writes" in
   let inj =
     Fault.wrap
@@ -125,8 +127,9 @@ let test_transient () =
 (* {1 Trace and counters} *)
 
 let test_trace_and_reset () =
+  let sink = Devil_runtime.Trace.create () in
   let inj =
-    Fault.wrap
+    Fault.wrap ~sink
       ~plans:
         [
           Fault.plan ~label:"flip" ~ops:[ Fault.Read ] ~first:0 ~last:0
@@ -138,22 +141,23 @@ let test_trace_and_reset () =
   for _ = 1 to 3 do
     ignore (rd bus ~addr:0)
   done;
-  let events = Fault.events inj in
+  let events = Devil_runtime.Trace.events sink in
   Alcotest.(check int) "three events" 3 (List.length events);
-  let seqs = List.map (fun (e : Fault.event) -> e.seq) events in
+  let seqs = List.map (fun (e : Devil_runtime.Trace.event) -> e.seq) events in
   Alcotest.(check bool) "sequence numbers increase" true
     (List.sort compare seqs = seqs && List.sort_uniq compare seqs = seqs);
   List.iter
-    (fun (e : Fault.event) ->
-      Alcotest.(check string) "label" "flip" e.plan_label;
-      Alcotest.(check int) "address" 0 e.addr;
-      Alcotest.(check bool) "detail rendered" true
-        (String.length (Format.asprintf "%a" Fault.pp_event e) > 0))
+    (fun (e : Devil_runtime.Trace.event) ->
+      match e.kind with
+      | Devil_runtime.Trace.Fault_injected { plan; addr; detail; _ } ->
+          Alcotest.(check string) "label" "flip" plan;
+          Alcotest.(check int) "address" 0 addr;
+          Alcotest.(check bool) "detail rendered" true
+            (String.length detail > 0)
+      | _ -> Alcotest.fail "only injections reach the sink")
     events;
   Alcotest.(check bool) "operations counted" true (Fault.operations inj >= 3);
   Fault.reset inj;
-  Alcotest.(check int) "reset clears the trace" 0
-    (List.length (Fault.events inj));
   Alcotest.(check int) "reset clears counters" 0 (Fault.injection_count inj)
 
 let test_reset_restores_budget () =
@@ -451,30 +455,32 @@ let test_with_retries_exhausts () =
   Alcotest.(check int) "one injection per attempt" Policy.default_attempts
     (Fault.injection_count inj)
 
-(* The default bounds are fixed by the program: the poll deadline
-   starts at 1_000_000 and only [set_default_deadline] moves it; the
-   retry budget is three attempts. *)
+(* The default bounds are fixed by the program: a context's poll
+   deadline is 1_000_000 unless it is built with another, positive,
+   one; the retry budget is three attempts. *)
 let test_default_bounds () =
+  let module Ctx = Devil_runtime.Ctx in
   Alcotest.(check int) "initial poll deadline" 1_000_000
-    (Policy.default_deadline ());
-  let saved = Policy.default_deadline () in
-  Fun.protect ~finally:(fun () -> Policy.set_default_deadline saved)
-  @@ fun () ->
-  Policy.set_default_deadline 5;
-  Policy.set_default_deadline 0;
-  Policy.set_default_deadline (-7);
-  Alcotest.(check int) "non-positive deadlines ignored" 5
-    (Policy.default_deadline ());
+    (Ctx.create ()).poll_deadline;
+  Alcotest.(check int) "a machine's deadline" 1_000_000
+    (Machine.create ()).ctx.poll_deadline;
+  List.iter
+    (fun d ->
+      match Ctx.create ~poll_deadline:d () with
+      | _ -> Alcotest.failf "poll deadline %d accepted" d
+      | exception Invalid_argument _ -> ())
+    [ 0; -7 ];
+  let ctx = Ctx.create ~poll_deadline:5 () in
   let polls = ref 0 in
   (match
-     Policy.poll_until ~label:"never" (fun () ->
+     Policy.poll_until ~ctx ~label:"never" (fun () ->
          incr polls;
          false)
    with
   | () -> Alcotest.fail "a poll that never succeeds returned"
   | exception Policy.Driver_error (Policy.Timeout l) ->
       Alcotest.(check string) "timeout names the poll" "never" l);
-  Alcotest.(check int) "the poll stops at the default deadline" 5 !polls;
+  Alcotest.(check int) "the poll stops at the context's deadline" 5 !polls;
   let runs = ref 0 in
   (match
      Policy.with_retries ~label:"flaky" (fun () ->
@@ -547,8 +553,7 @@ let test_nested_guarded_keeps_inner_label () =
 
 let test_nested_exhaustion_counters () =
   let metrics = Devil_runtime.Metrics.create () in
-  Policy.observe ~metrics ();
-  Fun.protect ~finally:Policy.unobserve @@ fun () ->
+  let ctx = Devil_runtime.Ctx.create ~metrics () in
   let inj =
     Fault.wrap
       ~plans:
@@ -561,8 +566,8 @@ let test_nested_exhaustion_counters () =
   let bus = Fault.bus inj in
   (try
      Policy.guarded ~label:"outer" (fun () ->
-         Policy.with_retries ~attempts:4 ~label:"outer" (fun () ->
-             Policy.with_retries ~attempts:2 ~label:"inner" (fun () ->
+         Policy.with_retries ~ctx ~attempts:4 ~label:"outer" (fun () ->
+             Policy.with_retries ~ctx ~attempts:2 ~label:"inner" (fun () ->
                  ignore (rd bus ~addr:0))))
    with Policy.Driver_error _ -> ());
   Alcotest.(check int) "exactly one exhaustion — the inner one" 1

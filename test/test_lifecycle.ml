@@ -24,7 +24,7 @@ let quiet_observed () =
   let lc = Lifecycle.attach ~clock:(fun () -> !tick) ~metrics trace in
   Trace.subscribe trace (fun _ -> incr tick);
   let t =
-    Sched.create ~trace ~metrics
+    Sched.create ~ctx:(Devil_runtime.Ctx.create ~trace ~metrics ())
       {
         Sched.ctl_raise = (fun ~line:_ -> ());
         ctl_ack = (fun () -> None);
@@ -65,7 +65,7 @@ let interrupting_observed () =
       ctl_eoi = (fun ~line:_ -> ());
     }
   in
-  let t = Sched.create ~trace ~metrics ctl in
+  let t = Sched.create ~ctx:(Devil_runtime.Ctx.create ~trace ~metrics ()) ctl in
   tref := Some t;
   (t, trace, metrics, lc)
 
@@ -149,7 +149,7 @@ let test_default_clock_names_ns () =
   let metrics = Metrics.create () in
   let _lc = Lifecycle.attach ~metrics trace in
   let t =
-    Sched.create ~trace ~metrics
+    Sched.create ~ctx:(Devil_runtime.Ctx.create ~trace ~metrics ())
       {
         Sched.ctl_raise = (fun ~line:_ -> ());
         ctl_ack = (fun () -> None);
@@ -164,12 +164,20 @@ let test_default_clock_names_ns () =
     (Metrics.histogram metrics "lifecycle.d.total.ticks" = None)
 
 let test_rid_reaches_request_thunks () =
-  let t, _, _, _ = quiet_observed () in
+  let ctx = Devil_runtime.Ctx.create () in
+  let t =
+    Sched.create ~ctx
+      {
+        Sched.ctl_raise = (fun ~line:_ -> ());
+        ctl_ack = (fun () -> None);
+        ctl_eoi = (fun ~line:_ -> ());
+      }
+  in
   let in_start = ref 0 and in_done = ref 0 in
   let rq =
     Sched.submit t ~dev:"d" ~label:"op"
-      ~start:(fun () -> in_start := Policy.current_request ())
-      ~on_done:(fun _ -> in_done := Policy.current_request ())
+      ~start:(fun () -> in_start := ctx.rid)
+      ~on_done:(fun _ -> in_done := ctx.rid)
       ()
   in
   Sched.complete t ~dev:"d" (Ok ());
@@ -177,8 +185,7 @@ let test_rid_reaches_request_thunks () =
     !in_start;
   Alcotest.(check int) "on_done runs under its rid" (Sched.request_id rq)
     !in_done;
-  Alcotest.(check int) "hook reset after the request" 0
-    (Policy.current_request ())
+  Alcotest.(check int) "hook reset after the request" 0 ctx.rid
 
 let test_orphan_until_completion () =
   let t, _, _, lc = quiet_observed () in
@@ -451,7 +458,6 @@ let test_machine_wires_drop_counter () =
   let trace = Trace.create ~capacity:4 () in
   let metrics = Devil_runtime.Metrics.create () in
   let _m = Drivers.Machine.create ~trace ~metrics () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve @@ fun () ->
   for i = 1 to 10 do
     Trace.emit trace (Trace.Cache_invalidated { dev = Printf.sprintf "d%d" i })
   done;
@@ -497,15 +503,17 @@ let test_campaign_surfaces_unhealthy_trials () =
 
 let test_request_hook_allocation_free () =
   (* The rid attribution ride-along must not allocate: Sched brackets
-     every thunk with set/reset, traced or not. *)
-  Policy.set_current_request 0;
+     every thunk with the machine's request cell, traced or not. *)
+  let ctx = Devil_runtime.Ctx.create () in
+  let seen = ref 0 in
+  let read () = seen := !seen + ctx.rid in
   let a0 = Gc.allocated_bytes () in
   for i = 1 to 10_000 do
-    Policy.set_current_request i;
-    ignore (Policy.current_request ());
-    Policy.set_current_request 0
+    Devil_runtime.Ctx.serving ctx i read ()
   done;
   let a1 = Gc.allocated_bytes () in
+  Alcotest.(check int) "each thunk saw its rid" (10_000 * 10_001 / 2) !seen;
+  Alcotest.(check int) "cell cleared afterwards" 0 ctx.rid;
   (* allocated_bytes itself boxes its float results; allow that. *)
   Alcotest.(check bool)
     (Printf.sprintf "no per-call allocation (%.0f bytes for 10k calls)"
@@ -538,7 +546,6 @@ let test_soak_machine_stays_bounded () =
     Machine.create ~trace ~metrics ~telemetry ~lifecycle:true ~lifecycle_clock
       ()
   in
-  Fun.protect ~finally:Policy.unobserve @@ fun () ->
   Hwsim.Piix4.set_latency m.busmaster 128;
   let sched = Machine.sched m in
   let ide =

@@ -8,6 +8,7 @@ module Trace = Devil_runtime.Trace
 module Metrics = Devil_runtime.Metrics
 module Fault = Devil_runtime.Fault
 module Policy = Devil_runtime.Policy
+module Ctx = Devil_runtime.Ctx
 module Instance = Devil_runtime.Instance
 module Machine = Drivers.Machine
 module Value = Devil_ir.Value
@@ -380,7 +381,9 @@ let prop_observed_bus_transparent =
       let trace = Trace.create ~capacity:16 () in
       let metrics = Metrics.create () in
       let wrapped =
-        apply_traffic (Bus.observed ~trace ~metrics (Bus.memory ())) ops
+        apply_traffic
+          (Bus.observed ~ctx:(Ctx.create ~trace ~metrics ()) (Bus.memory ()))
+          ops
       in
       wrapped = raw)
 
@@ -392,7 +395,10 @@ let prop_observed_bus_counts_every_op =
     (fun ops ->
       let trace = Trace.create ~capacity:1_000 () in
       let metrics = Metrics.create () in
-      ignore (apply_traffic (Bus.observed ~trace ~metrics (Bus.memory ())) ops);
+      ignore
+        (apply_traffic
+           (Bus.observed ~ctx:(Ctx.create ~trace ~metrics ()) (Bus.memory ()))
+           ops);
       let c = Metrics.count metrics in
       Trace.recorded trace = List.length ops
       && c "bus.reads" + c "bus.writes" + c "bus.block_reads"
@@ -403,7 +409,7 @@ let prop_observed_bus_counts_every_op =
 
 let test_metrics_hand_counted () =
   let metrics = Metrics.create () in
-  let bus = Bus.observed ~metrics (Bus.memory ()) in
+  let bus = Bus.observed ~ctx:(Ctx.create ~metrics ()) (Bus.memory ()) in
   ignore (bus.Bus.read ~width:8 ~addr:0);
   ignore (bus.Bus.read ~width:8 ~addr:1);
   ignore (bus.Bus.read ~width:16 ~addr:2);
@@ -448,15 +454,12 @@ let test_json_mentions_counters () =
 let test_machine_metrics_match_io_space () =
   let metrics = Metrics.create () in
   let m = Machine.create ~metrics () in
-  Fun.protect ~finally:Policy.unobserve (fun () ->
-      let mouse = Drivers.Mouse.Devil_driver.create m.mouse_dev in
-      ignore (Drivers.Mouse.Devil_driver.read_state mouse);
-      let ide =
-        Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev
-      in
-      ignore
-        (Drivers.Ide.Devil_driver.read_sectors ide ~lba:0 ~count:1 ~mult:1
-           ~path:`Block ~width:`W16));
+  let mouse = Drivers.Mouse.Devil_driver.create m.mouse_dev in
+  ignore (Drivers.Mouse.Devil_driver.read_state mouse);
+  let ide = Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
+  ignore
+    (Drivers.Ide.Devil_driver.read_sectors ide ~lba:0 ~count:1 ~mult:1
+       ~path:`Block ~width:`W16);
   let s = Machine.stats m in
   let c = Metrics.count metrics in
   Alcotest.(check int) "single reads agree" s.Hwsim.Io_space.reads
@@ -479,14 +482,12 @@ let test_machine_ignores_environment () =
   in
   List.iter (fun v -> Unix.putenv v "1") vars;
   Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun v -> Unix.putenv v "0") vars;
-      Policy.unobserve ())
+    ~finally:(fun () -> List.iter (fun v -> Unix.putenv v "0") vars)
     (fun () ->
       let m = Machine.create () in
-      Alcotest.(check bool) "no trace" true (Option.is_none m.trace);
-      Alcotest.(check bool) "no metrics" true (Option.is_none m.metrics);
-      Alcotest.(check bool) "no profile" true (Option.is_none m.profile);
+      Alcotest.(check bool) "no trace" true (Option.is_none m.ctx.trace);
+      Alcotest.(check bool) "no metrics" true (Option.is_none m.ctx.metrics);
+      Alcotest.(check bool) "no profile" true (Option.is_none m.ctx.profile);
       Alcotest.(check bool) "no telemetry" true (Option.is_none m.telemetry))
 
 (* {1 Instance instrumentation: cache hits and misses} *)
@@ -508,8 +509,9 @@ let test_cache_hit_miss () =
   let trace = Trace.create ~capacity:32 () in
   let metrics = Metrics.create () in
   let inst =
-    Instance.create ~label:"d" ~trace ~metrics device ~bus:(Bus.memory ())
-      ~bases:[ ("base", 0) ]
+    Instance.create ~label:"d"
+      ~ctx:(Ctx.create ~trace ~metrics ())
+      device ~bus:(Bus.memory ()) ~bases:[ ("base", 0) ]
   in
   ignore (Instance.get inst "v");
   Alcotest.(check int) "first read misses" 1 (Metrics.count metrics "cache.d.misses");
@@ -557,11 +559,16 @@ let test_memory_bus_fault_is_classifiable () =
   | exception Policy.Driver_error (Policy.Bus_fault msg) ->
       Alcotest.(check bool) "label present" true (String.length msg > 3)
 
-(* {1 Bugfix: the fault injector's trace is bounded} *)
+(* {1 Bugfix: the fault injector's trace is bounded}
+
+   Injections are recorded in the sink trace, so its ring bounds them;
+   the counters see every one. *)
 
 let test_fault_trace_bounded () =
+  let sink = Trace.create ~capacity:4 () in
+  let metrics = Metrics.create () in
   let inj =
-    Fault.wrap ~trace_capacity:4
+    Fault.wrap ~sink ~metrics
       ~plans:
         [
           Fault.plan ~label:"flip" ~ops:[ Fault.Read ] ~first:0 ~last:0
@@ -574,12 +581,10 @@ let test_fault_trace_bounded () =
     ignore (bus.Bus.read ~width:8 ~addr:0)
   done;
   Alcotest.(check int) "all injections counted" 10 (Fault.injection_count inj);
-  Alcotest.(check int) "trace bounded at 4" 4 (List.length (Fault.events inj));
-  Alcotest.(check int) "evictions reported" 6 (Fault.dropped_events inj);
-  Fault.reset inj;
-  Alcotest.(check int) "reset clears the trace" 0
-    (List.length (Fault.events inj));
-  Alcotest.(check int) "reset clears evictions" 0 (Fault.dropped_events inj)
+  Alcotest.(check int) "and in the registry" 10
+    (Metrics.count metrics "fault.injections");
+  Alcotest.(check int) "trace bounded at 4" 4 (List.length (Trace.events sink));
+  Alcotest.(check int) "evictions reported" 6 (Trace.dropped sink)
 
 let test_fault_sink_mirrors_injections () =
   let sink = Trace.create ~capacity:32 () in
@@ -610,19 +615,18 @@ let test_fault_sink_mirrors_injections () =
   Alcotest.(check int) "per-plan counter" 2
     (Metrics.count metrics "fault.flip.injections")
 
-(* {1 Policy observer} *)
+(* {1 Policy reporting to a context} *)
 
 let with_observer f =
   let trace = Trace.create ~capacity:64 () in
   let metrics = Metrics.create () in
-  Policy.observe ~trace ~metrics ();
-  Fun.protect ~finally:Policy.unobserve (fun () -> f trace metrics)
+  f (Ctx.create ~trace ~metrics ()) trace metrics
 
 let test_poll_metrics () =
-  with_observer (fun trace metrics ->
+  with_observer (fun ctx trace metrics ->
       let k = ref 0 in
       Alcotest.(check bool) "poll satisfied" true
-        (Policy.try_poll ~deadline:100 ~label:"third" (fun () ->
+        (Policy.try_poll ~ctx ~deadline:100 ~label:"third" (fun () ->
              incr k;
              !k >= 3));
       Alcotest.(check int) "poll.runs" 1 (Metrics.count metrics "poll.runs");
@@ -638,9 +642,9 @@ let test_poll_metrics () =
            (Trace.events trace)))
 
 let test_poll_timeout_metrics () =
-  with_observer (fun trace metrics ->
+  with_observer (fun ctx trace metrics ->
       Alcotest.(check bool) "poll expires" false
-        (Policy.try_poll ~deadline:5 ~label:"never" (fun () -> false));
+        (Policy.try_poll ~ctx ~deadline:5 ~label:"never" (fun () -> false));
       Alcotest.(check int) "timeout counted" 1
         (Metrics.count metrics "poll.timeouts");
       Alcotest.(check int) "ticks charged" 5 (Metrics.count metrics "poll.ticks");
@@ -653,10 +657,10 @@ let test_poll_timeout_metrics () =
            (Trace.events trace)))
 
 let test_retry_metrics () =
-  with_observer (fun trace metrics ->
+  with_observer (fun ctx trace metrics ->
       let calls = ref 0 in
       let v =
-        Policy.with_retries ~attempts:3 ~label:"flaky" (fun () ->
+        Policy.with_retries ~ctx ~attempts:3 ~label:"flaky" (fun () ->
             incr calls;
             if !calls < 3 then raise (Fault.Bus_fault "transient") else 7)
       in
@@ -673,7 +677,7 @@ let test_retry_metrics () =
                 | _ -> false)
               (Trace.events trace)));
       (match
-         Policy.with_retries ~attempts:2 ~label:"doomed" (fun () ->
+         Policy.with_retries ~ctx ~attempts:2 ~label:"doomed" (fun () ->
              raise (Fault.Bus_fault "always"))
        with
       | _ -> Alcotest.fail "exhausted retries did not raise"
@@ -681,12 +685,13 @@ let test_retry_metrics () =
       Alcotest.(check int) "budget exhaustion counted" 1
         (Metrics.count metrics "retry.exhausted"))
 
-let test_unobserve_stops_recording () =
+(* A context reaches only the calls it is passed to. *)
+let test_no_context_records_nothing () =
   let metrics = Metrics.create () in
-  Policy.observe ~metrics ();
-  Policy.unobserve ();
+  let ctx = Ctx.create ~metrics () in
+  ignore (Policy.try_poll ~ctx ~deadline:3 (fun () -> true));
   ignore (Policy.try_poll ~deadline:3 (fun () -> true));
-  Alcotest.(check int) "nothing recorded after unobserve" 0
+  Alcotest.(check int) "only the call given the context recorded" 1
     (Metrics.count metrics "poll.runs")
 
 let () =
@@ -731,6 +736,6 @@ let () =
           case "poll counters" test_poll_metrics;
           case "poll timeout counters" test_poll_timeout_metrics;
           case "retry counters" test_retry_metrics;
-          case "unobserve stops recording" test_unobserve_stops_recording;
+          case "no context records nothing" test_no_context_records_nothing;
         ] );
     ]

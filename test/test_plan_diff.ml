@@ -174,8 +174,11 @@ let build_engine ~interpret ~debug ~seed (device : Ir.device) bases =
   let raw = Bus.memory ~size:4096 () in
   Diffbat.seed_bus ~seed raw;
   let trace = Trace.create ~capacity:200_000 () in
-  let bus = Bus.observed ~trace raw in
-  let inst = Instance.create ~debug ~label:"diff" ~trace ~interpret device ~bus ~bases in
+  let ctx = Devil_runtime.Ctx.create ~trace () in
+  let bus = Bus.observed ~ctx raw in
+  let inst =
+    Instance.create ~debug ~label:"diff" ~ctx ~interpret device ~bus ~bases
+  in
   (inst, trace)
 
 let diff_property name (device : Ir.device) =

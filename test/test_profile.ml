@@ -272,7 +272,7 @@ let test_bus_observed_identity () =
     (Bus.observed bus == bus);
   let p = Profile.create () in
   Alcotest.(check bool) "with a profiler: a new wrapper" true
-    (Bus.observed ~profile:p bus != bus)
+    (Bus.observed ~ctx:(Devil_runtime.Ctx.create ~profile:p ()) bus != bus)
 
 (* {1 Transparency: the profiler never perturbs the run} *)
 
@@ -399,10 +399,9 @@ let build_engine ?profile ~interpret ~seed (device : Ir.device) bases =
     raw.Bus.write ~width:32 ~addr ~value:(Random.State.int rng 0x10000)
   done;
   let trace = Trace.create ~capacity:200_000 () in
-  let bus = Bus.observed ~trace ?profile raw in
-  let inst =
-    Instance.create ~label:"prof" ~trace ?profile ~interpret device ~bus ~bases
-  in
+  let ctx = Devil_runtime.Ctx.create ~trace ?profile () in
+  let bus = Bus.observed ~ctx raw in
+  let inst = Instance.create ~label:"prof" ~ctx ~interpret device ~bus ~bases in
   (inst, trace)
 
 let transparency_property name (device : Ir.device) =

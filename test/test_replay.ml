@@ -166,9 +166,10 @@ let build_recording ~seed device bases =
   done;
   let tape, taped = Bus.recording raw in
   let trace = Trace.create ~capacity:200_000 () in
+  let ctx = Devil_runtime.Ctx.create ~trace () in
   let inst =
-    Instance.create ~label:"replay" ~trace device
-      ~bus:(Bus.observed ~trace taped)
+    Instance.create ~label:"replay" ~ctx device
+      ~bus:(Bus.observed ~ctx taped)
       ~bases
   in
   (inst, trace, tape)
@@ -177,9 +178,10 @@ let build_recording ~seed device bases =
    device. *)
 let build_replaying ~tape device bases =
   let trace = Trace.create ~capacity:200_000 () in
+  let ctx = Devil_runtime.Ctx.create ~trace () in
   let inst =
-    Instance.create ~label:"replay" ~trace device
-      ~bus:(Bus.observed ~trace (Bus.replaying tape))
+    Instance.create ~label:"replay" ~ctx device
+      ~bus:(Bus.observed ~ctx (Bus.replaying tape))
       ~bases
   in
   (inst, trace)

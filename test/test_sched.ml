@@ -11,6 +11,7 @@ module Fault = Devil_runtime.Fault
 module Bus = Devil_runtime.Bus
 module Trace = Devil_runtime.Trace
 module Metrics = Devil_runtime.Metrics
+module Ctx = Devil_runtime.Ctx
 module Monitor = Devil_runtime.Monitor
 module Machine = Drivers.Machine
 module Ide = Drivers.Ide
@@ -29,7 +30,7 @@ let qcount default =
 let quiet_sched () =
   let metrics = Metrics.create () in
   let t =
-    Sched.create ~metrics
+    Sched.create ~ctx:(Ctx.create ~metrics ())
       {
         Sched.ctl_raise = (fun ~line:_ -> ());
         ctl_ack = (fun () -> None);
@@ -227,7 +228,6 @@ let idle_ticks_words sched =
   (w1 -. w0) -. (b1 -. b0)
 
 let test_idle_tick_allocation_free () =
-  Fun.protect ~finally:Policy.unobserve @@ fun () ->
   let plain = serve_queued_reads (Machine.create ()) 200 in
   Alcotest.(check (float 0.)) "plain machine: 0 words per idle tick" 0.
     (idle_ticks_words plain);
@@ -266,7 +266,7 @@ let test_dispatch_delivers_and_completes () =
       ctl_eoi = (fun ~line:_ -> ());
     }
   in
-  let t = Sched.create ~metrics ctl in
+  let t = Sched.create ~ctx:(Ctx.create ~metrics ()) ctl in
   tref := Some t;
   let dev_high = ref false in
   Sched.add_source t ~line:2 ~dev:"d" (fun () -> !dev_high);
@@ -286,7 +286,7 @@ let test_storm_bounded () =
   (* A controller stuck asserting line 1: dispatch must bound its
      deliveries instead of spinning forever. *)
   let t =
-    Sched.create ~metrics
+    Sched.create ~ctx:(Ctx.create ~metrics ())
       {
         Sched.ctl_raise = (fun ~line:_ -> ());
         ctl_ack = (fun () -> Some 1);
@@ -335,7 +335,6 @@ let test_pic_eoi_uncovers_queued_line () =
 
 let test_machine_two_lines_one_tick () =
   let metrics = Metrics.create () in
-  Fun.protect ~finally:Policy.unobserve @@ fun () ->
   let m = Machine.create ~metrics () in
   let sched = Machine.sched m in
   let expected = Bytes.init 512 (fun i -> Char.chr ((i * 13 + 1) land 0xff)) in
@@ -497,7 +496,8 @@ let scenario_machine scen =
   let wrap_bus =
     Option.map (fun plans b -> Fault.bus (Fault.wrap ~plans b)) (plans_of scen)
   in
-  let m = Machine.create ?wrap_bus () in
+  (* A short deadline, so the timeout scenarios stay fast. *)
+  let m = Machine.create ?wrap_bus ~poll_deadline:200 () in
   let expected =
     Bytes.init (2 * 512) (fun i -> Char.chr (((i * 31) + 7) land 0xff))
   in
@@ -554,10 +554,6 @@ let taxonomy_equivalence =
     ~count:(qcount 20)
     (QCheck.make ~print:scenario_print scenario_gen)
     (fun scen ->
-      let saved = Policy.default_deadline () in
-      Policy.set_default_deadline 200;
-      Fun.protect ~finally:(fun () -> Policy.set_default_deadline saved)
-      @@ fun () ->
       let s = run_sync scen in
       let a = run_async scen in
       let e = expected_tag scen in
@@ -610,7 +606,7 @@ let test_scheduled_ack_fault_redelivers () =
       ctl_eoi = (fun ~line:_ -> ());
     }
   in
-  let t = Sched.create ~metrics ctl in
+  let t = Sched.create ~ctx:(Ctx.create ~metrics ()) ctl in
   tref := Some t;
   let dev_high = ref false in
   Sched.add_source t ~line:2 ~dev:"d" (fun () -> !dev_high);
@@ -634,7 +630,6 @@ let test_scheduled_ack_fault_redelivers () =
    bytes, with the loss visible only in the counters. *)
 let test_machine_inta_fault_recovers () =
   let metrics = Metrics.create () in
-  Fun.protect ~finally:Policy.unobserve @@ fun () ->
   let plans =
     [
       Fault.plan ~label:"inta" ~ops:[ Fault.Read ] ~budget:1
@@ -669,8 +664,7 @@ let test_machine_inta_fault_recovers () =
    accounted as unhandled rather than resurrecting the dead request. *)
 let test_masked_line_times_out () =
   let metrics = Metrics.create () in
-  Fun.protect ~finally:Policy.unobserve @@ fun () ->
-  let m = Machine.create ~metrics () in
+  let m = Machine.create ~metrics ~poll_deadline:40 () in
   let sched = Machine.sched m in
   (* OCW1: mask the IDE line after the loop unmasked everything. *)
   m.bus.Bus.write ~width:8 ~addr:(Machine.pic_base + 1)
@@ -682,10 +676,7 @@ let test_masked_line_times_out () =
     Ide.Async.create ~sched ~line:Machine.irq_ide
       ~memory:(Hwsim.Piix4.memory m.busmaster) ~ide:m.ide_dev ~piix4:m.piix4_dev
   in
-  let saved = Policy.default_deadline () in
-  Policy.set_default_deadline 40;
   let rq = Ide.Async.read_dma d ~lba:5 ~count:1 () in
-  Policy.set_default_deadline saved;
   (match Ide.Async.await d rq with
   | () -> Alcotest.fail "masked line must time the request out"
   | exception Policy.Driver_error (Policy.Timeout _) -> ());
@@ -702,7 +693,6 @@ let test_masked_line_times_out () =
 
 let test_async_drivers_pass_monitor () =
   let trace = Trace.create ~capacity:8192 () in
-  Fun.protect ~finally:Policy.unobserve @@ fun () ->
   let m = Machine.create ~trace () in
   let mon =
     Monitor.create

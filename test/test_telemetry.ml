@@ -216,17 +216,16 @@ let test_openmetrics_line_syntax () =
   let metrics = Metrics.create () in
   let telemetry = Telemetry.create metrics in
   let m = Machine.create ~trace ~metrics ~telemetry ~lifecycle:true () in
-  Fun.protect ~finally:Policy.unobserve (fun () ->
-      let sync = Drivers.Net.Devil_driver.create m.ne2000_dev in
-      Drivers.Net.Devil_driver.init sync ~mac:"\x02\x00\x00\x00\x00\x42";
-      let net =
-        Drivers.Net.Async.create ~sched:(Machine.sched m) ~line:Machine.irq_net
-          m.ne2000_dev
-      in
-      Drivers.Net.Async.await net (Drivers.Net.Async.send net (String.make 48 'x'));
-      Drivers.Net.Async.drain net;
-      Machine.Instance.get_struct m.uart_dev "line_status";
-      Machine.telemetry_tick m);
+  let sync = Drivers.Net.Devil_driver.create m.ne2000_dev in
+  Drivers.Net.Devil_driver.init sync ~mac:"\x02\x00\x00\x00\x00\x42";
+  let net =
+    Drivers.Net.Async.create ~sched:(Machine.sched m) ~line:Machine.irq_net
+      m.ne2000_dev
+  in
+  Drivers.Net.Async.await net (Drivers.Net.Async.send net (String.make 48 'x'));
+  Drivers.Net.Async.drain net;
+  Machine.Instance.get_struct m.uart_dev "line_status";
+  Machine.telemetry_tick m;
   let out =
     Trace_export.to_openmetrics ~health:(Machine.health m) ~telemetry metrics
   in
@@ -503,8 +502,7 @@ let run_machine_workload ~interpret ?metrics ops =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
   let m = Machine.create ~metrics ~interpret () in
-  Fun.protect ~finally:Policy.unobserve (fun () ->
-      List.iter (fun op -> op m) ops);
+  List.iter (fun op -> op m) ops;
   metrics
 
 let test_split_equals_concatenated_both_engines () =
@@ -549,19 +547,18 @@ let test_disabled_telemetry_tick_allocation_free () =
   (* No metrics registry, hence no telemetry handle: the per-tick call
      a workload makes unconditionally must cost nothing. *)
   let m = Machine.create () in
-  Fun.protect ~finally:Policy.unobserve (fun () ->
-      Machine.telemetry_tick m;
-      let a0 = Gc.allocated_bytes () in
-      for _ = 1 to 10_000 do
-        Machine.telemetry_tick m
-      done;
-      let a1 = Gc.allocated_bytes () in
-      (* allocated_bytes itself boxes its float results; allow that. *)
-      Alcotest.(check bool)
-        (Printf.sprintf "no per-call allocation (%.0f bytes for 10k calls)"
-           (a1 -. a0))
-        true
-        (a1 -. a0 < 512.0))
+  Machine.telemetry_tick m;
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to 10_000 do
+    Machine.telemetry_tick m
+  done;
+  let a1 = Gc.allocated_bytes () in
+  (* allocated_bytes itself boxes its float results; allow that. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "no per-call allocation (%.0f bytes for 10k calls)"
+       (a1 -. a0))
+    true
+    (a1 -. a0 < 512.0)
 
 let () =
   Alcotest.run "telemetry"

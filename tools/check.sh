@@ -18,6 +18,26 @@ if grep -rn getenv lib/; then
   exit 1
 fi
 
+# A machine's state lives in its context and its device models. A
+# module-level ref, table or atomic under these libraries would be
+# shared by every machine in the process, on every domain. A binding
+# is module-level when it sits at the left margin of its file or of a
+# `module ... = struct` block and does not end in `in`.
+echo "== no module-level mutable state in the machine libraries =="
+if ! find lib/devil_runtime lib/drivers lib/hwsim lib/faultcamp lib/explore \
+  -name '*.ml' | sort | xargs awk '
+  /^module [A-Z][A-Za-z0-9_]*.*= *struct/ { instruct = 1; next }
+  /^end/ { instruct = 0; next }
+  match($0, /[^ ]/) - 1 == (instruct ? 2 : 0) && $0 !~ / in *$/ &&
+  $0 ~ /^ *let +[a-z_][A-Za-z0-9_]* *(:[^=]*)?= *(ref( |$)|Hashtbl\.create|Atomic\.make)/ {
+    print FILENAME ":" FNR ": " $0
+    found = 1
+  }
+  END { exit found }'; then
+  echo "FAIL: module-level mutable state; keep it in the machine's context"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -33,27 +33,26 @@ let () =
       ]
   in
   let m = Machine.create ~trace () in
-  Fun.protect ~finally:Devil_runtime.Policy.unobserve (fun () ->
-      let mouse = Drivers.Mouse.Devil_driver.create m.mouse_dev in
-      ignore (Drivers.Mouse.Devil_driver.read_state mouse);
-      let ide =
-        Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev
-      in
-      Drivers.Ide.Devil_driver.set_features ide 0;
-      let data =
-        Drivers.Ide.Devil_driver.read_sectors ide ~lba:0 ~count:2 ~mult:1
-          ~path:`Block ~width:`W16
-      in
-      ignore (Drivers.Ide.Devil_driver.read_task_file ide);
-      Drivers.Ide.Devil_driver.write_sectors ide ~lba:8 ~count:2 ~mult:1
-        ~path:`Block ~width:`W16 data;
-      let n = Drivers.Net.Devil_driver.create m.ne2000_dev in
-      Drivers.Net.Devil_driver.init_loopback n ~mac:"\x02\x00\x00\x00\x00\x01";
-      Drivers.Net.Devil_driver.send n (String.make 64 'x');
-      ignore (Drivers.Net.Devil_driver.receive n);
-      let u = Drivers.Serial.Devil_driver.create m.uart_dev in
-      Drivers.Serial.Devil_driver.init u ~baud:115200;
-      ignore (Drivers.Serial.Devil_driver.self_test u));
+  let mouse = Drivers.Mouse.Devil_driver.create m.mouse_dev in
+  ignore (Drivers.Mouse.Devil_driver.read_state mouse);
+  let ide =
+    Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev
+  in
+  Drivers.Ide.Devil_driver.set_features ide 0;
+  let data =
+    Drivers.Ide.Devil_driver.read_sectors ide ~lba:0 ~count:2 ~mult:1
+      ~path:`Block ~width:`W16
+  in
+  ignore (Drivers.Ide.Devil_driver.read_task_file ide);
+  Drivers.Ide.Devil_driver.write_sectors ide ~lba:8 ~count:2 ~mult:1
+    ~path:`Block ~width:`W16 data;
+  let n = Drivers.Net.Devil_driver.create m.ne2000_dev in
+  Drivers.Net.Devil_driver.init_loopback n ~mac:"\x02\x00\x00\x00\x00\x01";
+  Drivers.Net.Devil_driver.send n (String.make 64 'x');
+  ignore (Drivers.Net.Devil_driver.receive n);
+  let u = Drivers.Serial.Devil_driver.create m.uart_dev in
+  Drivers.Serial.Devil_driver.init u ~baud:115200;
+  ignore (Drivers.Serial.Devil_driver.self_test u);
   Format.printf "@.workload reach over the mutated specifications:@.";
   List.iter
     (fun c -> Format.printf "  %a@." Coverage.pp_report (Coverage.report c))
