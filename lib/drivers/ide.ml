@@ -6,35 +6,61 @@ type data_path = [ `Loop | `Block ]
 type io_width = [ `W16 | `W32 ]
 
 let sector_bytes = 512
-let words_per_sector = sector_bytes / 2
 
-let words_to_bytes words =
-  let b = Bytes.create (2 * Array.length words) in
-  Array.iteri
-    (fun i w ->
-      Bytes.set b (2 * i) (Char.chr (w land 0xff));
-      Bytes.set b ((2 * i) + 1) (Char.chr ((w lsr 8) land 0xff)))
-    words;
-  b
+(* The ranges ide.mli states: 1 to 256 sectors (the count byte carries
+   256 as 0), [mult >= 1], and a write's [data] exactly [count] sectors. *)
+let check ?(mult = 1) ?data count =
+  if count < 1 || count > 256 || mult < 1 then
+    invalid_arg
+      (Printf.sprintf "ide: %d sectors in blocks of %d; need 1-256 in 1 or more"
+         count mult);
+  match data with
+  | Some d when Bytes.length d <> count * sector_bytes ->
+      invalid_arg "ide write: data size mismatch"
+  | _ -> ()
 
-let bytes_to_words b =
-  Array.init
-    (Bytes.length b / 2)
-    (fun i ->
-      Char.code (Bytes.get b (2 * i))
-      lor (Char.code (Bytes.get b ((2 * i) + 1)) lsl 8))
+(* Stub elements against the bytes they carry, little-endian as
+   [rep insw] and [rep insd] lay them down: a 16-bit word per element at
+   [`W16], a 32-bit dword at [`W32]. *)
+let elem_bytes = function `W16 -> 2 | `W32 -> 4
 
-let dwords_of_words words =
-  Array.init
-    (Array.length words / 2)
-    (fun i -> words.(2 * i) lor (words.((2 * i) + 1) lsl 16))
+let[@inline] set_elem width b pos v =
+  match width with
+  | `W16 -> Bytes.set_uint16_le b pos v
+  | `W32 -> Bytes.set_int32_le b pos (Int32.of_int v)
 
-let words_of_dwords dwords =
-  Array.init
-    (2 * Array.length dwords)
-    (fun i ->
-      let d = dwords.(i / 2) in
-      if i mod 2 = 0 then d land 0xffff else (d lsr 16) land 0xffff)
+let[@inline] get_elem width b pos =
+  match width with
+  | `W16 -> Bytes.get_uint16_le b pos
+  | `W32 -> Int32.to_int (Bytes.get_int32_le b pos) land 0xffff_ffff
+
+(* [elems] laid down in [b] from byte [pos]. *)
+let unpack width elems b ~pos =
+  let size = elem_bytes width in
+  for i = 0 to Array.length elems - 1 do
+    set_elem width b (pos + (i * size)) elems.(i)
+  done
+
+(* The elements in [len] bytes of [b] from byte [pos]. *)
+let pack width b ~pos ~len =
+  let size = elem_bytes width in
+  let elems = Array.make (len / size) 0 in
+  for i = 0 to Array.length elems - 1 do
+    elems.(i) <- get_elem width b (pos + (i * size))
+  done;
+  elems
+
+(* The data phase of a PIO command: [count] sectors in DRQ blocks of
+   [mult], each waited for with [wait_drq], then [move]d as [len] bytes
+   from byte [pos] of the command's data. *)
+let pio_blocks ~count ~mult ~wait_drq ~move =
+  let s = ref 0 in
+  while !s < count do
+    let n = min mult (count - !s) in
+    wait_drq ();
+    move ~pos:(!s * sector_bytes) ~len:(n * sector_bytes);
+    s := !s + n
+  done
 
 module Devil_driver = struct
   type t = {
@@ -91,37 +117,44 @@ module Devil_driver = struct
     Instance.set t.ide "irq_enable" (Value.Enum "IRQ_ON");
     Instance.set t.ide "command" (Value.Enum cmd)
 
-  let read_data_words t ~path ~width ~words =
+  (* One DRQ block between the data port and [len] bytes of [b] from
+     byte [pos]. *)
+  let read_data t ~path ~width b ~pos ~len =
+    let size = elem_bytes width in
+    let scale = size / 2 and count = len / size in
     match (path, width) with
-    | `Block, `W16 -> Instance.read_block t.ide "Ide_data" ~count:words
-    | `Block, `W32 ->
-        words_of_dwords
-          (Instance.read_block_wide t.ide "Ide_data" ~scale:2
-             ~count:(words / 2))
+    | `Block, _ ->
+        unpack width
+          (Instance.read_block_wide t.ide "Ide_data" ~scale ~count)
+          b ~pos
     | `Loop, `W16 ->
-        Array.init words (fun _ ->
-            match Instance.get t.ide "Ide_data" with
-            | Value.Int w -> w
-            | _ -> 0)
+        for i = 0 to count - 1 do
+          set_elem width b (pos + (i * size))
+            (match Instance.get t.ide "Ide_data" with Value.Int w -> w | _ -> 0)
+        done
     | `Loop, `W32 ->
-        words_of_dwords
-          (Array.init (words / 2) (fun _ ->
-               Instance.read_wide t.ide "Ide_data" ~scale:2))
+        for i = 0 to count - 1 do
+          set_elem width b (pos + (i * size))
+            (Instance.read_wide t.ide "Ide_data" ~scale)
+        done
 
-  let write_data_words t ~path ~width words =
+  let write_data t ~path ~width b ~pos ~len =
+    let size = elem_bytes width in
+    let scale = size / 2 in
     match (path, width) with
-    | `Block, `W16 -> Instance.write_block t.ide "Ide_data" words
-    | `Block, `W32 ->
-        Instance.write_block_wide t.ide "Ide_data" ~scale:2
-          (dwords_of_words words)
+    | `Block, _ ->
+        Instance.write_block_wide t.ide "Ide_data" ~scale
+          (pack width b ~pos ~len)
     | `Loop, `W16 ->
-        Array.iter
-          (fun w -> Instance.set t.ide "Ide_data" (Value.Int w))
-          words
+        for i = 0 to (len / size) - 1 do
+          Instance.set t.ide "Ide_data"
+            (Value.Int (get_elem width b (pos + (i * size))))
+        done
     | `Loop, `W32 ->
-        Array.iter
-          (fun d -> Instance.write_wide t.ide "Ide_data" ~scale:2 d)
-          (dwords_of_words words)
+        for i = 0 to (len / size) - 1 do
+          Instance.write_wide t.ide "Ide_data" ~scale
+            (get_elem width b (pos + (i * size)))
+        done
 
   let set_features t v =
     Instance.set t.ide "features" (Value.Int (v land 0xff))
@@ -147,14 +180,16 @@ module Devil_driver = struct
     wait_not_busy t;
     Instance.set t.ide "command" (Value.Enum "IDENTIFY");
     wait_drq t;
-    let words = read_data_words t ~path:`Block ~width:`W16 ~words:words_per_sector in
-    let b = Buffer.create 40 in
-    for w = 27 to 46 do
-      let add c = if c >= 0x20 && c < 0x7f then Buffer.add_char b (Char.chr c) in
-      add ((words.(w) lsr 8) land 0xff);
-      add (words.(w) land 0xff)
+    let data = Bytes.create sector_bytes in
+    read_data t ~path:`Block ~width:`W16 data ~pos:0 ~len:sector_bytes;
+    (* The model name, words 27-46: two characters a word, the first in
+       the high byte. *)
+    let name = Buffer.create 40 in
+    for i = 54 to 93 do
+      let c = Bytes.get data (i lxor 1) in
+      if c >= ' ' && c < '\127' then Buffer.add_char name c
     done;
-    String.trim (Buffer.contents b)
+    String.trim (Buffer.contents name)
 
   (* Sectors arrive in DRQ blocks of [mult] sectors (hdparm -m); the
      driver services one interrupt per block.
@@ -165,35 +200,20 @@ module Devil_driver = struct
      data burst — is recovered by starting over with bounded
      attempts. *)
   let read_sectors t ~lba ~count ~mult ~path ~width =
+    check ~mult count;
     Policy.with_retries ?ctx:t.ctx ~label:"ide: read_sectors" (fun () ->
         setup_command t ~lba ~count ~cmd:"READ_SECTORS";
-        let out = Buffer.create (count * sector_bytes) in
-        let remaining = ref count in
-        while !remaining > 0 do
-          let n = min mult !remaining in
-          wait_drq t;
-          let words =
-            read_data_words t ~path ~width ~words:(n * words_per_sector)
-          in
-          Buffer.add_bytes out (words_to_bytes words);
-          remaining := !remaining - n
-        done;
-        Buffer.to_bytes out)
+        let data = Bytes.create (count * sector_bytes) in
+        pio_blocks ~count ~mult ~wait_drq:(fun () -> wait_drq t)
+          ~move:(read_data t ~path ~width data);
+        data)
 
   let write_sectors t ~lba ~count ~mult ~path ~width data =
-    if Bytes.length data <> count * sector_bytes then
-      invalid_arg "ide write: data size mismatch";
+    check ~mult ~data count;
     Policy.with_retries ?ctx:t.ctx ~label:"ide: write_sectors" (fun () ->
         setup_command t ~lba ~count ~cmd:"WRITE_SECTORS";
-        let remaining = ref count and s = ref 0 in
-        while !remaining > 0 do
-          let n = min mult !remaining in
-          wait_drq t;
-          let chunk = Bytes.sub data (!s * sector_bytes) (n * sector_bytes) in
-          write_data_words t ~path ~width (bytes_to_words chunk);
-          remaining := !remaining - n;
-          s := !s + n
-        done)
+        pio_blocks ~count ~mult ~wait_drq:(fun () -> wait_drq t)
+          ~move:(write_data t ~path ~width data))
 
   let bm_wait_irq t =
     Policy.poll_until ?ctx:t.ctx ~label:"ide dma: IRQ" (fun () ->
@@ -212,13 +232,13 @@ module Devil_driver = struct
     Instance.set t.piix4 "bm_engine" (Value.Enum "BM_STOP")
 
   let read_dma t ~memory ~lba ~count =
+    check count;
     Policy.with_retries ?ctx:t.ctx ~label:"ide: read_dma" (fun () ->
         dma_common t ~lba ~count ~to_memory:true ~cmd:"READ_DMA");
     Bytes.sub memory 0 (count * sector_bytes)
 
   let write_dma t ~memory ~lba ~count data =
-    if Bytes.length data <> count * sector_bytes then
-      invalid_arg "ide dma write: data size mismatch";
+    check ~data count;
     Bytes.blit data 0 memory 0 (Bytes.length data);
     Policy.with_retries ?ctx:t.ctx ~label:"ide: write_dma" (fun () ->
         dma_common t ~lba ~count ~to_memory:false ~cmd:"WRITE_DMA")
@@ -262,72 +282,50 @@ module Handcrafted = struct
     outb t t.cmd_base 6 (0xe0 lor ((lba lsr 24) land 0xf));
     outb t t.cmd_base 7 cmd
 
-  let read_data_words t ~path ~width ~words =
-    let addr = t.cmd_base in
-    match (path, width) with
-    | `Block, `W16 ->
-        let into = Array.make words 0 in
-        t.bus.Devil_runtime.Bus.read_block ~width:16 ~addr ~into;
-        into
-    | `Block, `W32 ->
-        let into = Array.make (words / 2) 0 in
-        t.bus.Devil_runtime.Bus.read_block ~width:32 ~addr ~into;
-        words_of_dwords into
-    | `Loop, `W16 ->
-        Array.init words (fun _ ->
-            t.bus.Devil_runtime.Bus.read ~width:16 ~addr)
-    | `Loop, `W32 ->
-        words_of_dwords
-          (Array.init (words / 2) (fun _ ->
-               t.bus.Devil_runtime.Bus.read ~width:32 ~addr))
+  (* One DRQ block between the data port and [len] bytes of [b] from
+     byte [pos]. *)
+  let read_data t ~path ~width b ~pos ~len =
+    let size = elem_bytes width in
+    let width_bits = 8 * size and addr = t.cmd_base in
+    match path with
+    | `Block ->
+        let into = Array.make (len / size) 0 in
+        t.bus.Devil_runtime.Bus.read_block ~width:width_bits ~addr ~into;
+        unpack width into b ~pos
+    | `Loop ->
+        for i = 0 to (len / size) - 1 do
+          set_elem width b (pos + (i * size))
+            (t.bus.Devil_runtime.Bus.read ~width:width_bits ~addr)
+        done
 
-  let write_data_words t ~path ~width words =
-    let addr = t.cmd_base in
-    match (path, width) with
-    | `Block, `W16 -> t.bus.Devil_runtime.Bus.write_block ~width:16 ~addr ~from:words
-    | `Block, `W32 ->
-        t.bus.Devil_runtime.Bus.write_block ~width:32 ~addr
-          ~from:(dwords_of_words words)
-    | `Loop, `W16 ->
-        Array.iter
-          (fun value -> t.bus.Devil_runtime.Bus.write ~width:16 ~addr ~value)
-          words
-    | `Loop, `W32 ->
-        Array.iter
-          (fun value -> t.bus.Devil_runtime.Bus.write ~width:32 ~addr ~value)
-          (dwords_of_words words)
+  let write_data t ~path ~width b ~pos ~len =
+    let size = elem_bytes width in
+    let width_bits = 8 * size and addr = t.cmd_base in
+    match path with
+    | `Block ->
+        t.bus.Devil_runtime.Bus.write_block ~width:width_bits ~addr
+          ~from:(pack width b ~pos ~len)
+    | `Loop ->
+        for i = 0 to (len / size) - 1 do
+          t.bus.Devil_runtime.Bus.write ~width:width_bits ~addr
+            ~value:(get_elem width b (pos + (i * size)))
+        done
 
   let read_sectors t ~lba ~count ~mult ~path ~width =
+    check ~mult count;
     Policy.with_retries ~label:"ide: read_sectors" (fun () ->
         setup_command t ~lba ~count ~cmd:0x20;
-        let out = Buffer.create (count * sector_bytes) in
-        let remaining = ref count in
-        while !remaining > 0 do
-          let n = min mult !remaining in
-          wait_drq t;
-          let words =
-            read_data_words t ~path ~width ~words:(n * words_per_sector)
-          in
-          Buffer.add_bytes out (words_to_bytes words);
-          remaining := !remaining - n
-        done;
-        Buffer.to_bytes out)
+        let data = Bytes.create (count * sector_bytes) in
+        pio_blocks ~count ~mult ~wait_drq:(fun () -> wait_drq t)
+          ~move:(read_data t ~path ~width data);
+        data)
 
   let write_sectors t ~lba ~count ~mult ~path ~width data =
-    if Bytes.length data <> count * sector_bytes then
-      invalid_arg "ide write: data size mismatch";
+    check ~mult ~data count;
     Policy.with_retries ~label:"ide: write_sectors" (fun () ->
         setup_command t ~lba ~count ~cmd:0x30;
-        let remaining = ref count and s = ref 0 in
-        while !remaining > 0 do
-          let n = min mult !remaining in
-          wait_drq t;
-          write_data_words t ~path ~width
-            (bytes_to_words
-               (Bytes.sub data (!s * sector_bytes) (n * sector_bytes)));
-          remaining := !remaining - n;
-          s := !s + n
-        done)
+        pio_blocks ~count ~mult ~wait_drq:(fun () -> wait_drq t)
+          ~move:(write_data t ~path ~width data))
 
   let bm_wait_irq t =
     Policy.poll_until ~label:"ide dma: IRQ" (fun () ->
@@ -343,13 +341,13 @@ module Handcrafted = struct
     outb t t.bm_base 0 0x00
 
   let read_dma t ~memory ~lba ~count =
+    check count;
     Policy.with_retries ~label:"ide: read_dma" (fun () ->
         dma_common t ~lba ~count ~to_memory:true ~cmd:0xc8);
     Bytes.sub memory 0 (count * sector_bytes)
 
   let write_dma t ~memory ~lba ~count data =
-    if Bytes.length data <> count * sector_bytes then
-      invalid_arg "ide dma write: data size mismatch";
+    check ~data count;
     Bytes.blit data 0 memory 0 (Bytes.length data);
     Policy.with_retries ~label:"ide: write_dma" (fun () ->
         dma_common t ~lba ~count ~to_memory:false ~cmd:0xca)
@@ -466,6 +464,7 @@ module Async = struct
       ()
 
   let read_dma t ~lba ~count ?on_data () =
+    check count;
     submit t ~label:"ide: read_dma"
       {
         op_lba = lba;
@@ -477,8 +476,7 @@ module Async = struct
       }
 
   let write_dma t ~lba ~count data =
-    if Bytes.length data <> count * sector_bytes then
-      invalid_arg "ide dma write: data size mismatch";
+    check ~data count;
     submit t ~label:"ide: write_dma"
       {
         op_lba = lba;

@@ -7,7 +7,13 @@
 
     The hand-crafted driver always moves data with block (string)
     instructions, like the original Linux driver; the Devil driver can
-    do either, which is exactly the comparison of paper §4.3. *)
+    do either, which is exactly the comparison of paper §4.3.
+
+    A command moves [count] sectors, 1 to 256 (the task file carries
+    256 as 0), PIO ones in DRQ blocks of [mult >= 1] sectors. Every entry
+    point below, the queued ones included, raises [Invalid_argument]
+    before any bus transfer when [count] or [mult] is out of range or a
+    write's data is not [count] sectors. *)
 
 type data_path = [ `Loop | `Block ]
 type io_width = [ `W16 | `W32 ]

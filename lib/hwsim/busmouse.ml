@@ -78,4 +78,5 @@ let model t =
     Model.name = "logitech_busmouse";
     read = read t;
     write = write t;
+    block = None;
   }

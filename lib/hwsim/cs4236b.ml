@@ -68,4 +68,5 @@ let write t ~width:_ ~offset ~value =
   | 3 -> t.played_rev <- v :: t.played_rev
   | _ -> ()
 
-let model t = { Model.name = "cs4236b"; read = read t; write = write t }
+let model t =
+  { Model.name = "cs4236b"; read = read t; write = write t; block = None }

@@ -159,4 +159,5 @@ let device_request t ~channel ~data dir =
     n
   end
 
-let model t = { Model.name = "dma8237"; read = read t; write = write t }
+let model t =
+  { Model.name = "dma8237"; read = read t; write = write t; block = None }

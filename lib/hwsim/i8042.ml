@@ -74,7 +74,9 @@ let data_write t ~width:_ ~offset:_ ~value =
       | _ -> Queue.push 0xfa t.output)
 
 let data_model t =
-  { Model.name = "i8042-data"; read = data_read t; write = data_write t }
+  { Model.name = "i8042-data"; read = data_read t; write = data_write t;
+    block = None }
 
 let control_model t =
-  { Model.name = "i8042-control"; read = control_read t; write = control_write t }
+  { Model.name = "i8042-control"; read = control_read t; write = control_write t;
+    block = None }

@@ -1,5 +1,4 @@
 let sector_bytes = 512
-let words_per_sector = sector_bytes / 2
 
 type phase =
   | Idle
@@ -24,9 +23,12 @@ type t = {
   mutable irq_enabled : bool;
   mutable multiple : int;
   mutable phase : phase;
-  (* PIO transfer buffer *)
-  mutable buffer : int array;  (* 16-bit words *)
-  mutable buf_pos : int;
+  (* PIO transfer buffer: the current DRQ block is the first [buf_len]
+     bytes of [buf], which the first PIO command allocates and later
+     ones reuse, growing it for a longer block. *)
+  mutable buf : Bytes.t;
+  mutable buf_len : int;
+  mutable buf_pos : int;  (* the next byte the data port moves *)
   mutable next_lba : int;  (* next LBA to load into the read buffer *)
 }
 
@@ -46,7 +48,8 @@ let create ?(sectors = 65536) () =
     irq_enabled = true;
     multiple = 1;
     phase = Idle;
-    buffer = [||];
+    buf = Bytes.empty;
+    buf_len = 0;
     buf_pos = 0;
     next_lba = 0;
   }
@@ -82,39 +85,43 @@ let raise_irq t =
 let irq_count t = t.irq_count
 let reset_irq_count t = t.irq_count <- 0
 
+(* Makes the buffer the next DRQ block, [n] sectors long. *)
+let start_block t n =
+  let len = n * sector_bytes in
+  if Bytes.length t.buf < len then t.buf <- Bytes.create len;
+  t.buf_len <- len;
+  t.buf_pos <- 0
+
 (* Load up to [multiple] sectors into the PIO read buffer. *)
 let load_read_buffer t ~remaining =
   let n = min t.multiple remaining in
-  let words = Array.make (n * words_per_sector) 0 in
+  start_block t n;
   for s = 0 to n - 1 do
-    let sec = read_sector t ~lba:(t.next_lba + s) in
-    for w = 0 to words_per_sector - 1 do
-      words.((s * words_per_sector) + w) <-
-        Char.code (Bytes.get sec (2 * w))
-        lor (Char.code (Bytes.get sec ((2 * w) + 1)) lsl 8)
-    done
+    let pos = s * sector_bytes in
+    match Hashtbl.find t.store (t.next_lba + s) with
+    | sec -> Bytes.blit sec 0 t.buf pos sector_bytes
+    | exception Not_found -> Bytes.fill t.buf pos sector_bytes '\000'
   done;
   t.next_lba <- t.next_lba + n;
-  t.buffer <- words;
-  t.buf_pos <- 0;
   n
 
+(* A write's block starts zeroed: a data-port read in the middle of a
+   write moves past bytes the driver has not written, and those reach
+   the sector as zeroes. *)
 let prepare_write_buffer t ~remaining =
   let n = min t.multiple remaining in
-  t.buffer <- Array.make (n * words_per_sector) 0;
-  t.buf_pos <- 0;
+  start_block t n;
+  Bytes.fill t.buf 0 t.buf_len '\000';
   n
 
 let flush_write_buffer t ~lba =
-  let n = Array.length t.buffer / words_per_sector in
+  let n = t.buf_len / sector_bytes in
   for s = 0 to n - 1 do
-    let sec = Bytes.make sector_bytes '\000' in
-    for w = 0 to words_per_sector - 1 do
-      let v = t.buffer.((s * words_per_sector) + w) in
-      Bytes.set sec (2 * w) (Char.chr (v land 0xff));
-      Bytes.set sec ((2 * w) + 1) (Char.chr ((v lsr 8) land 0xff))
-    done;
-    write_sector t ~lba:(lba + s) sec
+    let pos = s * sector_bytes in
+    match Hashtbl.find t.store (lba + s) with
+    | sec -> Bytes.blit t.buf pos sec 0 sector_bytes
+    | exception Not_found ->
+        Hashtbl.replace t.store (lba + s) (Bytes.sub t.buf pos sector_bytes)
   done;
   n
 
@@ -139,22 +146,21 @@ let start_command t cmd =
   | 0xca (* WRITE DMA *) ->
       t.phase <- Dma_write (current_lba t, count_of t)
   | 0xec (* IDENTIFY *) ->
-      let words = Array.make words_per_sector 0 in
-      words.(0) <- 0x0040;
-      words.(1) <- t.sectors / (16 * 63);  (* pseudo CHS geometry *)
-      words.(3) <- 16;
-      words.(6) <- 63;
-      words.(60) <- t.sectors land 0xffff;
-      words.(61) <- (t.sectors lsr 16) land 0xffff;
-      let tag = "DEVIL SIMULATED IDE DISK" in
+      start_block t 1;
+      let b = t.buf in
+      Bytes.fill b 0 sector_bytes '\000';
+      let word w v = Bytes.set_uint16_le b (2 * w) v in
+      word 0 0x0040;
+      word 1 (t.sectors / (16 * 63));  (* pseudo CHS geometry *)
+      word 3 16;
+      word 6 63;
+      word 60 (t.sectors land 0xffff);
+      word 61 ((t.sectors lsr 16) land 0xffff);
+      (* The model name from word 27, two characters a word, the first
+         in the high byte. *)
       String.iteri
-        (fun i c ->
-          let w = 27 + (i / 2) in
-          if i mod 2 = 0 then words.(w) <- Char.code c lsl 8
-          else words.(w) <- words.(w) lor Char.code c)
-        tag;
-      t.buffer <- words;
-      t.buf_pos <- 0;
+        (fun i c -> Bytes.set b (54 + (i lxor 1)) c)
+        "DEVIL SIMULATED IDE DISK";
       t.phase <- Pio_read { remaining = 0 };
       raise_irq t
   | 0xe7 (* FLUSH CACHE *) ->
@@ -167,8 +173,7 @@ let start_command t cmd =
 
 let drq t =
   match t.phase with
-  | Pio_read _ -> t.buf_pos < Array.length t.buffer
-  | Pio_write _ -> t.buf_pos < Array.length t.buffer
+  | Pio_read _ | Pio_write _ -> t.buf_pos < t.buf_len
   | Idle | Dma_read _ | Dma_write _ -> false
 
 let status_byte t =
@@ -178,29 +183,34 @@ let status_byte t =
   lor bit 3 (drq t)
   lor bit 0 (t.error <> 0)
 
-let pop_word t =
-  if t.buf_pos >= Array.length t.buffer then 0
-  else begin
-    let w = t.buffer.(t.buf_pos) in
-    t.buf_pos <- t.buf_pos + 1;
-    (match t.phase with
-    | Pio_read st when t.buf_pos >= Array.length t.buffer ->
+(* The data port. Single transfers and blocks move the buffer's bytes
+   and then call [took] or [put], so a DRQ block ends, refills and
+   interrupts at the same element whichever way it is moved. *)
+
+(* [k] bytes, at most what the block holds, have been read out. At the
+   end of a read's DRQ block the drive loads the next one and
+   interrupts, or ends the command. *)
+let took t k =
+  t.buf_pos <- t.buf_pos + k;
+  if t.buf_pos >= t.buf_len then
+    match t.phase with
+    | Pio_read st ->
         if st.remaining > 0 then begin
           let n = load_read_buffer t ~remaining:st.remaining in
           st.remaining <- st.remaining - n;
           raise_irq t
         end
         else t.phase <- Idle
-    | _ -> ());
-    w
-  end
+    | Idle | Pio_write _ | Dma_read _ | Dma_write _ -> ()
 
-let push_word t v =
-  (match t.phase with
-  | Pio_write st when t.buf_pos < Array.length t.buffer ->
-      t.buffer.(t.buf_pos) <- v land 0xffff;
-      t.buf_pos <- t.buf_pos + 1;
-      if t.buf_pos >= Array.length t.buffer then begin
+(* [k] bytes, at most what the block has room for, have been written
+   in. A full DRQ block goes to the sectors; the drive interrupts and
+   takes the next block or ends the command. *)
+let put t k =
+  t.buf_pos <- t.buf_pos + k;
+  if t.buf_pos >= t.buf_len then
+    match t.phase with
+    | Pio_write st ->
         let n = flush_write_buffer t ~lba:st.lba in
         st.lba <- st.lba + n;
         raise_irq t;
@@ -209,8 +219,92 @@ let push_word t v =
           st.remaining <- st.remaining - n
         end
         else t.phase <- Idle
-      end
-  | _ -> ())
+    | Idle | Pio_read _ | Dma_read _ | Dma_write _ -> ()
+
+let pop_word t =
+  if t.buf_pos >= t.buf_len then 0
+  else begin
+    let w = Bytes.get_uint16_le t.buf t.buf_pos in
+    took t 2;
+    w
+  end
+
+let push_word t v =
+  match t.phase with
+  | Pio_write _ when t.buf_pos < t.buf_len ->
+      Bytes.set_uint16_le t.buf t.buf_pos v;
+      put t 2
+  | _ -> ()
+
+(* A data transfer is a 16-bit word below width 32 and two words, low
+   first, from 32. *)
+let data_read t ~width =
+  if width >= 32 then
+    let lo = pop_word t in
+    let hi = pop_word t in
+    lo lor (hi lsl 16)
+  else pop_word t
+
+let data_write t ~width ~value =
+  if width >= 32 then begin
+    push_word t (value land 0xffff);
+    push_word t ((value lsr 16) land 0xffff)
+  end
+  else push_word t (value land 0xffff)
+
+(* Element [q] of a block's run in [b]: [size] 2 is one 16-bit word,
+   4 two, low first. *)
+let[@inline] get_elem b q size =
+  if size = 2 then Bytes.get_uint16_le b q
+  else Bytes.get_uint16_le b q lor (Bytes.get_uint16_le b (q + 2) lsl 16)
+
+let[@inline] set_elem b q size v =
+  Bytes.set_uint16_le b q v;
+  if size = 4 then Bytes.set_uint16_le b (q + 2) (v lsr 16)
+
+(* A block copies each run of elements the current DRQ block holds in
+   one loop. An element the block cannot hold whole (one past the end,
+   a dword across two blocks, a write the drive is not taking) goes
+   through the single transfer. *)
+let read_data t ~width ~into =
+  let size = if width >= 32 then 4 else 2 in
+  let i = ref 0 and n = Array.length into in
+  while !i < n do
+    let run = min (n - !i) ((t.buf_len - t.buf_pos) / size) in
+    if run <= 0 then begin
+      into.(!i) <- data_read t ~width;
+      incr i
+    end
+    else begin
+      for k = 0 to run - 1 do
+        into.(!i + k) <- get_elem t.buf (t.buf_pos + (k * size)) size
+      done;
+      i := !i + run;
+      took t (run * size)
+    end
+  done
+
+let write_data t ~width ~from =
+  let size = if width >= 32 then 4 else 2 in
+  let i = ref 0 and n = Array.length from in
+  while !i < n do
+    let run =
+      match t.phase with
+      | Pio_write _ -> min (n - !i) ((t.buf_len - t.buf_pos) / size)
+      | Idle | Pio_read _ | Dma_read _ | Dma_write _ -> 0
+    in
+    if run <= 0 then begin
+      data_write t ~width ~value:from.(!i);
+      incr i
+    end
+    else begin
+      for k = 0 to run - 1 do
+        set_elem t.buf (t.buf_pos + (k * size)) size from.(!i + k)
+      done;
+      i := !i + run;
+      put t (run * size)
+    end
+  done
 
 let dma_read_pending t =
   match t.phase with Dma_read (lba, n) -> Some (lba, n) | _ -> None
@@ -224,12 +318,7 @@ let dma_complete t =
 
 let cmd_read t ~width ~offset =
   match offset with
-  | 0 ->
-      if width >= 32 then
-        let lo = pop_word t in
-        let hi = pop_word t in
-        lo lor (hi lsl 16)
-      else pop_word t
+  | 0 -> data_read t ~width
   | 1 -> t.error
   | 2 -> t.sector_count
   | 3 -> t.lba_low
@@ -244,12 +333,7 @@ let cmd_read t ~width ~offset =
 
 let cmd_write t ~width ~offset ~value =
   match offset with
-  | 0 ->
-      if width >= 32 then begin
-        push_word t (value land 0xffff);
-        push_word t ((value lsr 16) land 0xffff)
-      end
-      else push_word t (value land 0xffff)
+  | 0 -> data_write t ~width ~value
   | 1 -> t.features <- value land 0xff
   | 2 -> t.sector_count <- value land 0xff
   | 3 -> t.lba_low <- value land 0xff
@@ -276,8 +360,35 @@ let ctrl_write t ~width:_ ~offset ~value =
       end
   | _ -> ()
 
+(* Blocks at any other offset (the status register, say) are rare
+   enough to take one element at a time. *)
+let cmd_block t =
+  {
+    Model.read_block =
+      (fun ~width ~offset ~into ->
+        if offset = 0 then read_data t ~width ~into
+        else
+          for i = 0 to Array.length into - 1 do
+            into.(i) <- cmd_read t ~width ~offset
+          done);
+    write_block =
+      (fun ~width ~offset ~from ->
+        if offset = 0 then write_data t ~width ~from
+        else Array.iter (fun value -> cmd_write t ~width ~offset ~value) from);
+  }
+
 let command_model t =
-  { Model.name = "ide-command"; read = cmd_read t; write = cmd_write t }
+  {
+    Model.name = "ide-command";
+    read = cmd_read t;
+    write = cmd_write t;
+    block = Some (cmd_block t);
+  }
 
 let control_model t =
-  { Model.name = "ide-control"; read = ctrl_read t; write = ctrl_write t }
+  {
+    Model.name = "ide-control";
+    read = ctrl_read t;
+    write = ctrl_write t;
+    block = None;
+  }

@@ -18,7 +18,12 @@ val create : ?sectors:int -> unit -> t
 (** [sectors] bounds the addressable LBA range (default 65536). *)
 
 val command_model : t -> Model.t
-(** Model for the command block (offsets 0..7). *)
+(** Model for the command block (offsets 0..7). A data-port transfer
+    moves one 16-bit word below width 32 and two, low first, at 32. The
+    PIO buffer holds the current DRQ block as sector bytes; the model's
+    block op ({!Model.block}) copies a run of elements straight out of
+    it or into it, and refills, flushes and interrupts at the element
+    where single transfers would. *)
 
 val control_model : t -> Model.t
 (** Model for the control block (offset 0). *)

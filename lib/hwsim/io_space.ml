@@ -81,10 +81,14 @@ let bus t : Bus.t =
         stats.block_items <- stats.block_items + n;
         if n > 0 then begin
           let r = find t addr in
-          let read = r.model.Model.read and offset = addr - r.base in
-          for i = 0 to n - 1 do
-            into.(i) <- read ~width ~offset
-          done
+          let offset = addr - r.base in
+          match r.model.Model.block with
+          | Some b -> b.read_block ~width ~offset ~into
+          | None ->
+              let read = r.model.Model.read in
+              for i = 0 to n - 1 do
+                into.(i) <- read ~width ~offset
+              done
         end);
     write_block =
       (fun ~width ~addr ~from ->
@@ -93,10 +97,14 @@ let bus t : Bus.t =
         stats.block_items <- stats.block_items + n;
         if n > 0 then begin
           let r = find t addr in
-          let write = r.model.Model.write and offset = addr - r.base in
-          for i = 0 to n - 1 do
-            write ~width ~offset ~value:from.(i)
-          done
+          let offset = addr - r.base in
+          match r.model.Model.block with
+          | Some b -> b.write_block ~width ~offset ~from
+          | None ->
+              let write = r.model.Model.write in
+              for i = 0 to n - 1 do
+                write ~width ~offset ~value:from.(i)
+              done
         end);
   }
 

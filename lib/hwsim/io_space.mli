@@ -31,12 +31,16 @@ val bus : t -> Bus.t
     [Devil_runtime.Instance.Device_error "bus fault: no device at address
     ADDR"].
 
-    A block transfer decodes its address once, then makes one model call
-    per element, in order, all at that one offset and width, so a model
-    that changes state on each access (a FIFO, an interrupt after the
-    last word of a sector) sees exactly the accesses the single
-    transfers would make. An empty block decodes nothing and cannot
-    fault; it still counts as one block instruction. *)
+    A block transfer decodes its address once. A model with a block op
+    ({!Model.block}) then takes the whole block in one call, and must
+    behave as the per-element sequence would; every other model gets one
+    call per element, in order, all at that one offset and width. Either
+    way a model that changes state on each access (a FIFO, an interrupt
+    after the last word of a DRQ block) ends up where the single
+    transfers would leave it. An empty block decodes nothing, calls no
+    model and cannot fault; it still counts as one block instruction.
+    Both kinds count in {!stats} as they did: one [block_ops] and
+    [Array.length] [block_items] per block. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

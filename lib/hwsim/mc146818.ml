@@ -125,6 +125,7 @@ let index_model t =
     Model.name = "mc146818-index";
     read = (fun ~width:_ ~offset:_ -> t.index);
     write = (fun ~width:_ ~offset:_ ~value -> t.index <- value land 0x7f);
+    block = None;
   }
 
 let data_model t =
@@ -132,4 +133,5 @@ let data_model t =
     Model.name = "mc146818-data";
     read = (fun ~width:_ ~offset:_ -> read_reg t t.index);
     write = (fun ~width:_ ~offset:_ ~value -> write_reg t t.index (value land 0xff));
+    block = None;
   }

@@ -1,7 +1,13 @@
+type block = {
+  read_block : width:int -> offset:int -> into:int array -> unit;
+  write_block : width:int -> offset:int -> from:int array -> unit;
+}
+
 type t = {
   name : string;
   read : width:int -> offset:int -> int;
   write : width:int -> offset:int -> value:int -> unit;
+  block : block option;
 }
 
 let ram ~name ~size =
@@ -14,4 +20,5 @@ let ram ~name ~size =
     write =
       (fun ~width ~offset ~value ->
         cells.(offset) <- value land Devil_bits.Bitops.width_mask width);
+    block = None;
   }

@@ -215,4 +215,5 @@ let write t ~width ~offset ~value =
   end
   else byte ()
 
-let model t = { Model.name = "ne2000"; read = read t; write = write t }
+let model t =
+  { Model.name = "ne2000"; read = read t; write = write t; block = None }

@@ -185,7 +185,9 @@ let fb_write t ~width:_ ~offset:_ ~value =
   t.fb_cursor <- t.fb_cursor + 1
 
 let mmio_model t =
-  { Model.name = "permedia2-mmio"; read = mmio_read t; write = mmio_write t }
+  { Model.name = "permedia2-mmio"; read = mmio_read t; write = mmio_write t;
+    block = None }
 
 let fb_model t =
-  { Model.name = "permedia2-fb"; read = fb_read t; write = fb_write t }
+  { Model.name = "permedia2-fb"; read = fb_read t; write = fb_write t;
+    block = None }

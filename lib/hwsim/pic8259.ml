@@ -181,4 +181,5 @@ let read t ~width:_ ~offset =
   | 1 -> t.imr
   | _ -> 0xff
 
-let model t = { Model.name = "pic8259"; read = read t; write = write t }
+let model t =
+  { Model.name = "pic8259"; read = read t; write = write t; block = None }

@@ -118,7 +118,9 @@ let prd_write t ~width:_ ~offset ~value =
   match offset with 0 -> t.prd <- value | _ -> ()
 
 let bm_model t =
-  { Model.name = "piix4-busmaster"; read = bm_read t; write = bm_write t }
+  { Model.name = "piix4-busmaster"; read = bm_read t; write = bm_write t;
+    block = None }
 
 let prd_model t =
-  { Model.name = "piix4-prd"; read = prd_read t; write = prd_write t }
+  { Model.name = "piix4-prd"; read = prd_read t; write = prd_write t;
+    block = None }

@@ -105,4 +105,5 @@ let write t ~width:_ ~offset ~value =
   | 7 -> t.scratch <- v
   | _ -> ()
 
-let model t = { Model.name = "uart16550"; read = read t; write = write t }
+let model t =
+  { Model.name = "uart16550"; read = read t; write = write t; block = None }

@@ -115,6 +115,134 @@ let test_ide_setup_cost_shape () =
   Alcotest.(check int) "devil adds 5 ops for 1 sector (3 setup + 2 irq)"
     5 (devil_ops - hand_ops)
 
+(* A command carries 1 to 256 sectors and PIO needs at least one sector
+   per DRQ block; anything else is refused before the bus sees a
+   transfer. The bus refuses to go past 100,000 transfers, so a driver
+   that loops on [mult:0] fails here instead of hanging. *)
+exception Runaway
+
+let test_ide_refuses_bad_counts () =
+  let transfers = ref 0 in
+  let limit (bus : Devil_runtime.Bus.t) =
+    let tick () =
+      incr transfers;
+      if !transfers > 100_000 then raise Runaway
+    in
+    {
+      Devil_runtime.Bus.read = (fun ~width ~addr -> tick (); bus.read ~width ~addr);
+      write = (fun ~width ~addr ~value -> tick (); bus.write ~width ~addr ~value);
+      read_block =
+        (fun ~width ~addr ~into -> tick (); bus.read_block ~width ~addr ~into);
+      write_block =
+        (fun ~width ~addr ~from -> tick (); bus.write_block ~width ~addr ~from);
+    }
+  in
+  let m = Machine.create ~wrap_bus:limit () in
+  let module D = Drivers.Ide.Devil_driver in
+  let module H = Drivers.Ide.Handcrafted in
+  let module A = Drivers.Ide.Async in
+  let devil = D.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
+  let hand =
+    H.create m.bus ~cmd_base:Machine.ide_base ~ctrl_base:Machine.ide_ctrl_base
+      ~bm_base:Machine.piix4_base ~prd_base:Machine.piix4_prd_base
+  in
+  let memory = Hwsim.Piix4.memory m.busmaster in
+  let async =
+    A.create ~sched:(Machine.sched m) ~line:Machine.irq_ide ~memory
+      ~ide:m.ide_dev ~piix4:m.piix4_dev
+  in
+  let data count = Bytes.make (count * 512) 'd' in
+  let pio ~count ~mult =
+    let c = Printf.sprintf "count %d mult %d" count mult in
+    let path = `Block and width = `W16 and lba = 0 in
+    [
+      ("devil read " ^ c, fun () ->
+          ignore (D.read_sectors devil ~lba ~count ~mult ~path ~width));
+      ("devil write " ^ c, fun () ->
+          D.write_sectors devil ~lba ~count ~mult ~path ~width (data count));
+      ("hand read " ^ c, fun () ->
+          ignore (H.read_sectors hand ~lba ~count ~mult ~path ~width));
+      ("hand write " ^ c, fun () ->
+          H.write_sectors hand ~lba ~count ~mult ~path ~width (data count));
+    ]
+  in
+  let dma count =
+    let c = Printf.sprintf "count %d" count and lba = 0 in
+    [
+      ("devil read_dma " ^ c, fun () ->
+          ignore (D.read_dma devil ~memory ~lba ~count));
+      ("devil write_dma " ^ c, fun () ->
+          D.write_dma devil ~memory ~lba ~count (data count));
+      ("hand read_dma " ^ c, fun () ->
+          ignore (H.read_dma hand ~memory ~lba ~count));
+      ("hand write_dma " ^ c, fun () ->
+          H.write_dma hand ~memory ~lba ~count (data count));
+      ("async read_dma " ^ c, fun () -> ignore (A.read_dma async ~lba ~count ()));
+      ("async write_dma " ^ c, fun () ->
+          ignore (A.write_dma async ~lba ~count (data count)));
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      Machine.reset_io_stats m;
+      transfers := 0;
+      (match f () with
+      | exception Invalid_argument _ -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+      | () -> Alcotest.failf "%s: accepted" name);
+      Alcotest.(check int) (name ^ ": no transfer") 0 !transfers;
+      Alcotest.(check int) (name ^ ": no I/O") 0 (Machine.io_ops m))
+    (pio ~count:2 ~mult:0 @ pio ~count:0 ~mult:1 @ pio ~count:257 ~mult:1
+   @ dma 0 @ dma 257);
+  (* 256 is the largest count, carried as 0. *)
+  Hwsim.Ide_disk.set_multiple m.disk 16;
+  let big = Bytes.init (256 * 512) (fun i -> Char.chr ((i * 13) land 0xff)) in
+  D.write_sectors devil ~lba:1000 ~count:256 ~mult:16 ~path:`Block ~width:`W16 big;
+  Alcotest.(check bool) "256 sectors round trip" true
+    (Bytes.equal big
+       (H.read_sectors hand ~lba:1000 ~count:256 ~mult:16 ~path:`Block
+          ~width:`W32))
+
+(* Words allocated per call of [f], over [n] calls after [n] to warm up. *)
+let words_per_call n f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  for _ = 1 to n do f () done;
+  let w0 = words () in
+  for _ = 1 to n do f () done;
+  (words () -. w0) /. float_of_int n
+
+(* An op allocates its stub array and, on reads, its result: going from
+   one sector to eight adds 7 x 256 elements to the first and
+   7 x 512 bytes to the second (1,792 + 448 words), and nothing that
+   grows with the sectors in between. *)
+let test_ide_pio_allocation () =
+  let m = Machine.create () in
+  Hwsim.Ide_disk.set_multiple m.disk 8;
+  let d = Drivers.Ide.Devil_driver.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
+  let data = pattern 8 and one = pattern 1 in
+  let read count () =
+    ignore
+      (Drivers.Ide.Devil_driver.read_sectors d ~lba:64 ~count ~mult:8
+         ~path:`Block ~width:`W16)
+  in
+  let write data count () =
+    Drivers.Ide.Devil_driver.write_sectors d ~lba:64 ~count ~mult:8
+      ~path:`Block ~width:`W16 data
+  in
+  let extra name eight one =
+    let w8 = words_per_call 2000 eight and w1 = words_per_call 2000 one in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: 8 sectors %.0f words, 1 sector %.0f: %.0f more"
+         name w8 w1 (w8 -. w1))
+      true
+      (w8 -. w1 <= 2600.)
+  in
+  extra "read" (read 8) (read 1);
+  extra "write" (write data 8) (write one 1)
+
 (* {1 NE2000} *)
 
 let test_net_loopback_both_drivers () =
@@ -387,6 +515,10 @@ let () =
           case "all PIO modes agree" test_ide_all_modes_agree;
           case "dma agrees" test_ide_dma_agree;
           case "setup cost (+3, +2/irq)" test_ide_setup_cost_shape;
+          case "bad counts refused before any transfer"
+            test_ide_refuses_bad_counts;
+          case "per-op allocation is the stub array and result"
+            test_ide_pio_allocation;
         ] );
       ( "ne2000",
         [

@@ -4,6 +4,12 @@ module Io_space = Hwsim.Io_space
 
 let case name f = Alcotest.test_case name `Quick f
 
+let qcount default =
+  match Sys.getenv_opt "DEVIL_QCHECK_COUNT" with
+  | Some s -> (
+      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
+  | None -> default
+
 (* {1 I/O space} *)
 
 let test_io_space_dispatch () =
@@ -48,6 +54,7 @@ let test_io_space_blocks () =
       write =
         (fun ~width ~offset ~value ->
           calls := (`W, width, offset, value) :: !calls);
+      block = None;
     };
   let bus = Io_space.bus space in
   bus.Devil_runtime.Bus.write_block ~width:8 ~addr:0 ~from:[| 1; 2; 3 |];
@@ -170,6 +177,7 @@ let prop_decode =
             write =
               (fun ~width:_ ~offset ~value ->
                 last_write := Some (i, offset, value));
+            block = None;
           }
       in
       Array.iteri (fun k i -> if k < l.early then attach i) l.order;
@@ -339,6 +347,162 @@ let test_ide_abort_unknown_command () =
   wr8 7 0x99;
   Alcotest.(check bool) "error bit" true (rd8 7 land 0x01 <> 0);
   Alcotest.(check int) "abort code" 0x04 (rd8 1)
+
+(* The data port's block op against the per-element path: two disks
+   with the same sectors, one attached with its block op and one
+   without, run the same bus script through the same fault plan. Every
+   element, every interrupt, the status, the bus counts and the sectors
+   must agree. *)
+type ide_step =
+  | Command of int * int * int  (* command, LBA, sector count *)
+  | Multiple of int
+  | Read_block of int * int  (* width, elements *)
+  | Write_block of int * int * int  (* width, elements, data seed *)
+  | Read of int
+  | Write of int * int
+  | Status
+  | Reset
+
+let print_ide_step = function
+  | Command (c, lba, n) -> Printf.sprintf "cmd %#x lba %d count %d" c lba n
+  | Multiple k -> Printf.sprintf "multiple %d" k
+  | Read_block (w, n) -> Printf.sprintf "read_block w%d x%d" w n
+  | Write_block (w, n, _) -> Printf.sprintf "write_block w%d x%d" w n
+  | Read w -> Printf.sprintf "read w%d" w
+  | Write (w, v) -> Printf.sprintf "write w%d %#x" w v
+  | Status -> "status"
+  | Reset -> "reset"
+
+let ide_script_gen =
+  let open QCheck.Gen in
+  let width = oneofl [ 8; 16; 32 ] in
+  (* Short runs, runs ending in or just past a sector, and runs across
+     several DRQ blocks or past the whole transfer. *)
+  let len =
+    frequency
+      [ (2, int_bound 8); (3, int_range 1 600); (2, int_range 250 260);
+        (2, int_range 500 4200) ]
+  in
+  let step =
+    frequency
+      [
+        ( 3,
+          map3
+            (fun c lba n -> Command (c, lba, n))
+            (oneofl [ 0x20; 0x20; 0x30; 0x30; 0xec ])
+            (int_bound 63)
+            (frequency [ (12, int_range 1 24); (1, return 0) ]) );
+        (1, map (fun k -> Multiple k) (int_range 1 16));
+        (5, map2 (fun w n -> Read_block (w, n)) width len);
+        (5, map3 (fun w n s -> Write_block (w, n, s)) width len (int_bound 1000));
+        (2, map (fun w -> Read w) width);
+        (2, map2 (fun w v -> Write (w, v)) width (int_bound 0xffff_ffff));
+        (1, return Status);
+        (1, return Reset);
+      ]
+  in
+  let kind =
+    let p = map (fun k -> float_of_int k /. 100.) (int_bound 25) in
+    oneof
+      [
+        map (fun probability -> Devil_runtime.Fault.Transient { probability }) p;
+        map (fun probability -> Devil_runtime.Fault.Flip_bits { mask = 0x8001; probability }) p;
+        map (fun probability -> Devil_runtime.Fault.Drop_write { probability }) p;
+        map (fun probability -> Devil_runtime.Fault.Duplicate_write { probability }) p;
+        return (Devil_runtime.Fault.Stuck_bits { and_mask = 0xfffe_ffff; or_mask = 0x10 });
+      ]
+  in
+  let plan =
+    map3
+      (fun kind whole budget ->
+        Devil_runtime.Fault.plan ?budget ~label:"p" ~first:0x1f0
+          ~last:(if whole then 0x1f7 else 0x1f0) kind)
+      kind bool (opt (int_range 1 40))
+  in
+  quad (list_size (int_range 1 40) step) (list_size (int_bound 2) plan)
+    (int_bound 1000) (int_bound 1000)
+
+let print_ide_script (steps, plans, seed, salt) =
+  Printf.sprintf "seed %d salt %d plans [%s]\n%s" seed salt
+    (String.concat "; "
+       (List.map
+          (fun (p : Devil_runtime.Fault.plan) ->
+            Printf.sprintf "%s %#x-%#x" (Devil_runtime.Fault.kind_tag p.kind)
+              p.first p.last)
+          plans))
+    (String.concat "\n" (List.map print_ide_step steps))
+
+(* What one disk answers to the script: each transfer's result (or its
+   fault) with the interrupt line after it; then the interrupt count,
+   the status byte, the bus counts and every sector the script can
+   reach. *)
+let run_ide_script ~block (steps, plans, seed, salt) =
+  let disk = Hwsim.Ide_disk.create () in
+  for lba = 0 to 15 do
+    Hwsim.Ide_disk.write_sector disk ~lba
+      (Bytes.init 512 (fun i -> Char.chr ((lba * 37 + i * 11 + salt) land 0xff)))
+  done;
+  let cmd = Hwsim.Ide_disk.command_model disk in
+  let space = Io_space.create () in
+  Io_space.attach space ~base:0x1f0 ~size:8
+    (if block then cmd else { cmd with Hwsim.Model.block = None });
+  Io_space.attach space ~base:0x3f6 ~size:1 (Hwsim.Ide_disk.control_model disk);
+  let bus =
+    Devil_runtime.Fault.bus
+      (Devil_runtime.Fault.wrap ~seed ~plans (Io_space.bus space))
+  in
+  let seen = ref [] in
+  let transfer f =
+    let r =
+      match f () with
+      | v -> `Ok v
+      | exception Devil_runtime.Fault.Bus_fault m -> `Fault m
+    in
+    seen := (r, Hwsim.Ide_disk.irq_pending disk) :: !seen
+  in
+  let read ~width addr () = [| bus.Devil_runtime.Bus.read ~width ~addr |] in
+  let write ~width addr value () =
+    bus.Devil_runtime.Bus.write ~width ~addr ~value;
+    [||]
+  in
+  List.iter
+    (function
+      | Command (c, lba, n) ->
+          List.iter
+            (fun (off, v) -> transfer (write ~width:8 (0x1f0 + off) v))
+            [ (2, n); (3, lba); (4, 0); (5, 0); (6, 0xe0); (7, c) ]
+      | Multiple k -> Hwsim.Ide_disk.set_multiple disk k
+      | Read_block (width, n) ->
+          transfer (fun () ->
+              let into = Array.make n (-1) in
+              bus.Devil_runtime.Bus.read_block ~width ~addr:0x1f0 ~into;
+              into)
+      | Write_block (width, n, s) ->
+          let mask = if width = 32 then 0xffff_ffff else 0xffff in
+          transfer (fun () ->
+              bus.Devil_runtime.Bus.write_block ~width ~addr:0x1f0
+                ~from:(Array.init n (fun i -> (s * 7919 + i * 40503) land mask));
+              [||])
+      | Read width -> transfer (read ~width 0x1f0)
+      | Write (width, v) -> transfer (write ~width 0x1f0 v)
+      | Status -> transfer (read ~width:8 0x1f7)
+      | Reset ->
+          transfer (write ~width:8 0x3f6 0x04);
+          transfer (write ~width:8 0x3f6 0x00))
+    steps;
+  let stats = Io_space.stats space in
+  ( List.rev !seen,
+    Hwsim.Ide_disk.irq_count disk,
+    (Hwsim.Ide_disk.control_model disk).Hwsim.Model.read ~width:8 ~offset:0,
+    (stats.reads, stats.writes, stats.block_ops, stats.block_items),
+    List.init 320 (fun lba -> Hwsim.Ide_disk.read_sector disk ~lba) )
+
+let prop_ide_block_op =
+  QCheck.Test.make ~name:"IDE data port: block op = per-element path"
+    ~count:(qcount 100)
+    (QCheck.make ~print:print_ide_script ide_script_gen)
+    (fun script ->
+      run_ide_script ~block:true script = run_ide_script ~block:false script)
 
 (* {1 NE2000} *)
 
@@ -616,6 +780,7 @@ let () =
           case "multi-sector interrupts" test_ide_multi_sector_irqs;
           case "dma handshake" test_ide_dma_handshake;
           case "unknown command aborts" test_ide_abort_unknown_command;
+          QCheck_alcotest.to_alcotest prop_ide_block_op;
         ] );
       ( "ne2000",
         [

@@ -55,6 +55,11 @@ DEVIL_QCHECK_COUNT=500 dune build @plan --force
 echo "== observability acceptance depth =="
 DEVIL_QCHECK_COUNT=500 dune build @obs --force
 
+# The IDE data port's block op against the per-element path at the
+# same depth: random bus scripts under random fault plans.
+echo "== device-model acceptance depth =="
+DEVIL_QCHECK_COUNT=500 dune build @hwsim --force
+
 # A fast end-to-end pass over the benchmark pipeline: run every
 # bechamel workload once on both engines (--smoke) — the run evaluates
 # its own gates and exits 1 on a violation — then re-check the
