@@ -3,7 +3,6 @@
    Subcommands:
    - check:      parse, elaborate and verify a specification;
    - emit-c:     generate the C stub header (the paper's output);
-   - emit-ocaml: generate an OCaml stub module (functor over a bus);
    - doc:        render the specification as a data sheet;
    - dump:       pretty-print the parsed specification;
    - list:       show the bundled specification library.
@@ -23,6 +22,14 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc text;
+      close_out oc)
 
 let load ~builtin ~file =
   match (builtin, file) with
@@ -146,52 +153,18 @@ let emit_c_cmd =
             | None ->
                 print_string header;
                 0
-            | Some path ->
-                let oc = open_out_bin path in
-                Fun.protect
-                  ~finally:(fun () -> close_out_noerr oc)
-                  (fun () -> output_string oc header);
-                0))
+            | Some path -> (
+                match write_file path header with
+                | () -> 0
+                | exception Sys_error msg ->
+                    Format.eprintf "devilc: %s@." msg;
+                    1)))
   in
   Cmd.v
     (Cmd.info "emit-c"
        ~doc:"Generate the C stub header for a verified specification.")
     Term.(
       const run $ builtin_arg $ file_arg $ config_arg $ prefix_arg $ out_arg)
-
-let emit_ocaml_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the module to $(docv) instead of standard output.")
-  in
-  let run builtin file config output =
-    with_input builtin file config (fun ~name ~src ~config ->
-        match compile ~name ~src ~config with
-        | Error diags ->
-            Format.eprintf "%a@." Diagnostics.pp diags;
-            1
-        | Ok device -> (
-            let text = Devil_codegen.Ocaml_backend.generate device in
-            match output with
-            | None ->
-                print_string text;
-                0
-            | Some path ->
-                let oc = open_out_bin path in
-                Fun.protect
-                  ~finally:(fun () -> close_out_noerr oc)
-                  (fun () -> output_string oc text);
-                0))
-  in
-  Cmd.v
-    (Cmd.info "emit-ocaml"
-       ~doc:
-         "Generate an OCaml stub module (a functor over a bus environment) \
-          for a verified specification.")
-    Term.(const run $ builtin_arg $ file_arg $ config_arg $ out_arg)
 
 let doc_cmd =
   let markdown_arg =
@@ -251,6 +224,6 @@ let main =
     (Cmd.info "devilc" ~version:"1.0"
        ~doc:
          "Compiler for Devil, the IDL for hardware programming (OSDI 2000).")
-    [ check_cmd; emit_c_cmd; emit_ocaml_cmd; doc_cmd; dump_cmd; list_cmd ]
+    [ check_cmd; emit_c_cmd; doc_cmd; dump_cmd; list_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -4,7 +4,7 @@
    2. Compile it: parse, elaborate, verify (paper section 3.1).
    3. Generate the C stubs the paper's compiler emitted (Figure 3c).
    4. Bind the same specification to a simulated device and drive it
-      through the generated OCaml accessors.
+      through the runtime's compiled accessors.
 
    Run with: dune exec examples/quickstart.exe *)
 

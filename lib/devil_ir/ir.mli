@@ -4,7 +4,7 @@
     names are resolved, parameterized registers are kept as templates
     plus their declared instances, masks are parsed, action values are
     classified, and every variable carries its resolved type. The
-    static verifier ({!Devil_check.Check}) and both code generators
+    static verifier ({!Devil_check.Check}) and the code generators
     work on this representation. *)
 
 module Loc = Devil_syntax.Loc

@@ -3,11 +3,11 @@
     must force to a trigger-neutral value, and which registers a write
     reaches, in which order (paper §2.1, §3.2).
 
-    [Plan] and both code generators derive their stubs from these
-    facts. The interpreter and the protocol monitor keep their own
-    derivations on purpose: they are the oracles the compiled paths
-    are checked against, so a fault here shows up as a divergence
-    instead of being shared by the check. *)
+    [Plan] and the C generator derive their stubs from these facts.
+    The interpreter and the protocol monitor keep their own
+    derivations on purpose: they are the oracles [Plan] and the C
+    header are checked against, so a fault here shows up as a
+    divergence instead of being shared by the check. *)
 
 type piece = {
   reg : string;  (** register holding the piece *)

@@ -66,11 +66,14 @@ let test_emit_c_to_file () =
   Alcotest.(check bool) "header content" true
     (contains text "struct bm_devil_cache")
 
-let test_emit_ocaml () =
-  Alcotest.(check int) "emit-ocaml" 0
-    (run [ "emit-ocaml"; "--builtin"; "uart16550" ]);
-  Alcotest.(check bool) "functor" true
-    (contains (output ()) "module Make (Env : DEVIL_ENV)")
+let test_emit_c_missing_dir () =
+  Alcotest.(check int) "exit code" 1
+    (run [ "emit-c"; "--builtin"; "ne2000"; "-o"; "cli_no_such_dir/x.h" ]);
+  let out = output () in
+  Alcotest.(check bool) "names the file" true
+    (contains out "devilc: cli_no_such_dir/x.h");
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains out "uncaught exception")
 
 let test_doc () =
   Alcotest.(check int) "doc" 0 (run [ "doc"; "--builtin"; "dma8237" ]);
@@ -321,7 +324,7 @@ let () =
           case "binary present" test_binary_present;
           case "check all shipped specs" test_check_all_dil_files;
           case "emit-c to file" test_emit_c_to_file;
-          case "emit-ocaml" test_emit_ocaml;
+          case "emit-c into a missing directory" test_emit_c_missing_dir;
           case "doc" test_doc;
           case "dump round-trips" test_dump_roundtrips;
           case "failure modes" test_failures;
