@@ -17,7 +17,10 @@ module Diagnostics = Devil_syntax.Diagnostics
 
 open Cmdliner
 
+(* A directory opens like a file but has no length; name it as
+   [open_in] names a missing path. *)
 let read_file path =
+  if Sys.is_directory path then raise (Sys_error (path ^ ": Is a directory"));
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)

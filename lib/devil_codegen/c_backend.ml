@@ -221,15 +221,26 @@ let emit_writes ctx ~actual order =
 
 (* {1 Dynamic checks} *)
 
+let emit_check ctx ~what cond =
+  add ctx "  #ifdef DEVIL_DEBUG\n";
+  add ctx "  if (%s) devil_check_failed(\"%s\");\n" cond what;
+  add ctx "  #endif\n"
+
+let not_one_of x raws =
+  String.concat " && " (List.map (Printf.sprintf "%s != 0x%xu" x) raws)
+
+(* [x] outside an integer set: a range test when the set is
+   contiguous, the full list otherwise. *)
+let outside_set x values =
+  let lo = List.fold_left min max_int values
+  and hi = List.fold_left max min_int values in
+  if hi - lo + 1 <> List.length (List.sort_uniq compare values) then
+    not_one_of x values
+  else if lo = 0 then Printf.sprintf "%s > 0x%xu" x hi
+  else Printf.sprintf "%s < 0x%xu || %s > 0x%xu" x lo x hi
+
 let emit_write_check ctx (v : Ir.var) =
-  let fail msg =
-    add ctx "  #ifdef DEVIL_DEBUG\n";
-    add ctx "  if (%s) devil_check_failed(\"%s\");\n" msg v.v_name;
-    add ctx "  #endif\n"
-  in
-  let not_one_of raws =
-    String.concat " && " (List.map (Printf.sprintf "v != 0x%xu") raws)
-  in
+  let fail = emit_check ctx ~what:v.v_name in
   match v.v_type with
   | Dtype.Bool -> fail "(v & ~1u) != 0u"
   | Dtype.Int { signed = false; bits } ->
@@ -238,12 +249,11 @@ let emit_write_check ctx (v : Ir.var) =
       fail
         (Printf.sprintf "(int)(v) < -%d || (int)(v) >= %d" (1 lsl (bits - 1))
            (1 lsl (bits - 1)))
-  | Dtype.Int_set { values; _ } ->
-      if List.length values <= 16 then fail (not_one_of values)
+  | Dtype.Int_set { values; _ } -> fail (outside_set "v" values)
   | Dtype.Enum _ -> (
       match Dtype.writable_raws v.v_type with
       | [] -> ()
-      | raws -> fail (not_one_of raws))
+      | raws -> fail (not_one_of "v" raws))
 
 (* {1 Variable accessors} *)
 
@@ -407,11 +417,17 @@ let emit_template_stubs ctx (t : Ir.template) =
     String.concat ", "
       (List.map (fun (p, _) -> Printf.sprintf "unsigned int %s" p) t.t_params)
   in
+  let check_args () =
+    List.iter
+      (fun (p, values) -> emit_check ctx ~what:t.t_name (outside_set p values))
+      t.t_params
+  in
   (match t.t_read with
   | Some lp ->
       let w = port_width ctx lp in
       add ctx "static inline unsigned int %s_read_%s(%s)\n{\n" ctx.prefix
         t.t_name params;
+      check_args ();
       emit_action ctx ~indent:"  " t.t_pre;
       add ctx "  return %s(%s);\n" (io_in w) (addr_expr ctx lp);
       add ctx "}\n\n"
@@ -421,6 +437,7 @@ let emit_template_stubs ctx (t : Ir.template) =
       let params' = if params = "" then "unsigned int raw" else params ^ ", unsigned int raw" in
       add ctx "static inline void %s_write_%s(%s)\n{\n" ctx.prefix t.t_name
         params';
+      check_args ();
       emit_action ctx ~indent:"  " t.t_pre;
       emit_frame_write ctx lp t.t_mask;
       emit_action ctx ~indent:"  " t.t_post;

@@ -631,6 +631,11 @@ let eval_condition env (c : Ast.serial_cond) : bool =
           err env c.sc_var.loc
             "no configuration value supplied for parameter %s" name;
           false
+      | Some actual when Result.is_error (Dtype.validate_write ty actual) ->
+          err env c.sc_var.loc
+            "configuration value %s does not fit parameter %s : %a"
+            (Value.to_string actual) name Dtype.pp ty;
+          false
       | Some actual ->
           let expected : Value.t option =
             match c.sc_value with

@@ -55,7 +55,6 @@ type 'c report = {
   rp_pruned : int;
   rp_distinct : int;
   rp_violations : 'c violation list;
-  rp_last : 'c schedule option;
 }
 
 let pp_schedule pp_choice fmt (s : 'c schedule) =
@@ -67,46 +66,8 @@ let pp_schedule pp_choice fmt (s : 'c schedule) =
         (fun fmt d -> Format.fprintf fmt "@%d %a" d.slot pp_choice d.choice)
         fmt s
 
-(* Lexicographic order on schedules under a fixed choice alphabet: by
-   decision list, each decision by (slot, choice index); a proper
-   prefix sorts before its extensions. This is exactly the engine's
-   visit order, which makes [resume_after] meaningful. *)
-let compare_schedules ~choices a b =
-  let idx c =
-    let rec go i = function
-      | [] -> invalid_arg "Explore: choice not in the alphabet"
-      | c' :: rest -> if c' = c then i else go (i + 1) rest
-    in
-    go 0 choices
-  in
-  let cmp_d a b =
-    match compare a.slot b.slot with
-    | 0 -> compare (idx a.choice) (idx b.choice)
-    | n -> n
-  in
-  let rec go a b =
-    match (a, b) with
-    | [], [] -> 0
-    | [], _ -> -1
-    | _, [] -> 1
-    | x :: a', y :: b' -> ( match cmp_d x y with 0 -> go a' b' | n -> n)
-  in
-  go a b
-
-let is_prefix ~choices a b =
-  List.length a <= List.length b
-  &&
-  let rec go a b =
-    match (a, b) with
-    | [], _ -> true
-    | x :: a', y :: b' ->
-        compare_schedules ~choices [ x ] [ y ] = 0 && go a' b'
-    | _, [] -> false
-  in
-  go a b
-
-let explore ~depth ~budget ~choices ~run ?(max_violations = max_int)
-    ?resume_after ?on_run () =
+let explore ~depth ~budget ~choices ~run ?(max_violations = max_int) ?on_run
+    () =
   if depth <= 0 then invalid_arg "Explore.explore: depth must be positive";
   if budget < 0 then invalid_arg "Explore.explore: negative budget";
   if choices = [] then invalid_arg "Explore.explore: empty choice alphabet";
@@ -116,26 +77,10 @@ let explore ~depth ~budget ~choices ~run ?(max_violations = max_int)
   and deduped = ref 0
   and pruned = ref 0 in
   let violations = ref [] in
-  let last = ref None in
-  (* What to do with a candidate schedule when resuming: schedules at
-     or before the resume point were visited by the interrupted run.
-     Prefixes of the resume point must still be re-run (their horizons
-     and fingerprints steer the walk) but stay silent; everything else
-     at or before it is skipped wholesale — its whole subtree was
-     already explored. *)
-  let disposition sched =
-    match resume_after with
-    | None -> `Run
-    | Some r ->
-        if compare_schedules ~choices sched r > 0 then `Run
-        else if is_prefix ~choices sched r then `Run_quiet
-        else `Skip
-  in
-  let record ~quiet sched (o : 'c outcome) =
+  let record sched (o : 'c outcome) =
     incr runs;
-    last := Some sched;
     (match on_run with Some f -> f sched o | None -> ());
-    if (not o.oc_ok) && not quiet then
+    if not o.oc_ok then
       violations := { vx_schedule = sched; vx_detail = o.oc_detail } :: !violations
   in
   let stop () = List.length !violations >= max_violations in
@@ -151,23 +96,20 @@ let explore ~depth ~budget ~choices ~run ?(max_violations = max_int)
               if slot >= min depth (out.oc_horizon c) then incr pruned
               else
                 let sched = prefix @ [ { slot; choice = c } ] in
-                match disposition sched with
-                | `Skip -> ()
-                | (`Run | `Run_quiet) as d ->
-                    let o = run sched in
-                    record ~quiet:(d = `Run_quiet) sched o;
-                    if o.oc_fired < List.length sched then incr infeasible
-                    else if Hashtbl.mem seen o.oc_state then incr deduped
-                    else begin
-                      Hashtbl.replace seen o.oc_state ();
-                      dfs sched o
-                    end)
+                let o = run sched in
+                record sched o;
+                if o.oc_fired < List.length sched then incr infeasible
+                else if Hashtbl.mem seen o.oc_state then incr deduped
+                else begin
+                  Hashtbl.replace seen o.oc_state ();
+                  dfs sched o
+                end)
           choices
       done
     end
   in
   let base = run [] in
-  record ~quiet:(disposition [] = `Run_quiet) [] base;
+  record [] base;
   Hashtbl.replace seen base.oc_state ();
   dfs [] base;
   {
@@ -177,7 +119,6 @@ let explore ~depth ~budget ~choices ~run ?(max_violations = max_int)
     rp_pruned = !pruned;
     rp_distinct = Hashtbl.length seen;
     rp_violations = List.rev !violations;
-    rp_last = !last;
   }
 
 (* {1 Shrinking}

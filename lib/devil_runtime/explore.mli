@@ -6,8 +6,7 @@
     runs a caller-supplied closure under each one, depth-first over
     schedule prefixes up to a fault [budget] and a slot [depth]. The
     traversal is prefix-closed (iterative deepening: every schedule
-    runs before any of its extensions), fully deterministic, and
-    resumable from any schedule in visit order ([resume_after]).
+    runs before any of its extensions) and fully deterministic.
 
     Three prunes bound the walk without sacrificing exhaustiveness
     within the stated bound:
@@ -50,8 +49,6 @@ type 'c report = {
   rp_pruned : int;  (** Candidate schedules skipped by horizons. *)
   rp_distinct : int;  (** Distinct end-state fingerprints. *)
   rp_violations : 'c violation list;  (** In discovery order. *)
-  rp_last : 'c schedule option;
-      (** Last schedule run — the [resume_after] for a continuation. *)
 }
 
 val explore :
@@ -60,19 +57,14 @@ val explore :
   choices:'c list ->
   run:('c schedule -> 'c outcome) ->
   ?max_violations:int ->
-  ?resume_after:'c schedule ->
   ?on_run:('c schedule -> 'c outcome -> unit) ->
   unit ->
   'c report
 (** [explore ~depth ~budget ~choices ~run ()] runs the empty schedule,
     then every feasible, non-deduped schedule of up to [budget]
     decisions over slots [0 .. depth-1], in deterministic prefix
-    order. Stops early after [max_violations] violations. With
-    [resume_after] (a schedule in visit order, e.g. [rp_last] of an
-    interrupted exploration) the walk re-runs only that schedule's
-    prefixes (silently, to rebuild horizons and fingerprints) and
-    resumes reporting strictly after it. [on_run] observes every
-    execution — progress meters, schedules/s. *)
+    order. Stops early after [max_violations] violations. [on_run]
+    observes every execution — progress meters, schedules/s. *)
 
 val shrink :
   run:('c schedule -> 'c outcome) -> 'c schedule -> 'c schedule * int
@@ -82,10 +74,6 @@ val shrink :
     failing slot. Returns the minimized schedule and the number of
     candidate runs spent. A schedule that does not fail (or whose
     decisions do not all fire) is returned unchanged. *)
-
-val compare_schedules : choices:'c list -> 'c schedule -> 'c schedule -> int
-(** The engine's visit order: lexicographic by decision, each decision
-    by (slot, index of choice in [choices]). *)
 
 val pp_schedule :
   (Format.formatter -> 'c -> unit) -> Format.formatter -> 'c schedule -> unit

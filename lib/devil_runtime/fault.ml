@@ -55,7 +55,6 @@ type t = {
   underlying : Bus.t;
   plans : pstate list;
   sched : sstate list;
-  rng0 : int;  (* initial PRNG state, so reset rewinds *)
   mutable rng : int;
   mutable seq : int;
   sink : Trace.t option;  (* the unified observability stream *)
@@ -314,14 +313,12 @@ let write_block t ~width ~addr ~from =
 
 let wrap ?(seed = 0) ?sink ?metrics ~plans underlying =
   (* Mix the seed so that seeds 0 and 1 do not share a prefix. *)
-  let rng0 = (((seed + 1) * 0x5DEECE66D) + 3037000493) land 0xFFFF_FFFF_FFFF in
   {
     underlying;
     plans =
       List.map (fun p -> { p; left = p.budget; fired = 0 }) plans;
     sched = [];
-    rng0;
-    rng = rng0;
+    rng = (((seed + 1) * 0x5DEECE66D) + 3037000493) land 0xFFFF_FFFF_FFFF;
     seq = 0;
     sink;
     metrics;
@@ -346,7 +343,6 @@ let scheduled ?sink ?metrics ~injections underlying =
     underlying;
     plans = [];
     sched = List.map (fun sx -> { sx; seen = 0; hit = false }) injections;
-    rng0 = 0;
     rng = 0;
     seq = 0;
     sink;
@@ -385,50 +381,3 @@ let seen_for t label =
   List.fold_left
     (fun n ss -> if ss.sx.sx_label = label then max n ss.seen else n)
     0 t.sched
-
-let reset t =
-  t.seq <- 0;
-  t.rng <- t.rng0;
-  List.iter
-    (fun ps ->
-      ps.fired <- 0;
-      ps.left <- ps.p.budget)
-    t.plans;
-  List.iter
-    (fun ss ->
-      ss.seen <- 0;
-      ss.hit <- false)
-    t.sched
-
-type snapshot = {
-  sn_rng : int;
-  sn_seq : int;
-  sn_plans : (int option * int) list;  (* left, fired — in plan order *)
-  sn_sched : (int * bool) list;  (* seen, hit — in injection order *)
-}
-
-let snapshot t =
-  {
-    sn_rng = t.rng;
-    sn_seq = t.seq;
-    sn_plans = List.map (fun ps -> (ps.left, ps.fired)) t.plans;
-    sn_sched = List.map (fun ss -> (ss.seen, ss.hit)) t.sched;
-  }
-
-let restore t sn =
-  if
-    List.length sn.sn_plans <> List.length t.plans
-    || List.length sn.sn_sched <> List.length t.sched
-  then invalid_arg "Fault.restore: snapshot from a different injector shape";
-  t.rng <- sn.sn_rng;
-  t.seq <- sn.sn_seq;
-  List.iter2
-    (fun ps (left, fired) ->
-      ps.left <- left;
-      ps.fired <- fired)
-    t.plans sn.sn_plans;
-  List.iter2
-    (fun ss (seen, hit) ->
-      ss.seen <- seen;
-      ss.hit <- hit)
-    t.sched sn.sn_sched

@@ -156,21 +156,3 @@ val injection_count : t -> int
 
 val injections_for : t -> string -> int
 (** Faults fired by the plans or injections with the given label. *)
-
-val reset : t -> unit
-(** Rewinds the injector to its initial state: counters are cleared,
-    plan budgets restored to their initial allowance, scheduled
-    decisions re-armed, and the PRNG rewound to the seed — so one
-    injector can be reused across thousands of explored schedules and a
-    reset run reproduces the original exactly. *)
-
-type snapshot
-(** A point-in-time capture of the injector's mutable state: PRNG
-    position, operation count, per-plan budgets and counters, and
-    per-injection progress. *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Rewinds the injector to a {!snapshot} taken from the same injector
-    (same plans, same injections — [Invalid_argument] otherwise). *)

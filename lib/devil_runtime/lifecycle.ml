@@ -248,9 +248,9 @@ let attach ?clock ?metrics trace =
    list, using each event's sequence number as the clock (stage
    durations come out in trace-sequence ticks rather than
    nanoseconds). *)
-let of_events ?metrics events =
+let of_events events =
   let now = ref 0 in
-  let t = create ~clock:(fun () -> !now) ~unit:"ticks" ~retain:max_int metrics in
+  let t = create ~clock:(fun () -> !now) ~unit:"ticks" ~retain:max_int None in
   List.iter
     (fun (e : Trace.event) ->
       now := e.Trace.seq;

@@ -26,12 +26,11 @@
     With a metrics registry attached, each completed request feeds
     [lifecycle.<dev>.<stage>.<unit>] histograms, named by the clock's
     unit: [ns] on the default monotonic clock, [ticks] on a supplied
-    clock or an offline replay (p50/p95/p99 via
-    {!Metrics.histogram}) plus the counters [lifecycle.submitted],
-    [lifecycle.completed], [lifecycle.lost_interrupts] and
-    [lifecycle.spurious_completions]. Requests that never complete are
-    {e orphans} — the stall signal {!Health} and the async gates
-    check. *)
+    clock (p50/p95/p99 via {!Metrics.histogram}) plus the counters
+    [lifecycle.submitted], [lifecycle.completed],
+    [lifecycle.lost_interrupts] and [lifecycle.spurious_completions].
+    Requests that never complete are {e orphans} — the stall signal
+    {!Health} and the async gates check. *)
 
 type record = {
   rid : int;  (** The request id (see {!Sched.request_id}). *)
@@ -75,7 +74,7 @@ val attach : ?clock:(unit -> int) -> ?metrics:Metrics.t -> Trace.t -> t
     and the stage histograms say so. Subscribers cannot be removed
     (see {!Trace.subscribe}); attach to traces you own. *)
 
-val of_events : ?metrics:Metrics.t -> Trace.event list -> t
+val of_events : Trace.event list -> t
 (** Offline replay over a recorded event list (e.g. a JSONL trace file
     loaded by tracetool), using each event's sequence number as the
     clock — stage durations come out in trace-sequence ticks. *)

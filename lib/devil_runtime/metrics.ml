@@ -198,56 +198,6 @@ let iter_histograms t f =
   Hashtbl.iter (fun name h -> f name ~count:h.h_count ~sum:h.h_sum h.buckets)
     t.hists
 
-(* {1 Folding}
-
-   [merge a b] is a fresh registry holding the pointwise sum of two
-   registries, as if one registry had seen both event streams: counters
-   add, histograms add their counts, sums and buckets and take the
-   min/max envelope. Because every derived statistic (percentiles,
-   mean, the JSON export) is computed from exactly those fields, the
-   fold is byte-identical to single-registry accounting — the property
-   the per-shard design needs and test_telemetry's QCheck laws pin. *)
-
-let copy_hist h =
-  {
-    h_count = h.h_count;
-    h_sum = h.h_sum;
-    h_min = h.h_min;
-    h_max = h.h_max;
-    buckets = Array.copy h.buckets;
-  }
-
-let merge_hist_into dst src =
-  dst.h_count <- dst.h_count + src.h_count;
-  dst.h_sum <- dst.h_sum + src.h_sum;
-  if src.h_min < dst.h_min then dst.h_min <- src.h_min;
-  if src.h_max > dst.h_max then dst.h_max <- src.h_max;
-  Array.iteri (fun i v -> dst.buckets.(i) <- dst.buckets.(i) + v) src.buckets
-
-let merge a b =
-  let t = create () in
-  let add_counters src =
-    Hashtbl.iter
-      (fun name r ->
-        match Hashtbl.find_opt t.counters name with
-        | Some dst -> dst := !dst + !r
-        | None -> Hashtbl.replace t.counters name (ref !r))
-      src.counters
-  in
-  let add_hists src =
-    Hashtbl.iter
-      (fun name h ->
-        match Hashtbl.find_opt t.hists name with
-        | Some dst -> merge_hist_into dst h
-        | None -> Hashtbl.replace t.hists name (copy_hist h))
-      src.hists
-  in
-  add_counters a;
-  add_counters b;
-  add_hists a;
-  add_hists b;
-  t
-
 (* {1 Rendering} *)
 
 let json_escape s =

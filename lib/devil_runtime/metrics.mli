@@ -31,11 +31,6 @@
     {e Faults} (from {!Fault}): [fault.injections] and
     [fault.<plan>.injections].
 
-    {e Spans} (from {!Profile}, when a registry is attached to the
-    profiler): histogram [span.<key>.ns] — wall time per completed span
-    at each profiling site, so the JSON export carries
-    [span.<key>.ns.p95]-style summaries.
-
     Like tracing, metrics are strictly opt-in: no layer counts anything
     unless a registry was passed in. *)
 
@@ -150,16 +145,6 @@ val iter_histograms :
 (** Every histogram with its count, sum and {e live} bucket array
     ({!bucket_count} wide; read it, do not keep or change it), in no
     particular order. *)
-
-val merge : t -> t -> t
-(** [merge a b] is a {e fresh} registry holding the pointwise sum of
-    both: counters add; histograms add count/sum/buckets and take the
-    min/max envelope. Neither input is touched. The fold is exact —
-    every derived statistic (percentiles, mean, {!to_json}) of the
-    merge equals what one registry fed the concatenated event stream
-    would report — and is associative and commutative with
-    [create ()] as identity, so per-shard registries can be folded in
-    any order at snapshot time (ROADMAP item 2). *)
 
 val to_json : t -> string
 (** The whole registry as a JSON object

@@ -73,10 +73,6 @@ type t = {
   devs : (string, dev_state) Hashtbl.t;
   mutable violations_rev : violation list;
   mutable count : int;
-  (* custom per-event invariants, run after the built-in rules *)
-  mutable customs : (string * (seq:int -> Trace.kind -> string option)) list;
-  (* end-of-run invariants, run by [finalize] *)
-  mutable finals : (string * (unit -> string option)) list;
 }
 
 let encode_bits (v : Ir.var) value ~reg =
@@ -153,13 +149,11 @@ let create ~devices =
   List.iter
     (fun (dev, device) -> Hashtbl.replace devs dev (compile_device dev device))
     devices;
-  { devs; violations_rev = []; count = 0; customs = []; finals = [] }
+  { devs; violations_rev = []; count = 0 }
 
 let violations t = List.rev t.violations_rev
 let violation_count t = t.count
 
-(* Registrations survive [clear]: an explorer registers its recovery
-   invariants once and clears the monitor between schedules. *)
 let clear t =
   t.violations_rev <- [];
   t.count <- 0;
@@ -243,27 +237,7 @@ let on_reg_write t ds ~seq ~reg ~raw =
           (String.concat ", " vols));
   Hashtbl.remove ds.ds_fresh reg
 
-let register t ~name rule = t.customs <- t.customs @ [ (name, rule) ]
-let register_final t ~name rule = t.finals <- t.finals @ [ (name, rule) ]
-
-let run_customs t (e : Trace.event) =
-  List.iter
-    (fun (name, rule) ->
-      match rule ~seq:e.seq e.kind with
-      | Some detail -> report t ~seq:e.seq ~dev:"-" ~rule:name "%s" detail
-      | None -> ())
-    t.customs
-
-let finalize t =
-  List.iter
-    (fun (name, rule) ->
-      match rule () with
-      | Some detail -> report t ~seq:(-1) ~dev:"-" ~rule:name "%s" detail
-      | None -> ())
-    t.finals
-
 let feed t (e : Trace.event) =
-  run_customs t e;
   let state dev = Hashtbl.find_opt t.devs dev in
   match e.kind with
   | Reg_read { dev; reg; _ } -> (

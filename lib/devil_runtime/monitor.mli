@@ -54,28 +54,6 @@ val violation_count : t -> int
 
 val clear : t -> unit
 (** Forgets violations and all per-device stream state (pending
-    writers, freshness, serialization expectations). Invariants added
-    with {!register} / {!register_final} are kept, so one monitor can
-    be cleared and reused across many explored schedules. *)
-
-(** {1 Custom invariants}
-
-    Beyond the three IR-derived rules, callers — the exploration
-    engine in particular — can register their own invariants. A
-    per-event invariant sees every fed event and returns [Some detail]
-    to record a violation under its registered rule name; an
-    end-of-run invariant is evaluated once by {!finalize} (with
-    sequence number [-1], there being no offending event). *)
-
-val register : t -> name:string -> (seq:int -> Trace.kind -> string option) -> unit
-(** Add a per-event invariant, run (in registration order) on every
-    event before the built-in rules. *)
-
-val register_final : t -> name:string -> (unit -> string option) -> unit
-(** Add an end-of-run invariant. *)
-
-val finalize : t -> unit
-(** Evaluate the end-of-run invariants, recording any violations. Call
-    once per run, after the workload completes. *)
+    writers, freshness, serialization expectations). *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -40,14 +40,13 @@ let describe_exn = function
   | Instance.Device_error m -> "device error: " ^ m
   | e -> Printexc.to_string e
 
-let with_retries ?ctx ?attempts ?(retry_on = is_transient)
-    ?(on_retry = fun ~attempt:_ _ -> ()) ~label f =
+let with_retries ?ctx ?attempts ~label f =
   let attempts =
     max 1 (match attempts with Some n -> n | None -> default_attempts)
   in
   let rec go attempt =
     try f ()
-    with e when retry_on e ->
+    with e when is_transient e ->
       if attempt >= attempts then begin
         (match metrics_of ctx with
         | Some m -> Metrics.incr m "retry.exhausted"
@@ -84,7 +83,6 @@ let with_retries ?ctx ?attempts ?(retry_on = is_transient)
               Trace.emit tr
                 (Trace.Retry { label; attempt; reason; rid = rid_of ctx })
           | None -> ());
-          on_retry ~attempt e;
           go (attempt + 1)
         end
       end
@@ -93,17 +91,11 @@ let with_retries ?ctx ?attempts ?(retry_on = is_transient)
   | None -> go 1
   | Some p -> Profile.span p ("retry:" ^ label) (fun () -> go 1)
 
-let no_backoff (_ : int) = 0
-let linear_backoff step i = max 0 (step * i)
-
-let exponential_backoff ?(base = 1) ?(cap = 1024) i =
-  min cap (max 1 base * (1 lsl min i 20))
-
-(* The shared poll core: iteration [i] costs [1 + backoff i] ticks, so
-   the condition runs at most [deadline] times and the loop provably
+(* The shared poll core: each iteration costs one tick, so the
+   condition runs at most [deadline] times and the loop provably
    terminates within the budget. Every completed poll reports its
    condition-evaluation count to the context. *)
-let poll_core ?ctx ?deadline ?(backoff = no_backoff) ~label cond =
+let poll_core ?ctx ?deadline ~label cond =
   let deadline =
     match (deadline, ctx) with
     | Some d, _ -> d
@@ -113,17 +105,17 @@ let poll_core ?ctx ?deadline ?(backoff = no_backoff) ~label cond =
   let forced =
     match ctx with None -> false | Some c -> Ctx.decide_poll c ~label
   in
-  let rec go i spent =
-    if spent >= deadline then (false, i)
+  let rec go i =
+    if i >= deadline then (false, i)
     else if cond () then (true, i + 1)
-    else go (i + 1) (spent + 1 + max 0 (backoff i))
+    else go (i + 1)
   in
   let ok, iters =
     if forced then (false, 0)
     else
       match profile_of ctx with
-      | None -> go 0 0
-      | Some p -> Profile.span p ("poll:" ^ label) (fun () -> go 0 0)
+      | None -> go 0
+      | Some p -> Profile.span p ("poll:" ^ label) (fun () -> go 0)
   in
   (match metrics_of ctx with
   | Some m ->
@@ -138,28 +130,22 @@ let poll_core ?ctx ?deadline ?(backoff = no_backoff) ~label cond =
   | None -> ());
   ok
 
-let try_poll ?ctx ?deadline ?backoff ?(label = "try_poll") cond =
-  poll_core ?ctx ?deadline ?backoff ~label cond
+let try_poll ?ctx ?deadline ?(label = "try_poll") cond =
+  poll_core ?ctx ?deadline ~label cond
 
-let poll_until ?ctx ?deadline ?backoff ~label cond =
-  if not (poll_core ?ctx ?deadline ?backoff ~label cond) then
-    fail (Timeout label)
+let poll_until ?ctx ?deadline ~label cond =
+  if not (poll_core ?ctx ?deadline ~label cond) then fail (Timeout label)
 
-let try_poll_for ?ctx ?deadline ?backoff ?(label = "try_poll_for") f =
+let try_poll_for ?ctx ?deadline ?(label = "try_poll_for") f =
   let result = ref None in
   ignore
-    (poll_core ?ctx ?deadline ?backoff ~label (fun () ->
+    (poll_core ?ctx ?deadline ~label (fun () ->
          match f () with
          | Some v ->
              result := Some v;
              true
          | None -> false));
   !result
-
-let poll_for ?ctx ?deadline ?backoff ~label f =
-  match try_poll_for ?ctx ?deadline ?backoff ~label f with
-  | Some v -> v
-  | None -> fail (Timeout label)
 
 let guarded ~label f =
   try f () with

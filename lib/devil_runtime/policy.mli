@@ -5,8 +5,8 @@
     the error vocabulary ({!error}) and the three recovery shapes a
     polled device driver needs:
 
-    - {!poll_until} — a bounded busy-wait with an optional backoff,
-      replacing hand-rolled [let rec go n = ...] loops;
+    - {!poll_until} — a bounded busy-wait, replacing hand-rolled
+      [let rec go n = ...] loops;
     - {!with_retries} — bounded re-execution of an idempotent operation
       when it fails transiently (a {!Fault.Bus_fault} or a structured
       transient error);
@@ -14,10 +14,10 @@
       ([Fault.Bus_fault], [Instance.Device_error], [Failure]) into
       structured {!Driver_error}s so callers match on one type.
 
-    Time is simulated: deadlines and backoffs are measured in {e
-    ticks}, where one tick is one condition evaluation (one status
-    poll). The retry budget is the constant {!default_attempts}; a
-    poll's deadline is its [deadline] argument, else its context's
+    Time is simulated: deadlines are measured in {e ticks}, where one
+    tick is one condition evaluation (one status poll). The retry
+    budget is the constant {!default_attempts}; a poll's deadline is
+    its [deadline] argument, else its context's
     {!Ctx.field-poll_deadline}, else {!Ctx.default_poll_deadline}.
 
     Every combinator but {!guarded} takes an optional {!Ctx.t}: the
@@ -61,52 +61,32 @@ val is_transient : exn -> bool
     multiplies already-exhausted budgets. *)
 
 val with_retries :
-  ?ctx:Ctx.t ->
-  ?attempts:int ->
-  ?retry_on:(exn -> bool) ->
-  ?on_retry:(attempt:int -> exn -> unit) ->
-  label:string ->
-  (unit -> 'a) ->
-  'a
+  ?ctx:Ctx.t -> ?attempts:int -> label:string -> (unit -> 'a) -> 'a
 (** [with_retries ~label f] runs [f]; when it raises an exception
-    accepted by [retry_on] (default {!is_transient}) it is re-run, up
-    to [attempts] total executions. When the budget is exhausted the
-    last failure is wrapped in [Driver_error (Degraded _)], as is a
-    retry the context's decider denies. [f] must be safe to re-execute
+    {!is_transient} accepts it is re-run, up to [attempts] total
+    executions. When the budget is exhausted the last failure is
+    wrapped in [Driver_error (Degraded _)], as is a retry the context's
+    decider denies. [f] must be safe to re-execute
     from the top (command-level idempotence). *)
 
 val poll_until :
-  ?ctx:Ctx.t -> ?deadline:int -> ?backoff:(int -> int) -> label:string ->
-  (unit -> bool) -> unit
+  ?ctx:Ctx.t -> ?deadline:int -> label:string -> (unit -> bool) -> unit
 (** [poll_until ~label cond] evaluates [cond] until it returns [true].
-    Iteration [i] costs [1 + backoff i] ticks against [deadline]
-    (default: the context's; backoff defaults to constant 0), so
-    [cond] is evaluated at most [deadline] times and the poll always
-    terminates. Raises [Driver_error (Timeout label)] on expiry. *)
-
-val poll_for :
-  ?ctx:Ctx.t -> ?deadline:int -> ?backoff:(int -> int) -> label:string ->
-  (unit -> 'a option) -> 'a
-(** Like {!poll_until} for condition functions that produce a value. *)
+    Each evaluation costs one tick against [deadline] (default: the
+    context's), so [cond] is evaluated at most [deadline] times and the
+    poll always terminates. Raises [Driver_error (Timeout label)] on
+    expiry. *)
 
 val try_poll :
-  ?ctx:Ctx.t -> ?deadline:int -> ?backoff:(int -> int) -> ?label:string ->
-  (unit -> bool) -> bool
+  ?ctx:Ctx.t -> ?deadline:int -> ?label:string -> (unit -> bool) -> bool
 (** {!poll_until} that reports expiry as [false] instead of raising —
     for protocols where a missing answer is an answer. [label] (default
     ["try_poll"]) only names the poll in traces. *)
 
 val try_poll_for :
-  ?ctx:Ctx.t -> ?deadline:int -> ?backoff:(int -> int) -> ?label:string ->
-  (unit -> 'a option) -> 'a option
-
-val linear_backoff : int -> int -> int
-(** [linear_backoff step] charges [step * i] extra ticks at iteration
-    [i]. *)
-
-val exponential_backoff : ?base:int -> ?cap:int -> int -> int
-(** [exponential_backoff ~base ~cap] charges [min cap (base * 2^i)]
-    extra ticks at iteration [i] (defaults: base 1, cap 1024). *)
+  ?ctx:Ctx.t -> ?deadline:int -> ?label:string -> (unit -> 'a option) ->
+  'a option
+(** {!try_poll} for condition functions that produce a value. *)
 
 val guarded : label:string -> (unit -> 'a) -> 'a
 (** Watchdog boundary: runs [f], passing [Driver_error] through and

@@ -47,7 +47,6 @@ type site = {
   mutable s_min_ns : int;
   mutable s_max_ns : int;
   s_buckets : int array;
-  s_metric : string;  (* "span.<key>.ns", precomputed once *)
 }
 
 type t = {
@@ -57,7 +56,6 @@ type t = {
   mutable depth : int;
   mutable clock : unit -> int;
   mutable last_ns : int;  (* last clock sample: the monotonic clamp *)
-  mutable metrics : Metrics.t option;
   mutable unbalanced : int;  (* exits that found their span already closed *)
 }
 
@@ -72,7 +70,7 @@ let mk_node name =
     n_children = Hashtbl.create 4;
   }
 
-let create ?metrics () =
+let create () =
   let root = mk_node "" in
   {
     root;
@@ -82,11 +80,8 @@ let create ?metrics () =
     depth = 0;
     clock = default_clock;
     last_ns = min_int;
-    metrics;
     unbalanced = 0;
   }
-
-let set_metrics t metrics = t.metrics <- metrics
 
 let set_clock t clock =
   t.clock <- clock;
@@ -141,7 +136,6 @@ let site_of t key =
           s_min_ns = max_int;
           s_max_ns = min_int;
           s_buckets = Array.make Metrics.bucket_count 0;
-          s_metric = "span." ^ key ^ ".ns";
         }
       in
       Hashtbl.add t.sites key s;
@@ -155,10 +149,7 @@ let record_site t key ~total ~self =
   if total < s.s_min_ns then s.s_min_ns <- total;
   if total > s.s_max_ns then s.s_max_ns <- total;
   let b = Metrics.bucket_of total in
-  s.s_buckets.(b) <- s.s_buckets.(b) + 1;
-  match t.metrics with
-  | Some m -> Metrics.observe m s.s_metric total
-  | None -> ()
+  s.s_buckets.(b) <- s.s_buckets.(b) + 1
 
 let exit_top t =
   t.depth <- t.depth - 1;
@@ -285,74 +276,3 @@ let reset t =
   t.depth <- 0;
   t.last_ns <- min_int;
   t.unbalanced <- 0
-
-(* {1 Folding}
-
-   [merge a b] is a fresh quiescent profiler whose call-path trie is
-   the recursive union of both tries (nodes matched by key path, their
-   count/total/self summed) and whose site table is the pointwise sum
-   of both tables. Summing self over the merged trie equals the sum of
-   the inputs' attributed time, and the merged roots' total equals the
-   sum of the inputs' totals — so the [attributed_ns = total_ns]
-   identity survives the fold, as do the site percentiles (same bucket
-   arithmetic as {!Metrics.merge}). Open spans are not merged: folding
-   a profiler mid-span would split a span across shards, which has no
-   meaning. *)
-
-let rec merge_node_into dst src =
-  dst.n_count <- dst.n_count + src.n_count;
-  dst.n_total_ns <- dst.n_total_ns + src.n_total_ns;
-  dst.n_self_ns <- dst.n_self_ns + src.n_self_ns;
-  Hashtbl.iter
-    (fun key child ->
-      let into =
-        match Hashtbl.find_opt dst.n_children key with
-        | Some n -> n
-        | None ->
-            let n = mk_node key in
-            Hashtbl.add dst.n_children key n;
-            n
-      in
-      merge_node_into into child)
-    src.n_children
-
-let merge_site_into dst src =
-  dst.s_count <- dst.s_count + src.s_count;
-  dst.s_total_ns <- dst.s_total_ns + src.s_total_ns;
-  dst.s_self_ns <- dst.s_self_ns + src.s_self_ns;
-  if src.s_min_ns < dst.s_min_ns then dst.s_min_ns <- src.s_min_ns;
-  if src.s_max_ns > dst.s_max_ns then dst.s_max_ns <- src.s_max_ns;
-  Array.iteri
-    (fun i v -> dst.s_buckets.(i) <- dst.s_buckets.(i) + v)
-    src.s_buckets
-
-let merge a b =
-  let t = create () in
-  let add src =
-    merge_node_into t.root src.root;
-    Hashtbl.iter
-      (fun key s ->
-        match Hashtbl.find_opt t.sites key with
-        | Some dst -> merge_site_into dst s
-        | None ->
-            Hashtbl.add t.sites key
-              {
-                s_count = s.s_count;
-                s_total_ns = s.s_total_ns;
-                s_self_ns = s.s_self_ns;
-                s_min_ns = s.s_min_ns;
-                s_max_ns = s.s_max_ns;
-                s_buckets = Array.copy s.s_buckets;
-                s_metric = s.s_metric;
-              })
-      src.sites;
-    t.unbalanced <- t.unbalanced + src.unbalanced
-  in
-  add a;
-  add b;
-  (* The roots carry per-input aggregates the trie walk never reads;
-     zero them so the merged root stays a pure anchor. *)
-  t.root.n_count <- 0;
-  t.root.n_total_ns <- 0;
-  t.root.n_self_ns <- 0;
-  t

@@ -32,12 +32,8 @@
 
 type t
 
-val create : ?metrics:Metrics.t -> unit -> t
-(** A fresh profiler. With [metrics], every completed span is also
-    observed into the registry's [span.<key>.ns] histogram, giving the
-    JSON export [span.<key>.ns.p95]-style summaries. *)
-
-val set_metrics : t -> Metrics.t option -> unit
+val create : unit -> t
+(** A fresh profiler. *)
 
 val set_clock : t -> (unit -> int) -> unit
 (** Replace the nanosecond clock (tests use a deterministic counter).
@@ -114,17 +110,5 @@ val unbalanced_exits : t -> int
     enter/exit pairing is broken somewhere. *)
 
 val reset : t -> unit
-(** Drop all aggregates (not the clock, metrics link, or open-span
-    bookkeeping of a quiescent profiler). *)
-
-val merge : t -> t -> t
-(** [merge a b] is a {e fresh} quiescent profiler: the call-path tries
-    united by key path (count/total/self summed per node) and the site
-    tables summed pointwise (min/max envelope, buckets added). Neither
-    input is touched; both should be quiescent ({!live_depth} 0) —
-    open spans are not carried over. The fold preserves the
-    [attributed_ns = total_ns] identity and the site percentiles, is
-    associative and commutative, and has [create ()] as identity —
-    the per-shard folding discipline of ROADMAP item 2, pinned by
-    test_telemetry's QCheck laws. The merged profiler has no metrics
-    link and the default clock. *)
+(** Drop all aggregates (not the clock or the open-span bookkeeping of
+    a quiescent profiler). *)

@@ -4,7 +4,7 @@
    [tick], appends one sample per metric to a bounded per-metric ring:
 
    - counters: the cumulative total plus the delta since the previous
-     tick — the windowed rate, [delta * hz] per second;
+     tick — the windowed rate;
    - histograms: the bucket-array delta since the previous tick,
      summarised to windowed p50/p95/p99 with the same estimator as the
      lifetime percentiles — so "p99 over the last tick" and "p99 since
@@ -13,8 +13,7 @@
    The clock is the tick counter itself — the same discipline as
    {!Lifecycle.of_events} using trace sequence numbers — so a replayed
    run that ticks at the same points produces a byte-identical series;
-   nothing here reads wall time. Rates are derived at display time
-   from [hz] (ticks per second, default 1.0) and never stored.
+   nothing here reads wall time.
 
    Rings evict oldest-first at constant space like {!Trace}'s;
    {!evictions} totals the drops across every series so dashboards can
@@ -52,7 +51,6 @@ type hseries = {
 type t = {
   metrics : Metrics.t;
   capacity : int;
-  hz : float;
   mutable ticks : int;
   counters : (string, cseries) Hashtbl.t;
   hists : (string, hseries) Hashtbl.t;
@@ -61,12 +59,11 @@ type t = {
 
 let default_capacity = 64
 
-let create ?(capacity = default_capacity) ?(hz = 1.0) metrics =
+let create ?(capacity = default_capacity) metrics =
   let capacity = max 1 capacity in
   {
     metrics;
     capacity;
-    hz;
     ticks = 0;
     counters = Hashtbl.create 64;
     hists = Hashtbl.create 16;
@@ -75,7 +72,6 @@ let create ?(capacity = default_capacity) ?(hz = 1.0) metrics =
 
 let metrics t = t.metrics
 let ticks t = t.ticks
-let hz t = t.hz
 let capacity t = t.capacity
 
 (* Windowed percentiles come from the bucket delta alone, so the
@@ -177,24 +173,6 @@ let hist_series t name =
   | None -> []
 
 let health_series t = Trace.Ring.to_list t.health_ring
-
-let last_rate t name =
-  match Hashtbl.find_opt t.counters name with
-  | None -> None
-  | Some s -> (
-      match List.rev (Trace.Ring.to_list s.c_ring) with
-      | [] -> None
-      | p :: _ -> Some (float_of_int p.delta *. t.hz))
-
-let mean_rate t name =
-  match Hashtbl.find_opt t.counters name with
-  | None -> None
-  | Some s -> (
-      match Trace.Ring.to_list s.c_ring with
-      | [] -> None
-      | ps ->
-          let sum = List.fold_left (fun acc p -> acc + p.delta) 0 ps in
-          Some (float_of_int sum /. float_of_int (List.length ps) *. t.hz))
 
 let evictions t =
   let series =

@@ -5,8 +5,7 @@
     ring:
 
     - every counter gets a {!counter_point} — the cumulative total and
-      the {e delta} since the previous tick, from which windowed rates
-      like [sched.completions/s] are derived as [delta * hz];
+      the {e delta} since the previous tick, the windowed rate;
     - every histogram gets a {!hist_point} — the count/sum delta plus
       {e windowed} p50/p95/p99 computed from the bucket-array delta
       with the same estimator as {!Metrics.percentile}, so per-window
@@ -19,8 +18,7 @@
     discipline as {!Lifecycle.of_events} driving lifecycle off trace
     sequence numbers — so replaying a trace and ticking at the same
     points produces a {e byte-identical} series; nothing here reads
-    wall time. [hz] (ticks per second, default 1.0) only scales rates
-    at display time and is never stored in points.
+    wall time.
 
     Rings evict oldest-first at constant space like {!Trace}'s ring;
     {!evictions} totals drops across all series so dashboards
@@ -59,10 +57,9 @@ type health_point = {
 val default_capacity : int
 (** 64 samples per series. *)
 
-val create : ?capacity:int -> ?hz:float -> Metrics.t -> t
+val create : ?capacity:int -> Metrics.t -> t
 (** A sampler over [metrics]. [capacity] bounds every per-metric ring
-    (clamped to at least 1); [hz] declares how many ticks make a
-    second, purely for rate display. *)
+    (clamped to at least 1). *)
 
 val tick : ?health:Health.report -> t -> unit
 (** Advance the tick clock and sample every metric currently in the
@@ -71,7 +68,6 @@ val tick : ?health:Health.report -> t -> unit
 val ticks : t -> int
 (** Ticks taken so far (the [at] of the newest points). *)
 
-val hz : t -> float
 val capacity : t -> int
 val metrics : t -> Metrics.t
 
@@ -85,12 +81,6 @@ val counter_series : t -> string -> counter_point list
 
 val hist_series : t -> string -> hist_point list
 val health_series : t -> health_point list
-
-val last_rate : t -> string -> float option
-(** Newest point's [delta * hz] — the instantaneous per-second rate. *)
-
-val mean_rate : t -> string -> float option
-(** Mean [delta * hz] over the retained window. *)
 
 val evictions : t -> int
 (** Points evicted by the ring bound, summed over every series

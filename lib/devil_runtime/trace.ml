@@ -105,8 +105,8 @@ type event = { seq : int; kind : kind }
 
    The three kinds carrying a list built per call ([Var_write],
    [Struct_write], [Serialized]) keep the kind itself in a third
-   array. [events], [pp], [merge] and the subscribers get [event]
-   values decoded on demand.
+   array. [events], [pp] and the subscribers get [event] values
+   decoded on demand.
 
    The store grows by chunks of [chunk_size] slots as the ring first
    fills, so a large ring costs nothing at [create] and its arrays are
@@ -352,33 +352,6 @@ let clear t =
   t.total <- 0;
   t.next_slot <- 0;
   t.next_seq <- 0
-
-(* {1 Folding}
-
-   Per-shard traces number their events independently, so the merged
-   stream interleaves the shards by sequence number — a stable merge:
-   ties keep the left operand's events first, and each shard's own
-   order is preserved exactly. *)
-
-let merge_events a b =
-  let rec go a b acc =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: a', y :: b' ->
-        if x.seq <= y.seq then go a' b (x :: acc) else go a b' (y :: acc)
-  in
-  go a b []
-
-let merge ?capacity a b =
-  let capacity =
-    match capacity with Some c -> c | None -> max a.capacity b.capacity
-  in
-  let t = create ~capacity () in
-  List.iter (fun e -> store t e.seq e.kind) (merge_events (events a) (events b));
-  (* The merged clock resumes past both shards, so further [emit]s
-     cannot collide with either input's numbering. *)
-  t.next_seq <- max a.next_seq b.next_seq;
-  t
 
 let phase_label = function Pre -> "pre" | Post -> "post" | Set -> "set"
 

@@ -183,20 +183,6 @@ val dropped : t -> int
 val clear : t -> unit
 (** Empties the buffer and rewinds the sequence counter. *)
 
-val merge_events : event list -> event list -> event list
-(** Stable seq-ordered merge of two event streams (each already
-    ascending by [seq], as {!events} yields them): the interleaving by
-    sequence number, ties keeping the first operand's events first and
-    each stream's internal order intact. *)
-
-val merge : ?capacity:int -> t -> t -> t
-(** [merge a b] is a {e fresh} trace holding
-    [merge_events (events a) (events b)] in a ring of [capacity]
-    (default: the larger of the two inputs'), with its sequence clock
-    advanced past both so later {!emit}s cannot collide. Neither input
-    is touched; subscribers and drop hooks are not carried over. The
-    per-shard fold companion to {!Metrics.merge} / {!Profile.merge}. *)
-
 val summary : t -> string
 (** One-line [recorded/retained/evicted] digest, e.g. for tagging a
     fault-campaign trial. *)

@@ -957,8 +957,9 @@ type series_file = {
   sf_points : series_point list;
 }
 
-(* hz travels as a "%g"-rendered string, as the version-1 format fixed
-   before the JSON layer had floats, and is re-parsed on read. *)
+(* One tick is one second, so hz is always "1": a "%g"-rendered
+   string, as the version-1 format fixed before the JSON layer had
+   floats, re-parsed on read. *)
 let series_to_jsonl telemetry =
   let b = Buffer.create 4096 in
   let add j =
@@ -969,7 +970,7 @@ let series_to_jsonl telemetry =
     (Obj
        [
          ("devil_series_version", Int version);
-         ("hz", String (Printf.sprintf "%g" (Telemetry.hz telemetry)));
+         ("hz", String "1");
          ("ticks", Int (Telemetry.ticks telemetry));
          ("capacity", Int (Telemetry.capacity telemetry));
          ("series_evictions", Int (Telemetry.evictions telemetry));

@@ -109,8 +109,9 @@ val to_openmetrics :
     "capacity":..., "series_evictions":...}] followed by one JSON
     object per retained sample point, flat across all series
     (counters first, then histograms, then health, each grouped by
-    metric name in sorted order, points oldest first). [hz] travels as
-    a ["%g"] string, as the version-1 format fixed before {!Float}. *)
+    metric name in sorted order, points oldest first). [hz] is always
+    ["1"], one tick to the second; it travels as a ["%g"] string, as
+    the version-1 format fixed before {!Float}. *)
 
 type series_point =
   | S_counter of { sp_tick : int; sp_metric : string; sp_total : int;

@@ -354,7 +354,6 @@ let run_schedule ?(record = false) ?monitor w choices
   in
   let polls = machine.ctx.poll_points
   and retries = machine.ctx.retry_points in
-  (match monitor with Some mon -> Monitor.finalize mon | None -> ());
   let inj = Option.get !injector in
   let inj_fired = Fault.scheduled_hits inj in
   let fired = inj_fired + !forced_polls + !denied_retries in

@@ -2,14 +2,15 @@
    the compiled engine against the interpreter, with the protocol
    monitor as a third oracle. The engine plumbing is the same as
    test/test_plan_diff.ml — two identically seeded memory buses, each
-   observed by its own trace — but the operation stream comes from the
-   site-aware generators of Opgen instead of an error-path-heavy
-   grammar. *)
+   observed by its own trace and metrics registry — but the operation
+   stream comes from the site-aware generators of Opgen instead of an
+   error-path-heavy grammar. *)
 
 module Ir = Devil_ir.Ir
 module Instance = Devil_runtime.Instance
 module Bus = Devil_runtime.Bus
 module Trace = Devil_runtime.Trace
+module Metrics = Devil_runtime.Metrics
 module Monitor = Devil_runtime.Monitor
 module Coverage = Devil_runtime.Coverage
 
@@ -35,10 +36,11 @@ let build_engine ~interpret ~seed (device : Ir.device) bases =
   let raw = Bus.memory ~size:4096 () in
   seed_bus ~seed raw;
   let trace = Trace.create ~capacity:200_000 () in
-  let ctx = Devil_runtime.Ctx.create ~trace () in
+  let metrics = Metrics.create () in
+  let ctx = Devil_runtime.Ctx.create ~trace ~metrics () in
   let bus = Bus.observed ~ctx raw in
   let inst = Instance.create ~label ~ctx ~interpret device ~bus ~bases in
-  (inst, trace)
+  (inst, trace, metrics)
 
 type divergence = {
   dv_detail : string;  (* what differed *)
@@ -62,13 +64,30 @@ let explain_trace_divergence ta tb =
   in
   first_diff 0 (ea, eb)
 
+(* The registries' JSON dumps list every counter and histogram sorted
+   by name, one per line, so the first differing line names the first
+   divergence. *)
+let metrics_divergence ma mb =
+  let lines m =
+    List.map String.trim (String.split_on_char '\n' (Metrics.to_json m))
+  in
+  let rec go = function
+    | [], [] -> None
+    | a :: ra, b :: rb when a = b -> go (ra, rb)
+    | a :: _, b :: _ ->
+        Some (Printf.sprintf "compiled has %s where the interpreter has %s" a b)
+    | a :: _, [] -> Some ("only in compiled: " ^ a)
+    | [], b :: _ -> Some ("only in interpreter: " ^ b)
+  in
+  go (lines ma, lines mb)
+
 (* Run one generated sequence on both engines. Returns the first
    divergence, or None when compiled = interpreter = monitor-clean. *)
 let run_diff ?coverage (device : Ir.device) ~seed (ops : Opgen.op list) :
     divergence option =
   let bases = bases_for device in
-  let compiled, tc = build_engine ~interpret:false ~seed device bases in
-  let interp, ti = build_engine ~interpret:true ~seed device bases in
+  let compiled, tc, mc = build_engine ~interpret:false ~seed device bases in
+  let interp, ti, mi = build_engine ~interpret:true ~seed device bases in
   Option.iter (fun cov -> Coverage.attach cov tc) coverage;
   let exception Diverged of divergence in
   try
@@ -96,6 +115,9 @@ let run_diff ?coverage (device : Ir.device) ~seed (ops : Opgen.op list) :
              dv_detail =
                "trace divergence: " ^ explain_trace_divergence tc ti;
            });
+    Option.iter
+      (fun d -> raise (Diverged { dv_op = None; dv_detail = "metrics: " ^ d }))
+      (metrics_divergence mc mi);
     let mon = Monitor.create ~devices:[ (label, device) ] in
     Monitor.feed_all mon ec;
     (match Monitor.violations mon with
@@ -157,6 +179,6 @@ let qcheck_test ?(count = 40) ~name (device : Ir.device) : QCheck.Test.t =
 let covered_run ?coverage (device : Ir.device) ~seed (ops : Opgen.op list) :
     Opgen.outcome list =
   let bases = bases_for device in
-  let inst, trace = build_engine ~interpret:false ~seed device bases in
+  let inst, trace, _ = build_engine ~interpret:false ~seed device bases in
   Option.iter (fun cov -> Coverage.attach cov trace) coverage;
   List.map (Opgen.run_op inst) ops

@@ -3,7 +3,8 @@
     Runs {!Opgen} operation sequences on two instances of the same
     device — the compiled plan engine and the IR interpreter — over
     identically seeded memory buses, and demands identical per-op
-    outcomes, identical trace streams, identical cached raws and zero
+    outcomes, identical trace streams, identical metrics counters and
+    histograms, identical cached raws and zero
     {!Devil_runtime.Monitor} violations. This is the harness-generated
     counterpart of [test/test_plan_diff.ml]: same oracles, but the
     workload comes from the site-aware valid-operation generators, so
@@ -29,6 +30,13 @@ val explain_trace_divergence :
     argument) and the interpreter's (second) differ, for a failure
     message. *)
 
+val metrics_divergence :
+  Devil_runtime.Metrics.t -> Devil_runtime.Metrics.t -> string option
+(** The first counter or histogram on which the compiled engine's
+    registry (first argument) and the interpreter's (second) differ, as
+    their {!Devil_runtime.Metrics.to_json} lines; [None] when they
+    agree. *)
+
 type divergence = { dv_detail : string; dv_op : int option }
 
 val run_diff :
@@ -37,7 +45,7 @@ val run_diff :
   seed:int ->
   Opgen.op list ->
   divergence option
-(** Runs one sequence on both engines; [None] means all four oracles
+(** Runs one sequence on both engines; [None] means every oracle
     agreed. [coverage] observes the compiled engine's live trace. *)
 
 val qcheck_test : ?count:int -> name:string -> Ir.device -> QCheck.Test.t

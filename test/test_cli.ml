@@ -75,6 +75,20 @@ let test_emit_c_missing_dir () =
   Alcotest.(check bool) "no uncaught exception" false
     (contains out "uncaught exception")
 
+let test_check_directory () =
+  if not (Sys.file_exists "cli_a_dir") then Sys.mkdir "cli_a_dir" 0o755;
+  Alcotest.(check int) "exit code" 1 (run [ "check"; "cli_a_dir" ]);
+  Alcotest.(check string) "names the path" "devilc: cli_a_dir: Is a directory\n"
+    (output ())
+
+let test_ill_typed_config () =
+  Alcotest.(check int) "exit code" 1
+    (run [ "emit-c"; "--builtin"; "pic8259"; "--config"; "is_master=maybe" ]);
+  let out = output () in
+  Alcotest.(check bool) ("names the parameter: " ^ out) true
+    (contains out "parameter is_master");
+  Alcotest.(check bool) "no header emitted" false (contains out "#ifndef")
+
 let test_doc () =
   Alcotest.(check int) "doc" 0 (run [ "doc"; "--builtin"; "dma8237" ]);
   Alcotest.(check bool) "register map" true
@@ -329,6 +343,8 @@ let () =
           case "dump round-trips" test_dump_roundtrips;
           case "failure modes" test_failures;
           case "list" test_list;
+          case "check a directory" test_check_directory;
+          case "ill-typed --config value" test_ill_typed_config;
         ] );
       ( "tracetool",
         [

@@ -658,10 +658,9 @@ let test_c_uart_differential () =
     values
 
 (* The CS4236B: indexed registers behind a pre-action, the
-   extended-register automaton and the parameterized-register stubs.
-   The header checks no template index and no integer set of more than
-   16 values, so an index the interpreter refuses is not part of this
-   scenario (ROADMAP item 7). *)
+   extended-register automaton and the parameterized-register stubs,
+   whose index the header checks as the interpreter does: index 99 is
+   outside both [I(i : int{0..31})] and [IA : int{0..31}]. *)
 let test_c_cs4236b_differential () =
   need_gcc ();
   let chip = Hwsim.Cs4236b.create () in
@@ -695,12 +694,19 @@ let test_c_cs4236b_differential () =
                 Alcotest.(check bool) "template leaves extended mode" false
                   (Hwsim.Cs4236b.extended_mode chip));
             Read_indexed ("I", [ 6 ]);
+            Rejected ("I", Read_indexed ("I", [ 99 ]));
+            Rejected ("IA", Set ("IA", Value.Int 99));
           ];
       }
   in
   Alcotest.(check (list string))
     "interpreter values"
-    [ value_line "chip_version" Hwsim.Cs4236b.chip_version; value_line "I" 0x3f ]
+    [
+      value_line "chip_version" Hwsim.Cs4236b.chip_version;
+      value_line "I" 0x3f;
+      rejected_line "I";
+      rejected_line "IA";
+    ]
     values
 
 (* A scenario over RAM: each port gets its own cells, so a read

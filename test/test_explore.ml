@@ -1,5 +1,5 @@
 (* The bounded exhaustive exploration stack (DESIGN.md §12): the
-   generic engine (enumeration order, prunes, resume, shrinking) on
+   generic engine (enumeration order, prunes, shrinking) on
    synthetic run functions, the Policy decision points it drives, and
    the campaign layer end to end — clean drivers explore clean, and
    the seeded regression is found, shrunk to one decision and
@@ -34,6 +34,29 @@ let all_distinct sched =
 
 let collect visited sched _ = visited := sched :: !visited
 
+(* The engine's visit order: lexicographic by decision, each decision
+   by (slot, index of its choice in [choices]); a proper prefix sorts
+   before its extensions. *)
+let compare_schedules a b =
+  let idx c =
+    let rec go i = function
+      | [] -> invalid_arg "choice not in the alphabet"
+      | c' :: rest -> if c' = c then i else go (i + 1) rest
+    in
+    go 0 choices
+  in
+  let rec go (a : string Explore.schedule) (b : string Explore.schedule) =
+    match (a, b) with
+    | [], [] -> 0
+    | [], _ -> -1
+    | _, [] -> 1
+    | x :: a', y :: b' -> (
+        match compare (x.slot, idx x.choice) (y.slot, idx y.choice) with
+        | 0 -> go a' b'
+        | n -> n)
+  in
+  go a b
+
 let test_enumeration_count () =
   let r =
     Explore.explore ~depth:3 ~budget:2 ~choices ~run:all_distinct ()
@@ -56,7 +79,7 @@ let test_enumeration_order () =
     | x :: (y :: _ as rest) ->
         Alcotest.(check bool)
           "visit order is the engine's schedule order" true
-          (Explore.compare_schedules ~choices x y < 0);
+          (compare_schedules x y < 0);
         check rest
     | _ -> ()
   in
@@ -110,35 +133,6 @@ let test_horizon_prune () =
   (* Only slot 0 is ever offered: base + two size-1 schedules. *)
   Alcotest.(check int) "slots beyond the horizon never run" 3 r.rp_runs;
   Alcotest.(check int) "candidates skipped by the horizon" 12 r.rp_pruned
-
-let test_resume_equivalence () =
-  let full = ref [] in
-  let r_full =
-    Explore.explore ~depth:3 ~budget:2 ~choices ~run:all_distinct
-      ~on_run:(collect full) ()
-  in
-  let full = List.rev !full in
-  Alcotest.(check bool) "rp_last is the final schedule" true
-    (r_full.rp_last = Some (List.nth full (List.length full - 1)));
-  (* Resume from a mid-walk schedule: the continuation must visit
-     exactly the suffix strictly after it (prefix reruns aside). *)
-  let k = 7 in
-  let resume_after = List.nth full k in
-  let resumed = ref [] in
-  ignore
-    (Explore.explore ~depth:3 ~budget:2 ~choices ~run:all_distinct
-       ~resume_after ~on_run:(collect resumed) ());
-  let resumed = List.rev !resumed in
-  let expected_suffix =
-    List.filteri (fun i _ -> i > k) full
-  in
-  let suffix =
-    let extra = List.length resumed - List.length expected_suffix in
-    Alcotest.(check bool) "only prefix reruns are added" true (extra >= 0);
-    List.filteri (fun i _ -> i >= extra) resumed
-  in
-  Alcotest.(check bool) "resume continues exactly after the cut" true
-    (suffix = expected_suffix)
 
 let test_shrink_to_one_decision () =
   (* Failure cause: an "x" decision at slot >= 5; pads are noise. *)
@@ -310,7 +304,6 @@ let () =
           case "state dedup" test_dedup;
           case "feasibility cut" test_feasibility_cut;
           case "horizon prune" test_horizon_prune;
-          case "resume equivalence" test_resume_equivalence;
         ] );
       ( "shrink",
         [

@@ -126,7 +126,7 @@ let test_transient () =
 
 (* {1 Trace and counters} *)
 
-let test_trace_and_reset () =
+let test_trace_events () =
   let sink = Devil_runtime.Trace.create () in
   let inj =
     Fault.wrap ~sink
@@ -156,30 +156,7 @@ let test_trace_and_reset () =
             (String.length detail > 0)
       | _ -> Alcotest.fail "only injections reach the sink")
     events;
-  Alcotest.(check bool) "operations counted" true (Fault.operations inj >= 3);
-  Fault.reset inj;
-  Alcotest.(check int) "reset clears counters" 0 (Fault.injection_count inj)
-
-let test_reset_restores_budget () =
-  let inj =
-    Fault.wrap
-      ~plans:
-        [
-          Fault.plan ~label:"t" ~budget:1 ~first:0 ~last:0
-            (Fault.Transient { probability = 1.0 });
-        ]
-      (Bus.memory ())
-  in
-  let bus = Fault.bus inj in
-  (try ignore (rd bus ~addr:0) with Fault.Bus_fault _ -> ());
-  ignore (rd bus ~addr:0);
-  Fault.reset inj;
-  let refired =
-    match rd bus ~addr:0 with
-    | _ -> false
-    | exception Fault.Bus_fault _ -> true
-  in
-  Alcotest.(check bool) "budget restored by reset" true refired
+  Alcotest.(check bool) "operations counted" true (Fault.operations inj >= 3)
 
 (* {1 Scheduled (exploration) mode}
 
@@ -294,128 +271,34 @@ let test_scheduled_transient_aborts_burst () =
   Alcotest.(check bool) "mid-burst transient aborts the burst" true aborted;
   (* Pre-device abort: no element of the burst landed. *)
   Alcotest.(check int) "no element landed" 0 (rd bus ~addr:0);
-  Fault.reset inj;
-  let refired =
-    match bus.Bus.write_block ~width:8 ~addr:0 ~from:[| 1; 2; 3; 4 |] with
-    | () -> false
-    | exception Fault.Bus_fault _ -> true
-  in
-  Alcotest.(check bool) "reset rearms the schedule" true refired;
-  Alcotest.(check int) "rearmed hit counted" 1 (Fault.scheduled_hits inj)
+  Alcotest.(check int) "one hit counted" 1 (Fault.scheduled_hits inj)
 
-(* {1 Snapshot / restore and PRNG rewind} *)
+(* {1 Seed determinism} *)
 
-(* The firing pattern of a probabilistic plan over [n] reads — the
-   PRNG fingerprint used to check rewind semantics. *)
+(* The firing pattern of a probabilistic plan over [n] reads. *)
 let fire_pattern bus inj n =
   List.init n (fun _ ->
       let before = Fault.injection_count inj in
       ignore (rd bus ~addr:0);
       Fault.injection_count inj > before)
 
-let test_reset_rewinds_prng () =
-  let inj =
-    Fault.wrap ~seed:11
-      ~plans:
-        [
-          Fault.plan ~label:"flip" ~ops:[ Fault.Read ] ~first:0 ~last:0
-            (Fault.Flip_bits { mask = 0x01; probability = 0.5 });
-        ]
-      (Bus.memory ())
+let test_seed_determinism () =
+  let pattern () =
+    let inj =
+      Fault.wrap ~seed:11
+        ~plans:
+          [
+            Fault.plan ~label:"flip" ~ops:[ Fault.Read ] ~first:0 ~last:0
+              (Fault.Flip_bits { mask = 0x01; probability = 0.5 });
+          ]
+        (Bus.memory ())
+    in
+    fire_pattern (Fault.bus inj) inj 32
   in
-  let bus = Fault.bus inj in
-  let a = fire_pattern bus inj 32 in
-  Fault.reset inj;
-  let b = fire_pattern bus inj 32 in
-  Alcotest.(check (list bool)) "reset rewinds the PRNG: identical pattern" a b;
+  let a = pattern () in
+  Alcotest.(check (list bool)) "one seed, one fire pattern" a (pattern ());
   Alcotest.(check bool) "the pattern is non-trivial" true
     (List.mem true a && List.mem false a)
-
-let test_snapshot_restore () =
-  let inj =
-    Fault.wrap ~seed:3
-      ~plans:
-        [
-          Fault.plan ~label:"flip" ~ops:[ Fault.Read ] ~budget:6 ~first:0
-            ~last:0
-            (Fault.Flip_bits { mask = 0x01; probability = 0.5 });
-        ]
-      (Bus.memory ())
-  in
-  let bus = Fault.bus inj in
-  ignore (fire_pattern bus inj 8);
-  let snap = Fault.snapshot inj in
-  let mid_count = Fault.injection_count inj in
-  let a = fire_pattern bus inj 16 in
-  Fault.restore inj snap;
-  Alcotest.(check int) "restore rewinds the counters" mid_count
-    (Fault.injection_count inj);
-  let b = fire_pattern bus inj 16 in
-  Alcotest.(check (list bool)) "restore rewinds PRNG and budgets" a b
-
-(* Snapshot/restore in scheduled mode with a pending ordinal: the
-   per-injection progress (operations seen, fired-or-not) must rewind
-   with the snapshot, so an exploration can re-drive the same decision
-   from a mid-workload checkpoint and see it fire at the same covered
-   operation again. *)
-let test_scheduled_snapshot_restore_pending () =
-  let inj =
-    Fault.scheduled
-      ~injections:
-        [
-          Fault.injection ~label:"t2" ~op:Fault.Read ~at:2 ~first:0 ~last:0
-            (Fault.Transient { probability = 0.0 });
-        ]
-      (Bus.memory ())
-  in
-  let bus = Fault.bus inj in
-  wr bus ~addr:0 0x5a;
-  ignore (rd bus ~addr:0);
-  (* Checkpoint with the decision pending: one covered op seen, ordinal
-     2 still ahead. *)
-  let snap = Fault.snapshot inj in
-  Alcotest.(check int) "one covered op at the checkpoint" 1
-    (Fault.seen_for inj "t2");
-  ignore (rd bus ~addr:0);
-  let fired_first =
-    match rd bus ~addr:0 with
-    | _ -> false
-    | exception Fault.Bus_fault _ -> true
-  in
-  Alcotest.(check bool) "fires at ordinal 2 on the first drive" true
-    fired_first;
-  Alcotest.(check int) "hit recorded" 1 (Fault.scheduled_hits inj);
-  Fault.restore inj snap;
-  Alcotest.(check int) "restore rewinds the hit count" 0
-    (Fault.scheduled_hits inj);
-  Alcotest.(check int) "restore rewinds the covered-op counter" 1
-    (Fault.seen_for inj "t2");
-  (* Re-drive: the decision must fire again, at the same ordinal. *)
-  Alcotest.(check int) "ordinal 1 passes again" 0x5a (rd bus ~addr:0);
-  let fired_again =
-    match rd bus ~addr:0 with
-    | _ -> false
-    | exception Fault.Bus_fault _ -> true
-  in
-  Alcotest.(check bool) "fires at ordinal 2 on the re-drive" true fired_again;
-  Alcotest.(check int) "exactly one hit after the re-drive" 1
-    (Fault.scheduled_hits inj);
-  Alcotest.(check int) "no misses outstanding" 0
-    (List.length (Fault.scheduled_misses inj))
-
-let test_restore_validates_shape () =
-  let mk plans = Fault.wrap ~plans (Bus.memory ()) in
-  let inj1 =
-    mk [ Fault.plan ~label:"a" ~first:0 ~last:0 (Fault.Transient { probability = 1.0 }) ]
-  in
-  let inj2 = mk [] in
-  let snap = Fault.snapshot inj1 in
-  let rejected =
-    match Fault.restore inj2 snap with
-    | () -> false
-    | exception Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "foreign snapshot rejected" true rejected
 
 (* {1 Recovery combinators against a faulty bus} *)
 
@@ -454,6 +337,73 @@ let test_with_retries_exhausts () =
   Alcotest.(check bool) "unbounded faults end in Degraded" true degraded;
   Alcotest.(check int) "one injection per attempt" Policy.default_attempts
     (Fault.injection_count inj)
+
+(* [with_retries] re-runs only what [is_transient] accepts. A timeout,
+   an exhausted budget, a device error or a plain [Failure] leaves on
+   the first run, as raised; a bus fault, or a driver error carrying
+   one or a device fault, is re-run to the budget and ends in
+   [Degraded]. *)
+let test_with_retries_only_transient () =
+  let runs_with exn =
+    let runs = ref 0 in
+    let escaped =
+      match
+        Policy.with_retries ~label:"r" (fun () ->
+            incr runs;
+            raise exn)
+      with
+      | () -> Alcotest.fail "a body that always raises returned"
+      | exception e -> e
+    in
+    (!runs, escaped)
+  in
+  List.iter
+    (fun exn ->
+      let runs, escaped = runs_with exn in
+      let name = Printexc.to_string exn in
+      Alcotest.(check bool) (name ^ " is not transient") false
+        (Policy.is_transient exn);
+      Alcotest.(check int) (name ^ ": one run") 1 runs;
+      Alcotest.(check bool) (name ^ " escapes as raised") true (escaped == exn))
+    [
+      Policy.Driver_error (Policy.Timeout "t");
+      Policy.Driver_error (Policy.Degraded "d");
+      Devil_runtime.Instance.Device_error "e";
+      Failure "f";
+    ];
+  List.iter
+    (fun exn ->
+      let runs, escaped = runs_with exn in
+      let name = Printexc.to_string exn in
+      Alcotest.(check int) (name ^ ": re-run to the budget")
+        Policy.default_attempts runs;
+      match escaped with
+      | Policy.Driver_error (Policy.Degraded _) -> ()
+      | e -> Alcotest.failf "%s: %s escaped, not Degraded" name
+               (Printexc.to_string e))
+    [
+      Fault.Bus_fault "b";
+      Policy.Driver_error (Policy.Bus_fault "b");
+      Policy.Driver_error (Policy.Device_fault "f");
+    ]
+
+(* {!Policy.try_poll_for} returns the first value its condition
+   produces, evaluating the condition once per tick, and [None] when
+   the deadline passes first: the condition then ran [deadline]
+   times. *)
+let test_try_poll_for () =
+  let evals = ref 0 in
+  let on_third () =
+    incr evals;
+    if !evals = 3 then Some "ready" else None
+  in
+  Alcotest.(check (option string)) "the first value" (Some "ready")
+    (Policy.try_poll_for ~deadline:10 on_third);
+  Alcotest.(check int) "evaluated until it answered" 3 !evals;
+  evals := 0;
+  Alcotest.(check (option string)) "expiry is None" None
+    (Policy.try_poll_for ~deadline:2 on_third);
+  Alcotest.(check int) "evaluated once per tick of the deadline" 2 !evals
 
 (* The default bounds are fixed by the program: a context's poll
    deadline is 1_000_000 unless it is built with another, positive,
@@ -712,19 +662,17 @@ let () =
         ] );
       ( "trace",
         [
-          case "events and counters" test_trace_and_reset;
-          case "reset restores budgets" test_reset_restores_budget;
-          case "reset rewinds the PRNG" test_reset_rewinds_prng;
-          case "snapshot and restore" test_snapshot_restore;
-          case "scheduled snapshot/restore with a pending ordinal"
-            test_scheduled_snapshot_restore_pending;
-          case "restore validates shape" test_restore_validates_shape;
+          case "events and counters" test_trace_events;
+          case "one seed, one fire pattern" test_seed_determinism;
         ] );
       ( "policy",
         [
           case "retries absorb a burst" test_with_retries_recovers;
           case "retries exhaust to Degraded" test_with_retries_exhausts;
           case "default bounds" test_default_bounds;
+          case "only transient failures are retried"
+            test_with_retries_only_transient;
+          case "try_poll_for: first value or None" test_try_poll_for;
         ] );
       ( "nested",
         [

@@ -58,7 +58,7 @@ let test_trace_eviction_keeps_seq () =
 
    Random sequences over all 23 kinds, at capacities from 1 to past a
    store chunk, emitted in bursts that cross the wrap point, with
-   [clear] and [merge] in between. The model is the plain list of the
+   [clear] in between. The model is the plain list of the
    last [capacity] events; every read-out of the store and the
    subscriber stream must agree with it. *)
 
@@ -124,7 +124,6 @@ type store_op =
   | Emit of Trace.kind
   | Burst of int * Trace.kind  (* the same kind, n times *)
   | Clear
-  | Merge of int option * Trace.kind list  (* with a fresh shard *)
 
 let store_op_gen =
   QCheck.Gen.(
@@ -133,21 +132,12 @@ let store_op_gen =
         (8, map (fun k -> Emit k) kind_gen);
         (2, map2 (fun n k -> Burst (n, k)) (int_range 1 2500) kind_gen);
         (1, return Clear);
-        ( 1,
-          map2
-            (fun c ks -> Merge (c, ks))
-            (opt (int_range 0 40))
-            (list_size (int_bound 12) kind_gen) );
       ])
 
 let print_store_op = function
   | Emit k -> Format.asprintf "emit %a" Trace.pp_kind k
   | Burst (n, k) -> Format.asprintf "burst %d x %a" n Trace.pp_kind k
   | Clear -> "clear"
-  | Merge (c, ks) ->
-      Printf.sprintf "merge ?capacity:%s with %d event(s)"
-        (match c with Some c -> string_of_int c | None -> "-")
-        (List.length ks)
 
 (* The model: the capacity, the events recorded since creation or
    [clear], the newest of them (newest first; at least the last
@@ -176,23 +166,6 @@ let model_emit m kind =
 
 let model_events m = List.rev (take m.m_cap m.m_rev)
 
-(* A stable merge by sequence number, the left shard first on ties. *)
-let model_merge ?capacity a b =
-  let rec go xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> rest
-    | (x : Trace.event) :: xs', (y : Trace.event) :: ys' ->
-        if x.seq <= y.seq then x :: go xs' ys else y :: go xs ys'
-  in
-  let all = go (model_events a) (model_events b) in
-  let cap = max 1 (Option.value capacity ~default:(max a.m_cap b.m_cap)) in
-  {
-    m_cap = cap;
-    m_recorded = List.length all;
-    m_rev = take cap (List.rev all);
-    m_next = max a.m_next b.m_next;
-  }
-
 let prop_trace_store_matches_model =
   QCheck.Test.make ~name:"trace store agrees with a list model"
     ~count:(qcount 200)
@@ -206,35 +179,27 @@ let prop_trace_store_matches_model =
            (list_size (int_bound 40) store_op_gen)))
     (fun (cap, ops) ->
       let seen = ref [] and expected = ref [] in
-      let watch tr = Trace.subscribe tr (fun e -> seen := e :: !seen) in
       let tr = Trace.create ~capacity:cap () in
-      watch tr;
-      let emit (tr, m) kind =
+      Trace.subscribe tr (fun e -> seen := e :: !seen);
+      let emit m kind =
         Trace.emit tr kind;
         let m = model_emit m kind in
         expected := List.hd m.m_rev :: !expected;
-        (tr, m)
+        m
       in
-      let step (tr, m) = function
-        | Emit k -> emit (tr, m) k
+      let step m = function
+        | Emit k -> emit m k
         | Burst (n, k) ->
-            let s = ref (tr, m) in
+            let s = ref m in
             for _ = 1 to n do
               s := emit !s k
             done;
             !s
         | Clear ->
             Trace.clear tr;
-            (tr, model_create m.m_cap)
-        | Merge (capacity, ks) ->
-            let shard = Trace.create ~capacity:16 () in
-            List.iter (Trace.emit shard) ks;
-            let shard_m = List.fold_left model_emit (model_create 16) ks in
-            let merged = Trace.merge ?capacity tr shard in
-            watch merged;
-            (merged, model_merge ?capacity m shard_m)
+            model_create m.m_cap
       in
-      let tr, m = List.fold_left step (tr, model_create cap) ops in
+      let m = List.fold_left step (model_create cap) ops in
       let pp_list es =
         String.concat ""
           (List.map (fun e -> Format.asprintf "%a@." Trace.pp_event e) es)

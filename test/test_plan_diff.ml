@@ -169,17 +169,18 @@ let gen_op (device : Ir.device) : Opgen.op QCheck.Gen.t =
 (* {1 Running one scenario on both engines} *)
 
 (* Two instances of the same device over two identically pre-seeded
-   memory buses, each observed by its own trace. *)
+   memory buses, each observed by its own trace and metrics registry. *)
 let build_engine ~interpret ~debug ~seed (device : Ir.device) bases =
   let raw = Bus.memory ~size:4096 () in
   Diffbat.seed_bus ~seed raw;
   let trace = Trace.create ~capacity:200_000 () in
-  let ctx = Devil_runtime.Ctx.create ~trace () in
+  let metrics = Devil_runtime.Metrics.create () in
+  let ctx = Devil_runtime.Ctx.create ~trace ~metrics () in
   let bus = Bus.observed ~ctx raw in
   let inst =
     Instance.create ~debug ~label:"diff" ~ctx ~interpret device ~bus ~bases
   in
-  (inst, trace)
+  (inst, trace, metrics)
 
 let diff_property name (device : Ir.device) =
   let bases = Diffbat.bases_for device in
@@ -201,8 +202,8 @@ let diff_property name (device : Ir.device) =
     ~name:(Printf.sprintf "compiled = interpreter on %s" name)
     ~count:(qcount 60) arb
     (fun (seed, debug, ops) ->
-      let compiled, tc = build_engine ~interpret:false ~debug ~seed device bases in
-      let interp, ti = build_engine ~interpret:true ~debug ~seed device bases in
+      let compiled, tc, mc = build_engine ~interpret:false ~debug ~seed device bases in
+      let interp, ti, mi = build_engine ~interpret:true ~debug ~seed device bases in
       List.iteri
         (fun i op ->
           let oc = Opgen.run_op compiled op in
@@ -216,6 +217,11 @@ let diff_property name (device : Ir.device) =
       if ec <> ei then
         QCheck.Test.fail_reportf "trace divergence: %s"
           (Diffbat.explain_trace_divergence tc ti);
+      (* Both engines count the same work: the same counters and
+         histograms, cache outcomes and per-register I/O included. *)
+      Option.iter
+        (QCheck.Test.fail_reportf "metrics: %s")
+        (Diffbat.metrics_divergence mc mi);
       (* Third oracle: the online protocol monitor re-derives the
          interface disciplines from the IR alone; a clean run must
          produce zero violations. *)
@@ -241,6 +247,49 @@ let diff_property name (device : Ir.device) =
         device.Ir.d_regs;
       true)
 
+(* The metrics oracle itself: equal registries agree, and a registry
+   one count or one histogram sample apart is reported by name. *)
+let test_metrics_divergence () =
+  let module Metrics = Devil_runtime.Metrics in
+  let registry ~hits ~samples =
+    let m = Metrics.create () in
+    Metrics.incr m ~by:hits "cache.diff.hits";
+    Metrics.incr m "io.diff.reg_reads";
+    List.iter (Metrics.observe m "poll.iters") samples;
+    m
+  in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i =
+      i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+    in
+    go 0
+  in
+  let divergence a b =
+    match Diffbat.metrics_divergence a b with
+    | Some d -> d
+    | None -> Alcotest.fail "registries that differ were found equal"
+  in
+  Alcotest.(check (option string)) "equal registries agree" None
+    (Diffbat.metrics_divergence
+       (registry ~hits:2 ~samples:[ 1; 3 ])
+       (registry ~hits:2 ~samples:[ 1; 3 ]));
+  let d =
+    divergence (registry ~hits:1 ~samples:[ 1; 3 ])
+      (registry ~hits:2 ~samples:[ 1; 3 ])
+  in
+  Alcotest.(check bool) ("a missed hit is named: " ^ d) true
+    (contains d "cache.diff.hits");
+  let d =
+    divergence (registry ~hits:2 ~samples:[ 1 ])
+      (registry ~hits:2 ~samples:[ 1; 3 ])
+  in
+  Alcotest.(check bool) ("a missing sample is named: " ^ d) true
+    (contains d "poll.iters");
+  let d = divergence (Metrics.create ()) (registry ~hits:1 ~samples:[]) in
+  Alcotest.(check bool) ("a counter on one side only is named: " ^ d) true
+    (contains d "cache.diff.hits")
+
 let devices =
   [
     ("busmouse", Specs.busmouse ());
@@ -264,4 +313,9 @@ let () =
           (fun (name, device) ->
             QCheck_alcotest.to_alcotest (diff_property name device))
           devices );
+      ( "oracles",
+        [
+          Alcotest.test_case "metrics divergence is named" `Quick
+            test_metrics_divergence;
+        ] );
     ]

@@ -7,7 +7,9 @@
      empty-histogram None, and monotonicity in the quantile.
    - Span arithmetic under a deterministic substituted clock: the
      self/total split, the attributed = total identity, the call-path
-     trie shape, [leaf] attribution, and exception safety.
+     trie shape, [leaf] attribution, and exception safety; spans
+     count nothing, so a profiled machine leaves the registry an
+     unprofiled one does.
    - Transparency: a QCheck property that running ANY random op
      sequence with the profiler enabled produces exactly the same
      outcomes and the same trace stream as without it, on both
@@ -242,27 +244,34 @@ let test_span_exception_safety () =
   Alcotest.(check int) "attributed = total" (Profile.total_ns p)
     (Profile.attributed_ns p)
 
-let test_span_metrics_link () =
-  let m = Metrics.create () in
-  let p = Profile.create ~metrics:m () in
-  let now = ref 0 in
-  Profile.set_clock p (fun () -> !now);
-  Profile.span p "op" (fun () -> now := 37);
-  match Metrics.histogram m "span.op.ns" with
-  | None -> Alcotest.fail "span histogram missing from the registry"
-  | Some h ->
-      Alcotest.(check int) "one sample" 1 h.Metrics.count;
-      Alcotest.(check int) "p50 is the sample" 37 h.Metrics.p50;
-      (* The JSON export carries the dotted percentile keys. *)
-      let json = Metrics.to_json m in
-      let has needle =
-        let rec go i =
-          i + String.length needle <= String.length json
-          && (String.sub json i (String.length needle) = needle || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool) "\"p95\" in to_json" true (has "\"p95\"")
+(* The profiler times spans and counts nothing: a machine running a
+   driver under a profiler leaves the same registry as one without, on
+   both engines, while the profile does record the driver's spans. *)
+let test_profile_adds_no_metric () =
+  let run ~interpret profile =
+    let metrics = Metrics.create () in
+    let m = Drivers.Machine.create ~metrics ?profile ~interpret () in
+    let module D = Drivers.Ide.Devil_driver in
+    let d = D.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
+    D.write_sectors d ~lba:8 ~count:2 ~mult:1 ~path:`Block ~width:`W16
+      (Bytes.make 1024 'p');
+    ignore (D.read_sectors d ~lba:8 ~count:2 ~mult:1 ~path:`Loop ~width:`W16);
+    Metrics.to_json metrics
+  in
+  List.iter
+    (fun interpret ->
+      let profile = Profile.create () in
+      let plain = run ~interpret None in
+      let profiled = run ~interpret (Some profile) in
+      Alcotest.(check bool) "the profile holds the driver's polls" true
+        (List.exists
+           (fun (key, _) -> String.starts_with ~prefix:"poll:" key)
+           (Profile.sites profile));
+      Alcotest.(check string)
+        (Printf.sprintf "interpret=%b: the same registry with a profiler"
+           interpret)
+        plain profiled)
+    [ false; true ]
 
 (* {1 Bus.observed identity} *)
 
@@ -539,7 +548,8 @@ let () =
             test_span_leaf_and_siblings;
           Alcotest.test_case "exception safety" `Quick
             test_span_exception_safety;
-          Alcotest.test_case "metrics link" `Quick test_span_metrics_link;
+          Alcotest.test_case "a profiled machine counts the same" `Quick
+            test_profile_adds_no_metric;
           Alcotest.test_case "Bus.observed identity" `Quick
             test_bus_observed_identity;
         ] );

@@ -23,6 +23,11 @@ let elab_err ?config body =
 
 let the = function Some x -> x | None -> Alcotest.fail "missing entity"
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let test_ports_and_registers () =
   let d = elab "register r = read base @ 0 write base @ 1, mask '10..00..' : bit[8];
                 variable v = r[5..4] # r[1..0] : int(4);" in
@@ -98,6 +103,28 @@ let test_conditionals () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing config accepted"
 
+(* A configuration value of the wrong type is refused with a diagnostic
+   naming the parameter, not read as "every condition false". *)
+let test_ill_typed_config () =
+  let full =
+    "device d (base : bit[8] port @ {0..7}, wide : bool) {\
+     register r = base @ 0 : bit[8];\
+     if (wide == true) { variable v = r : int(8); }\
+     else { variable v = r[3..0] : int(4); }}"
+  in
+  List.iter
+    (fun v ->
+      match Resolve.elaborate_string ~config:[ ("wide", v) ] full with
+      | Ok _ ->
+          Alcotest.failf "ill-typed config %s accepted" (Value.to_string v)
+      | Error diags ->
+          let text = Format.asprintf "%a" Devil_syntax.Diagnostics.pp diags in
+          Alcotest.(check bool)
+            ("diagnostic names the parameter: " ^ text)
+            true
+            (contains text "parameter wide"))
+    [ Value.Enum "maybe"; Value.Int 7 ]
+
 let test_structure_fields () =
   let d =
     elab
@@ -157,6 +184,8 @@ let () =
           Alcotest.test_case "structures" `Quick test_structure_fields;
           Alcotest.test_case "self-referencing set" `Quick
             test_self_referencing_set;
+          Alcotest.test_case "ill-typed configuration value" `Quick
+            test_ill_typed_config;
         ] );
       ("errors", [ Alcotest.test_case "rejections" `Quick test_errors ]);
     ]

@@ -314,13 +314,12 @@ let prop_poll_until_terminates =
   QCheck.Test.make
     ~name:"poll_until never evaluates its condition beyond the deadline"
     ~count:(qcount 200)
-    (QCheck.make QCheck.Gen.(pair (int_range 1 300) (int_bound 3)))
-    (fun (deadline, step) ->
+    (QCheck.make QCheck.Gen.(int_range 1 300))
+    (fun deadline ->
       let module Policy = Devil_runtime.Policy in
       let evals = ref 0 in
-      let backoff i = step * i in
       (match
-         Policy.poll_until ~deadline ~backoff ~label:"never" (fun () ->
+         Policy.poll_until ~deadline ~label:"never" (fun () ->
              incr evals;
              false)
        with

@@ -730,7 +730,6 @@ let test_async_drivers_pass_monitor () =
   Sched.drain sched;
   Alcotest.(check bytes) "sectors intact" expected !got;
   Alcotest.(check (list string)) "frame drained" [ frame ] (List.rev !frames);
-  Monitor.finalize mon;
   (match Monitor.violations mon with
   | [] -> ()
   | v :: _ ->

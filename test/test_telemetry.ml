@@ -1,4 +1,4 @@
-(* The mergeable-telemetry suite (DESIGN.md §16).
+(* The telemetry suite (DESIGN.md §16).
 
    Four angles:
 
@@ -7,39 +7,27 @@
      and windowed histogram percentiles that answer a different
      question than the lifetime ones.
    - Determinism: identical tick streams produce byte-identical JSONL
-     series dumps, and the dump round-trips through the parser.
-   - The merge laws, as QCheck properties: {!Metrics.merge} and
-     {!Profile.merge} are associative and commutative with the fresh
-     registry as identity, and merging per-shard registries fed split
-     streams equals one registry fed the concatenated stream — byte
-     for byte, through the JSON and OpenMetrics exporters. The same
-     split-equals-concatenated law holds for machine-generated
-     registries on both runtime engines.
+     series dumps, the dump round-trips through the parser, and the
+     OpenMetrics exposition is well formed.
+   - Both engines: each driver, run on a whole machine, leaves the
+     same registry on the compiled engine as on the interpreter.
    - The disabled path: {!Machine.telemetry_tick} on an
      uninstrumented machine is allocation-free. *)
 
-module Value = Devil_ir.Value
 module Trace = Devil_runtime.Trace
 module Metrics = Devil_runtime.Metrics
-module Profile = Devil_runtime.Profile
 module Health = Devil_runtime.Health
 module Telemetry = Devil_runtime.Telemetry
 module Trace_export = Devil_runtime.Trace_export
-module Policy = Devil_runtime.Policy
 module Machine = Drivers.Machine
 
 let case name f = Alcotest.test_case name `Quick f
-
-let qcount d =
-  match Sys.getenv_opt "DEVIL_QCHECK_COUNT" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> d)
-  | None -> d
 
 (* {1 The sampler} *)
 
 let test_counter_series () =
   let m = Metrics.create () in
-  let tel = Telemetry.create ~capacity:8 ~hz:2.0 m in
+  let tel = Telemetry.create ~capacity:8 m in
   Alcotest.(check int) "no ticks yet" 0 (Telemetry.ticks tel);
   for t = 1 to 4 do
     Metrics.incr m ~by:t "work.done";
@@ -63,13 +51,6 @@ let test_counter_series () =
         (t * (t + 1) / 2)
         p.Telemetry.total)
     pts;
-  (* Rates scale deltas by the tick frequency at display time. *)
-  Alcotest.(check (option (float 1e-9)))
-    "last rate = last delta * hz" (Some 8.0)
-    (Telemetry.last_rate tel "work.done");
-  Alcotest.(check (option (float 1e-9)))
-    "mean rate = total/ticks * hz" (Some 5.0)
-    (Telemetry.mean_rate tel "work.done");
   Alcotest.(check int) "no evictions" 0 (Telemetry.evictions tel)
 
 let test_series_ring_bound () =
@@ -143,6 +124,21 @@ let test_series_dump_deterministic () =
   in
   let a = dump () and b = dump () in
   Alcotest.(check string) "two identical runs dump identical bytes" a b
+
+(* The version-1 header, field for field: one tick is one second, so
+   [hz] is the string "1" and reads back as 1.0. *)
+let test_series_header () =
+  let m = Metrics.create () in
+  let tel = Telemetry.create ~capacity:16 m in
+  feed_fixture m tel;
+  let dump = Trace_export.series_to_jsonl tel in
+  let header = List.hd (String.split_on_char '\n' dump) in
+  Alcotest.(check string) "header line"
+    {|{"devil_series_version":1,"hz":"1","ticks":6,"capacity":16,"series_evictions":0}|}
+    header;
+  match Trace_export.series_of_jsonl dump with
+  | Error e -> Alcotest.fail ("series dump did not parse back: " ^ e)
+  | Ok sf -> Alcotest.(check (float 0.)) "hz reads back" 1.0 sf.sf_hz
 
 let test_series_roundtrip () =
   let m = Metrics.create () in
@@ -276,270 +272,195 @@ let test_openmetrics_line_syntax () =
         ]
   | _ -> Alcotest.fail "exposition must end with a single \"# EOF\" line"
 
-(* {1 Metrics merge laws} *)
+(* {1 Both engines: a driver's registry is the same on each}
 
-(* A shard-feedable event stream: each op is self-contained, so any
-   split of the stream across registries is meaningful. *)
-type mop = C of string * int | H of string * int
+   A machine runs one driver over its device model, once on each
+   runtime engine, each with a registry of its own. The two runs must
+   return the same driver results and export the same registry, byte
+   for byte through the JSON and OpenMetrics exporters: stub I/O,
+   cache outcomes, polls and bus traffic alike. The differential
+   suites hold each instance alone to the interpreter over a memory
+   bus; this holds what the drivers add on a whole machine. *)
 
-let mop_names = [| "a"; "b"; "io.lat"; "sched.completions" |]
-
-let mop_gen =
-  QCheck.Gen.(
-    let name = map (fun i -> mop_names.(i)) (int_bound 3) in
-    frequency
-      [
-        (1, map2 (fun n by -> C (n, by)) name (int_range 1 50));
-        (1, map2 (fun n v -> H (n, v)) name (int_bound 5000));
-      ])
-
-let mop_print = function
-  | C (n, by) -> Printf.sprintf "C(%s,%d)" n by
-  | H (n, v) -> Printf.sprintf "H(%s,%d)" n v
-
-let mops_arb = QCheck.make ~print:QCheck.Print.(list mop_print) QCheck.Gen.(list_size (int_bound 60) mop_gen)
-
-let apply_mops ops =
-  let m = Metrics.create () in
-  List.iter
-    (function C (n, by) -> Metrics.incr m ~by n | H (n, v) -> Metrics.observe m n v)
-    ops;
-  m
-
-let metrics_fingerprint m =
-  (* Two exporters, one truth: the JSON dump and the OpenMetrics
-     exposition must both agree byte for byte. *)
+let registry_fingerprint m =
   Metrics.to_json m ^ "\n" ^ Trace_export.to_openmetrics m
 
-let prop_metrics_merge_commutative =
-  QCheck.Test.make ~count:(qcount 100) ~name:"Metrics.merge is commutative"
-    (QCheck.pair mops_arb mops_arb)
-    (fun (xs, ys) ->
-      let a = apply_mops xs and b = apply_mops ys in
-      metrics_fingerprint (Metrics.merge a b)
-      = metrics_fingerprint (Metrics.merge b a))
-
-let prop_metrics_merge_associative =
-  QCheck.Test.make ~count:(qcount 100) ~name:"Metrics.merge is associative"
-    (QCheck.triple mops_arb mops_arb mops_arb)
-    (fun (xs, ys, zs) ->
-      let a = apply_mops xs and b = apply_mops ys and c = apply_mops zs in
-      metrics_fingerprint (Metrics.merge (Metrics.merge a b) c)
-      = metrics_fingerprint (Metrics.merge a (Metrics.merge b c)))
-
-let prop_metrics_merge_identity =
-  QCheck.Test.make ~count:(qcount 100)
-    ~name:"fresh registry is Metrics.merge's identity" mops_arb (fun xs ->
-      let a = apply_mops xs in
-      let fp = metrics_fingerprint a in
-      metrics_fingerprint (Metrics.merge a (Metrics.create ())) = fp
-      && metrics_fingerprint (Metrics.merge (Metrics.create ()) a) = fp)
-
-let prop_metrics_split_equals_concatenated =
-  QCheck.Test.make ~count:(qcount 100)
-    ~name:"merged split streams = one registry fed the concatenation"
-    (QCheck.pair mops_arb mops_arb)
-    (fun (xs, ys) ->
-      let merged = Metrics.merge (apply_mops xs) (apply_mops ys) in
-      let whole = apply_mops (xs @ ys) in
-      metrics_fingerprint merged = metrics_fingerprint whole)
-
-(* {1 Profile merge laws} *)
-
-(* Deterministic span streams under a substituted clock: each op is a
-   closed span (or a leaf), so streams shard cleanly. *)
-type pop = Leaf of string * int | Span of string * int * pop list
-
-let pop_sites = [| "bus.read"; "ide.cmd"; "net.tx" |]
-
-(* Leaves appear only at top level: [Profile.leaf] under an open span
-   adds self time the enclosing span's clock never covered, which
-   breaks the attributed = total identity in the {e input} — the law
-   under test is that merge preserves it, so the streams must satisfy
-   it to begin with. *)
-let pop_gen =
-  QCheck.Gen.(
-    let site = map (fun i -> pop_sites.(i)) (int_bound 2) in
-    let span_tree =
-      sized_size (int_bound 3)
-        (fix (fun self n ->
-             map3
-               (fun s d kids -> Span (s, d, kids))
-               site (int_range 1 200)
-               (if n = 0 then return []
-                else list_size (int_bound 2) (self (n - 1)))))
-    in
-    frequency
-      [
-        (1, map2 (fun s ns -> Leaf (s, ns)) site (int_range 1 500));
-        (1, span_tree);
-      ])
-
-let rec pop_print = function
-  | Leaf (s, ns) -> Printf.sprintf "Leaf(%s,%d)" s ns
-  | Span (s, d, kids) ->
-      Printf.sprintf "Span(%s,%d,[%s])" s d
-        (String.concat ";" (List.map pop_print kids))
-
-let pops_arb =
-  QCheck.make
-    ~print:QCheck.Print.(list pop_print)
-    QCheck.Gen.(list_size (int_bound 12) pop_gen)
-
-let apply_pops ops =
-  let p = Profile.create () in
-  let clk = ref 0 in
-  Profile.set_clock p (fun () -> !clk);
-  let rec run = function
-    | Leaf (s, ns) -> Profile.leaf p s ns
-    | Span (s, d, kids) ->
-        let sp = Profile.enter p s in
-        clk := !clk + d;
-        List.iter run kids;
-        Profile.exit p sp
+let engines_agree (workload : Machine.t -> string) () =
+  let run interpret =
+    let metrics = Metrics.create () in
+    let m = Machine.create ~metrics ~interpret () in
+    let result = workload m in
+    (result, metrics)
   in
-  List.iter run ops;
-  p
+  let compiled, mc = run false in
+  let interpreted, mi = run true in
+  Alcotest.(check string) "same driver results" interpreted compiled;
+  Alcotest.(check bool) "the driver's register I/O is counted" true
+    (List.exists
+       (fun (name, n) -> n > 0 && String.starts_with ~prefix:"io." name)
+       (Metrics.counters mi));
+  Alcotest.(check string) "same registry" (registry_fingerprint mi)
+    (registry_fingerprint mc)
 
-let profile_fingerprint p = Trace_export.profile_to_folded p
+let bytes_digest b = Digest.to_hex (Digest.bytes b)
 
-let prop_profile_merge_commutative =
-  QCheck.Test.make ~count:(qcount 60) ~name:"Profile.merge is commutative"
-    (QCheck.pair pops_arb pops_arb)
-    (fun (xs, ys) ->
-      let a = apply_pops xs and b = apply_pops ys in
-      profile_fingerprint (Profile.merge a b)
-      = profile_fingerprint (Profile.merge b a))
-
-let prop_profile_merge_associative =
-  QCheck.Test.make ~count:(qcount 60) ~name:"Profile.merge is associative"
-    (QCheck.triple pops_arb pops_arb pops_arb)
-    (fun (xs, ys, zs) ->
-      let a = apply_pops xs and b = apply_pops ys and c = apply_pops zs in
-      profile_fingerprint (Profile.merge (Profile.merge a b) c)
-      = profile_fingerprint (Profile.merge a (Profile.merge b c)))
-
-let prop_profile_merge_identity_and_attribution =
-  QCheck.Test.make ~count:(qcount 60)
-    ~name:"fresh profiler is Profile.merge's identity; attribution holds"
-    (QCheck.pair pops_arb pops_arb)
-    (fun (xs, ys) ->
-      let a = apply_pops xs and b = apply_pops ys in
-      let merged = Profile.merge a b in
-      (* The inputs keep every nanosecond attributed to some call
-         path; the fold must preserve that identity and the sums. *)
-      Profile.attributed_ns a = Profile.total_ns a
-      && Profile.attributed_ns merged = Profile.total_ns merged
-      && Profile.total_ns merged = Profile.total_ns a + Profile.total_ns b
-      && profile_fingerprint (Profile.merge a (Profile.create ()))
-         = profile_fingerprint a)
-
-let prop_profile_split_equals_concatenated =
-  QCheck.Test.make ~count:(qcount 60)
-    ~name:"merged split span streams = one profiler fed the concatenation"
-    (QCheck.pair pops_arb pops_arb)
-    (fun (xs, ys) ->
-      let merged = Profile.merge (apply_pops xs) (apply_pops ys) in
-      let whole = apply_pops (xs @ ys) in
-      profile_fingerprint merged = profile_fingerprint whole)
-
-(* {1 Trace ring merge} *)
-
-let test_trace_merge_seq_order () =
-  let mk kinds =
-    let t = Trace.create ~capacity:16 () in
-    List.iter (Trace.emit t) kinds;
-    t
+let mouse_workload (m : Machine.t) =
+  let module D = Drivers.Mouse.Devil_driver in
+  let d = D.create m.mouse_dev in
+  let probed = D.probe d in
+  D.init d;
+  Hwsim.Busmouse.move m.mouse ~dx:(-7) ~dy:9;
+  Hwsim.Busmouse.set_buttons m.mouse 0b011;
+  let show (s : Drivers.Mouse.state) =
+    Printf.sprintf "%d,%d,%d" s.dx s.dy s.buttons
   in
-  let a =
-    mk
-      [
-        Trace.Cache_hit { dev = "uart"; reg = "LCR" };
-        Trace.Cache_miss { dev = "uart"; reg = "LSR" };
-        Trace.Cache_hit { dev = "ide"; reg = "STATUS" };
-      ]
+  let first = show (D.read_state d) in
+  let second = show (D.read_state d) in
+  D.set_interrupts d false;
+  Printf.sprintf "probe %b; %s; %s" probed first second
+
+let ide_pio_workload (m : Machine.t) =
+  let module D = Drivers.Ide.Devil_driver in
+  let d = D.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
+  let data = Bytes.init (4 * 512) (fun i -> Char.chr ((i * 7) land 0xff)) in
+  D.write_sectors d ~lba:32 ~count:4 ~mult:1 ~path:`Block ~width:`W16 data;
+  let reads =
+    List.map
+      (fun (path, width) ->
+        bytes_digest (D.read_sectors d ~lba:32 ~count:4 ~mult:1 ~path ~width))
+      [ (`Loop, `W16); (`Loop, `W32); (`Block, `W16); (`Block, `W32) ]
   in
-  let b =
-    mk
-      [
-        Trace.Cache_invalidated { dev = "kbd" };
-        Trace.Cache_hit { dev = "kbd"; reg = "DATA" };
-      ]
+  let count, lba = D.read_task_file d in
+  String.concat " "
+    ((D.identify d :: reads) @ [ string_of_int count; string_of_int lba ])
+
+let ide_dma_workload (m : Machine.t) =
+  let module D = Drivers.Ide.Devil_driver in
+  let d = D.create ~ide:m.ide_dev ~piix4:m.piix4_dev in
+  let memory = Hwsim.Piix4.memory m.busmaster in
+  let data = Bytes.init (2 * 512) (fun i -> Char.chr ((i * 13) land 0xff)) in
+  D.write_dma d ~memory ~lba:64 ~count:2 data;
+  bytes_digest (D.read_dma d ~memory ~lba:64 ~count:2)
+
+let net_workload (m : Machine.t) =
+  let module D = Drivers.Net.Devil_driver in
+  let d = D.create m.ne2000_dev in
+  let mac = "\x02\x00\x00\x00\x00\x01" in
+  D.init_loopback d ~mac;
+  D.send d "a frame through the loopback";
+  let got = D.receive d in
+  D.ack_interrupts d;
+  Printf.sprintf "%S %s"
+    (Option.value got ~default:"<none>")
+    (Digest.to_hex (Digest.string (D.station_address d)))
+
+let pic_workload (m : Machine.t) =
+  let module D = Drivers.Pic_driver.Devil_driver in
+  let d = D.create m.pic_dev in
+  D.init d ~vector_base:0x20 ~single:false ~with_icw4:true ~cascade_map:0x04;
+  D.set_mask d 0xab;
+  let mask = D.read_mask d in
+  D.set_mask d 0x00;
+  Hwsim.Pic8259.raise_irq m.pic ~line:6;
+  let pending = D.pending_requests d in
+  let vector = Hwsim.Pic8259.inta m.pic in
+  let serving = D.in_service d in
+  D.specific_eoi d ~line:6;
+  Printf.sprintf "mask %x, irr %x, vector %s, isr %x then %x" mask pending
+    (match vector with Some v -> string_of_int v | None -> "-")
+    serving (D.in_service d)
+
+let dma_workload (m : Machine.t) =
+  let module D = Drivers.Dma_driver.Devil_driver in
+  let d = D.create m.dma_dev in
+  D.master_clear d;
+  D.program_channel d ~channel:1 ~address:0x80 ~count:7
+    ~transfer:Drivers.Dma_driver.Write_memory ~mode:Drivers.Dma_driver.Single
+    ~auto_init:false;
+  let moved =
+    Hwsim.Dma8237.device_request m.dma ~channel:1
+      ~data:(Bytes.of_string "8 bytes!") Hwsim.Dma8237.To_memory
   in
-  let merged = Trace.merge_events (Trace.events a) (Trace.events b) in
-  Alcotest.(check int) "all events retained" 5 (List.length merged);
-  let seqs = List.map (fun (e : Trace.event) -> e.Trace.seq) merged in
-  Alcotest.(check bool)
-    "seq-ordered (non-decreasing)" true
-    (List.for_all2 ( <= ) (List.filteri (fun i _ -> i < 4) seqs)
-       (List.tl seqs));
-  (* Equal seqs keep left-stream events first: a's seq-0 event leads. *)
-  (match merged with
-  | { Trace.kind = Trace.Cache_hit { dev = "uart"; _ }; _ } :: _ -> ()
-  | _ -> Alcotest.fail "stable merge must keep the left stream first");
-  let ring = Trace.merge ~capacity:4 a b in
-  Alcotest.(check int) "bounded merged ring length" 4 (Trace.length ring);
-  Alcotest.(check int) "merged ring counts the eviction" 1
-    (Trace.dropped ring)
+  Printf.sprintf "moved %d, tc %b, address %x" moved
+    (D.terminal_count_reached d 1)
+    (D.readback_address d 1)
 
-(* {1 Both engines: machine-generated registries fold the same way} *)
+let sound_workload (m : Machine.t) =
+  let module D = Drivers.Sound.Devil_driver in
+  let d = D.create m.sound_dev in
+  D.set_volume d ~left:20 ~right:30;
+  D.line_gain d 11;
+  let version = D.chip_version d in
+  D.mute d true;
+  D.play d [ 1; 2; 3; 250 ];
+  let recorded = D.record d 4 in
+  Printf.sprintf "version %d, recorded [%s]" version
+    (String.concat ";" (List.map string_of_int recorded))
 
-let machine_ops : (Machine.t -> unit) list =
-  [
-    (fun m -> ignore (Machine.Instance.get m.Machine.uart_dev "parity_mode"));
-    (fun m ->
-      Machine.Instance.set m.Machine.uart_dev "parity_mode" (Value.Int 5));
-    (fun m -> Machine.Instance.get_struct m.Machine.uart_dev "line_status");
-    (fun m ->
-      Machine.Instance.write_block m.Machine.uart_dev "tx_data"
-        (Array.make 16 0x55);
-      ignore (Hwsim.Uart16550.take_transmitted m.Machine.uart));
-    (fun m -> ignore (Machine.Instance.get m.Machine.uart_dev "parity_mode"));
-  ]
-
-let run_machine_workload ~interpret ?metrics ops =
-  let metrics =
-    match metrics with Some m -> m | None -> Metrics.create ()
-  in
-  let m = Machine.create ~metrics ~interpret () in
-  List.iter (fun op -> op m) ops;
-  metrics
-
-let test_split_equals_concatenated_both_engines () =
-  (* Two shard machines, each with its own registry, merged — versus
-     the same two machines feeding one shared registry (the
-     concatenated metric event stream). The machines are fresh in both
-     arms so the hardware-side state (caches, FIFOs) emits identical
-     streams; only the registry topology differs. *)
+let gfx_workload (m : Machine.t) =
+  let module D = Drivers.Gfx.Devil_driver in
+  let d = D.create m.gfx_dev in
   List.iter
-    (fun interpret ->
-      let shard_a = run_machine_workload ~interpret machine_ops in
-      let shard_b = run_machine_workload ~interpret (List.rev machine_ops) in
-      let merged = Metrics.merge shard_a shard_b in
-      let shared = Metrics.create () in
-      ignore (run_machine_workload ~interpret ~metrics:shared machine_ops);
-      ignore
-        (run_machine_workload ~interpret ~metrics:shared
-           (List.rev machine_ops));
-      Alcotest.(check string)
-        (Printf.sprintf
-           "engine interpret=%b: merged shards = concatenated stream"
-           interpret)
-        (metrics_fingerprint shared)
-        (metrics_fingerprint merged))
-    [ false; true ]
+    (fun depth ->
+      D.set_depth d depth;
+      D.fill_rect d { x = 2; y = 2; w = 10; h = 6 } ~color:3;
+      D.copy_rect d { x = 20; y = 2; w = 10; h = 6 } ~dx:18 ~dy:0;
+      D.sync d)
+    [ 8; 24; 32 ];
+  String.concat ","
+    (List.init 40 (fun x ->
+         string_of_int (Hwsim.Permedia2.pixel m.gfx ~x ~y:4)))
 
-let test_engines_agree_on_fold () =
-  (* The two engines count the same workload the same way, so their
-     folded registries agree too — the cross-engine half of the
-     acceptance law. *)
-  let fp interpret =
-    let a = run_machine_workload ~interpret machine_ops in
-    let b = run_machine_workload ~interpret machine_ops in
-    metrics_fingerprint (Metrics.merge a b)
+let serial_workload (m : Machine.t) =
+  let module D = Drivers.Serial.Devil_driver in
+  let uart = m.uart_dev in
+  (* Direct stub calls first: a cached read twice, a set, a structure
+     read and a block write. *)
+  let parity () =
+    Devil_ir.Value.to_string (Machine.Instance.get uart "parity_mode")
   in
-  Alcotest.(check string) "compiled and interpreted folds agree" (fp false)
-    (fp true)
+  let p0 = parity () in
+  let p1 = parity () in
+  Machine.Instance.set uart "parity_mode" (Devil_ir.Value.Int 5);
+  Machine.Instance.get_struct uart "line_status";
+  Machine.Instance.write_block uart "tx_data" (Array.make 16 0x55);
+  ignore (Hwsim.Uart16550.take_transmitted m.uart);
+  let d = D.create uart in
+  D.init d ~baud:115200;
+  D.send d "hello";
+  let sent = Hwsim.Uart16550.take_transmitted m.uart in
+  Hwsim.Uart16550.inject m.uart "ok";
+  let got = D.recv d ~max:8 in
+  Printf.sprintf "parity %s %s, baud %d, sent %S, got %S, self-test %b" p0 p1
+    (D.configured_baud d) sent got (D.self_test d)
+
+let rtc_workload (m : Machine.t) =
+  let module D = Drivers.Rtc.Devil_driver in
+  let d = D.create m.rtc_dev in
+  D.set_time d { Drivers.Rtc.hours = 7; minutes = 59; seconds = 58 };
+  D.set_alarm d { Drivers.Rtc.hours = 8; minutes = 0; seconds = 0 };
+  D.enable_alarm_irq d true;
+  Hwsim.Mc146818.tick_seconds m.rtc 2;
+  let t = D.read_time d in
+  Printf.sprintf "%02d:%02d:%02d, flags %x" t.hours t.minutes t.seconds
+    (D.pending_interrupts d)
+
+let keyboard_workload (m : Machine.t) =
+  let module D = Drivers.Keyboard.Devil_driver in
+  let d = D.create m.kbd_dev in
+  let ok = D.init d in
+  ignore (Hwsim.I8042.press m.kbd 0x2a);
+  ignore (Hwsim.I8042.press m.kbd 0x10);
+  let scancodes =
+    List.init 3 (fun _ ->
+        match D.poll_scancode d with
+        | Some c -> string_of_int c
+        | None -> "-")
+  in
+  let leds = D.set_leds d 0x2 in
+  D.write_config d 0x61;
+  Printf.sprintf "init %b, scancodes %s, leds %b, config %x" ok
+    (String.concat "," scancodes) leds (D.read_config d)
 
 (* {1 Disabled path: telemetry_tick on a bare machine is free} *)
 
@@ -565,7 +486,7 @@ let () =
     [
       ( "sampler",
         [
-          case "counter series deltas, totals and rates" test_counter_series;
+          case "counter series deltas and totals" test_counter_series;
           case "series ring bound and eviction count" test_series_ring_bound;
           case "windowed percentiles differ from lifetime"
             test_windowed_vs_lifetime_percentiles;
@@ -578,28 +499,26 @@ let () =
           case "OpenMetrics exposition shape" test_openmetrics_exposition;
           case "OpenMetrics line syntax, machine registry"
             test_openmetrics_line_syntax;
+          case "series header" test_series_header;
         ] );
-      ( "merge-laws",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_metrics_merge_commutative;
-            prop_metrics_merge_associative;
-            prop_metrics_merge_identity;
-            prop_metrics_split_equals_concatenated;
-            prop_profile_merge_commutative;
-            prop_profile_merge_associative;
-            prop_profile_merge_identity_and_attribution;
-            prop_profile_split_equals_concatenated;
-          ] );
-      ( "trace-merge",
-        [ case "seq-ordered stable ring merge" test_trace_merge_seq_order ] );
       ( "engines",
-        [
-          case "merged shards = concatenated stream, both engines"
-            test_split_equals_concatenated_both_engines;
-          case "compiled and interpreted folds agree"
-            test_engines_agree_on_fold;
-        ] );
+        List.map
+          (fun (name, workload) ->
+            case (name ^ ": compiled and interpreted registries agree")
+              (engines_agree workload))
+          [
+            ("busmouse", mouse_workload);
+            ("IDE PIO", ide_pio_workload);
+            ("IDE DMA", ide_dma_workload);
+            ("NE2000", net_workload);
+            ("8259A", pic_workload);
+            ("8237A", dma_workload);
+            ("CS4236B", sound_workload);
+            ("Permedia2", gfx_workload);
+            ("16550 UART", serial_workload);
+            ("MC146818", rtc_workload);
+            ("i8042", keyboard_workload);
+          ] );
       ( "disabled-path",
         [
           case "telemetry_tick without a handle allocates nothing"

@@ -169,9 +169,8 @@ DEVIL_QCHECK_COUNT=5 dune build @harness
 dune exec bench/main.exe -- harness --qcount 5 > _build/harness_smoke.out
 tail -1 _build/harness_smoke.out
 
-# Telemetry gates (ISSUE 10): the mergeable-telemetry suite must pass
-# (the tick sampler, the Metrics/Profile/Trace merge laws, the
-# OpenMetrics and series exporters, the allocation-free disabled
+# Telemetry gates: the telemetry suite must pass (the tick sampler,
+# the OpenMetrics and series exporters, the allocation-free disabled
 # path), a 1-tick `bench soak` smoke must pass its gates (nonzero
 # completions in every tick, ok health), the dumped series must replay
 # through both tracetool telemetry commands, and a full run must
